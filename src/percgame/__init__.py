@@ -18,9 +18,7 @@ from .criteria import (DurationReport, Kappa3Bounds, UnsupportedFamilyError,
                        duration_criterion, kappa2_draw_zero, kappa3_bounds,
                        kappa3_contraction_holds, kappa3_p0_zero_check,
                        kappa3_p0_zero_maps, kappa3_special_ratio, ratio_law)
-from .oracle import (Forest, GameTable, GameVerdict, NodeCapExceeded, OracleEstimate,
-                     WeightedTree, estimate_probs, sample_forest, sample_tree,
-                     solve_game_exact)
+from .oracle import Forest, NodeCapExceeded, OracleEstimate, estimate_probs, sample_forest
 
 __version__ = "0.1.0"
 
@@ -35,7 +33,5 @@ __all__ = [
     "DurationReport", "Kappa3Bounds", "UnsupportedFamilyError", "duration_criterion",
     "kappa2_draw_zero", "kappa3_bounds", "kappa3_contraction_holds",
     "kappa3_p0_zero_check", "kappa3_p0_zero_maps", "kappa3_special_ratio", "ratio_law",
-    "Forest", "GameTable", "GameVerdict", "NodeCapExceeded", "OracleEstimate",
-    "WeightedTree", "estimate_probs", "sample_forest", "sample_tree",
-    "solve_game_exact",
+    "Forest", "NodeCapExceeded", "OracleEstimate", "estimate_probs", "sample_forest",
 ]

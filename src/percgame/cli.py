@@ -482,7 +482,7 @@ def _cmd_sweep(config) -> int:
     jobs = int(config.get("jobs") or 1)
     if jobs > 1 and len(tasks) > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_cell_star,
                                  [(config, o, p0, p1) for (o, p0, p1) in tasks]))
     else:

@@ -219,27 +219,6 @@ def kappa3_p0_zero_check(dist: OffspringDistribution, p_minus1: float) -> bool:
     return bool(product < 1.0)
 
 
-def count_scalar_fixed_points(fn, tol: float = 1e-12, max_iter: int = 10**6,
-                              radius: float = 1e-6, n_random: int = 32,
-                              seed: int = 7) -> int:
-    """Multi-start fixed-point count for a scalar self-map of [0, 1]."""
-    rng = np.random.default_rng(seed)
-    starts = [0.0, 1.0] + list(np.arange(0.1, 0.95, 0.1)) + list(rng.random(n_random))
-    found = []
-    for x in starts:
-        settled = False
-        for _ in range(max_iter):
-            xn = float(fn(x))
-            if abs(xn - x) < tol:
-                x = xn
-                settled = True
-                break
-            x = xn
-        if settled and not any(abs(x - f) < radius for f in found):
-            found.append(x)
-    return len(found)
-
-
 # ---------------------------------------------------------------------------
 # duration certificate
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Monte-Carlo ground truth: exact game solving on sampled trees.
 
-Trees are drawn generation by generation from the offspring law, edges get
-independent weights in {-1, 0, +1}, and each realized game is solved exactly
-by backward induction over (vertex, mover capital, opponent capital) states
-with a bounded round horizon.  The empirical frequencies of the root being a
+Trees are drawn in batches (a `Forest`), generation by generation, from the
+offspring law, edges get independent weights in {-1, 0, +1}, and every
+realized game of the batch is solved exactly by one vectorised backward
+induction over (vertex, mover capital, opponent capital) states with a
+bounded round horizon.  The empirical frequencies of the root being a
 horizon-n loss or win are unbiased estimates of the analytic horizon-n
 probabilities, because a horizon-n verdict only reads the first n
 generations.
@@ -17,7 +18,6 @@ mover stranded at a leaf with interior capital loses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import List, Optional
 
 import numpy as np
@@ -33,191 +33,6 @@ class NodeCapExceeded(RuntimeError):
     """A sampled tree outgrew the configured node budget."""
 
 
-class GameVerdict(Enum):
-    WIN = "WIN"
-    LOSE = "LOSE"
-    UNDECIDED = "UNDECIDED"
-
-
-@dataclass
-class WeightedTree:
-    """Finite rooted tree with one weight in {-1, 0, +1} per edge.
-
-    Nodes are indexed in breadth-first order, the root is node 0 and parents
-    precede children.  weights[v] is the weight of the edge (parent(v), v);
-    weights[0] is unused and kept at 0.
-    """
-
-    parents: np.ndarray
-    weights: np.ndarray
-    depth: int
-
-    def __post_init__(self):
-        parents = np.asarray(self.parents, dtype=np.int64)
-        weights = np.asarray(self.weights, dtype=np.int8)
-        if parents.shape != weights.shape or parents.ndim != 1 or parents.size == 0:
-            raise ValueError("parents and weights must be equal-length 1-d arrays")
-        if parents[0] != -1:
-            raise ValueError("node 0 must be the root (parent -1)")
-        if parents.size > 1:
-            if np.any(parents[1:] < 0) or np.any(parents[1:] >= np.arange(1, parents.size)):
-                raise ValueError("parents must precede children (breadth-first indexing)")
-        if np.any(np.abs(weights[1:]) > 1):
-            raise ValueError("edge weights must lie in {-1, 0, +1}")
-        object.__setattr__(self, "parents", parents)
-        object.__setattr__(self, "weights", weights)
-        levels = np.zeros(parents.size, dtype=np.int64)
-        if parents.size > 1:
-            for v in range(1, parents.size):
-                levels[v] = levels[parents[v]] + 1
-        object.__setattr__(self, "node_depth", levels)
-        if self.depth < int(levels.max(initial=0)):
-            raise ValueError("declared depth smaller than deepest node")
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.parents.size)
-
-    def children_of(self, u: int) -> np.ndarray:
-        return np.flatnonzero(self.parents == u)
-
-
-def sample_tree(dist: OffspringDistribution, law: EdgeWeightLaw, depth: int,
-                rng: np.random.Generator, node_cap: int = DEFAULT_NODE_CAP) -> WeightedTree:
-    """Breadth-first tree sample truncated after `depth` generations."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    parents = [-1]
-    weights = [0]
-    frontier = [0]
-    p1, p0 = law.p_1, law.p_0
-    for _ in range(depth):
-        if not frontier:
-            break
-        counts = np.atleast_1d(dist.sample(rng, size=len(frontier)))
-        total = int(counts.sum())
-        if len(parents) + total > node_cap:
-            raise NodeCapExceeded(f"tree exceeded node cap {node_cap}")
-        new_frontier = []
-        if total:
-            u = rng.random(total)
-            drawn = np.where(u < p1, 1, np.where(u < p1 + p0, 0, -1))
-            pos = 0
-            for node, c in zip(frontier, counts):
-                for _ in range(int(c)):
-                    parents.append(node)
-                    weights.append(int(drawn[pos]))
-                    new_frontier.append(len(parents) - 1)
-                    pos += 1
-        frontier = new_frontier
-    return WeightedTree(parents=np.array(parents, dtype=np.int64),
-                        weights=np.array(weights, dtype=np.int8),
-                        depth=depth)
-
-
-@dataclass
-class GameTable:
-    """Backward-induction verdicts for every node and interior capital pair.
-
-    win[u, i-1, j-1] / lose[u, i-1, j-1] give the mover's verdict at node u
-    with mover capital i and opponent capital j after `horizon` rounds of
-    induction.  Nodes deeper than depth - horizon carry the verdict at their
-    truncation-limited horizon; the root verdict is horizon-exact.
-    """
-
-    kappa: int
-    horizon: int
-    win: np.ndarray
-    lose: np.ndarray
-
-    def verdict(self, node: int, i: int, j: int) -> GameVerdict:
-        if not (1 <= i <= self.kappa - 1 and 1 <= j <= self.kappa - 1):
-            raise ValueError("capitals must be interior")
-        if self.win[node, i - 1, j - 1]:
-            return GameVerdict.WIN
-        if self.lose[node, i - 1, j - 1]:
-            return GameVerdict.LOSE
-        return GameVerdict.UNDECIDED
-
-
-def _generation_index(tree: WeightedTree):
-    # pad to the declared depth: extinct lineages still need their frontier
-    # generations so childlessness is processed at every level
-    return [np.flatnonzero(tree.node_depth == d) for d in range(tree.depth + 1)]
-
-
-def solve_game_exact(tree: WeightedTree, kappa: int, horizon: int) -> GameTable:
-    """Round-bounded backward induction over one realized tree.
-
-    A mover loses at horizon m+1 when the node is childless or every child,
-    under the weight-shifted mover capital, lies in the opponent's horizon-m
-    win set (capital 0 counting as an immediate win for the opponent, capital
-    kappa as an immediate loss).  The win case is dual.
-    """
-    if kappa < 2:
-        raise ValueError("kappa must be >= 2")
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    if horizon > tree.depth:
-        raise ValueError("horizon exceeds the sampled depth")
-    n = kappa - 1
-    gens = _generation_index(tree)
-    n_gens = len(gens)
-    Wp, Lp = [], []
-    for d in range(n_gens):
-        N = gens[d].size
-        wv = np.zeros((N, n, kappa + 1), dtype=bool)
-        lv = np.zeros((N, n, kappa + 1), dtype=bool)
-        wv[:, :, 0] = True
-        lv[:, :, kappa] = True
-        Wp.append(wv)
-        Lp.append(lv)
-    # local child bookkeeping per generation
-    child_parent_local = []
-    child_weight = []
-    nchild = []
-    for d in range(n_gens - 1):
-        kids = gens[d + 1]
-        local_of = {int(g): idx for idx, g in enumerate(gens[d])}
-        pl = np.array([local_of[int(tree.parents[v])] for v in kids], dtype=np.int64)
-        child_parent_local.append(pl)
-        child_weight.append(tree.weights[kids].astype(np.int64))
-        nchild.append(np.bincount(pl, minlength=gens[d].size))
-    aa = np.arange(n)
-    for _ in range(horizon):
-        for d in range(n_gens - 1):
-            N = gens[d].size
-            Nc = gens[d + 1].size
-            if Nc == 0:
-                lose_g = np.ones((N, n, n), dtype=bool)
-                win_g = np.zeros((N, n, n), dtype=bool)
-            else:
-                nodes = np.arange(Nc)[:, None, None]
-                jm1 = aa[None, None, :]
-                col = (aa[None, :, None] + 1) + child_weight[d][:, None, None]
-                condW = Wp[d + 1][nodes, jm1, col]
-                condL = Lp[d + 1][nodes, jm1, col]
-                flat = (child_parent_local[d][:, None, None] * (n * n)
-                        + aa[None, :, None] * n + jm1).reshape(-1)
-                cntW = np.bincount(flat, weights=condW.reshape(-1), minlength=N * n * n).reshape(N, n, n)
-                cntL = np.bincount(flat, weights=condL.reshape(-1), minlength=N * n * n).reshape(N, n, n)
-                nch = nchild[d][:, None, None]
-                lose_g = (nch == 0) | (cntW >= nch)
-                win_g = cntL > 0
-            Wp[d][:, :, 1:kappa] = win_g
-            Lp[d][:, :, 1:kappa] = lose_g
-    win = np.zeros((tree.n_nodes, n, n), dtype=bool)
-    lose = np.zeros((tree.n_nodes, n, n), dtype=bool)
-    for d in range(n_gens):
-        win[gens[d]] = Wp[d][:, :, 1:kappa]
-        lose[gens[d]] = Lp[d][:, :, 1:kappa]
-    return GameTable(kappa=kappa, horizon=horizon, win=win, lose=lose)
-
-
-# ---------------------------------------------------------------------------
-# batched estimation
-# ---------------------------------------------------------------------------
-
 @dataclass
 class Forest:
     """Columnar batch of sampled trees, grouped by generation."""
@@ -229,29 +44,6 @@ class Forest:
     weights: List[Optional[np.ndarray]]
     sample_id: List[np.ndarray]
     aborted: np.ndarray                    # bool per sample: exceeded node cap
-
-    def tree(self, s: int) -> WeightedTree:
-        """Extract sample s as a WeightedTree (breadth-first indexing)."""
-        if self.aborted[s]:
-            raise NodeCapExceeded(f"sample {s} was aborted during sampling")
-        parents = [-1]
-        weights = [0]
-        prev_global_to_local = {s: 0}  # generation-local index -> tree index
-        for g in range(1, self.depth + 1):
-            if self.sizes[g] == 0:
-                break
-            sel = np.flatnonzero(self.sample_id[g] == s)
-            cur_map = {}
-            for local in sel:
-                parent_local = int(self.parents[g][local])
-                parents.append(prev_global_to_local[parent_local])
-                weights.append(int(self.weights[g][local]))
-                cur_map[int(local)] = len(parents) - 1
-            prev_global_to_local = cur_map
-            if not cur_map:
-                break
-        return WeightedTree(parents=np.array(parents, dtype=np.int64),
-                            weights=np.array(weights, dtype=np.int8), depth=self.depth)
 
 
 def sample_forest(dist: OffspringDistribution, law: EdgeWeightLaw, depth: int,
@@ -294,7 +86,13 @@ def sample_forest(dist: OffspringDistribution, law: EdgeWeightLaw, depth: int,
 
 
 def _forest_root_counts(forest: Forest, kappa: int, horizon: int):
-    """Per-horizon root loss/win counts over the non-aborted samples."""
+    """Per-horizon root loss/win counts over the non-aborted samples.
+
+    A mover loses at horizon m+1 when the node is childless or every child,
+    under the weight-shifted mover capital, lies in the opponent's horizon-m
+    win set (capital 0 counting as an immediate win for the opponent, capital
+    kappa as an immediate loss).  The win case is dual.
+    """
     n = kappa - 1
     H = horizon
     Wp, Lp = [], []
@@ -423,6 +221,8 @@ def estimate_probs(spec: GameSpec, horizon: int, samples: int, seed: int = 0,
         raise ValueError("samples must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     master = np.random.SeedSequence(seed)
     chunk_sizes = []
     remaining = samples
@@ -437,7 +237,8 @@ def estimate_probs(spec: GameSpec, horizon: int, samples: int, seed: int = 0,
     aborted = 0
     if jobs > 1 and len(chunk_sizes) > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(chunk_sizes))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_chunk_counts, spec, horizon, m, ss, node_cap)
                        for m, ss in zip(chunk_sizes, subs)]
             for fut in futures:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 
@@ -151,6 +152,47 @@ def test_sweep_grid_param_and_jobs(capsys):
     assert len(lines) == 3
     code, out_jobs, _ = run_cli(capsys, *argv, "--jobs", "2")
     assert out_jobs == out
+
+
+class InlinePool:
+    """Stand-in for ProcessPoolExecutor that records max_workers and runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+def test_process_pools_capped_at_work(capsys, monkeypatch):
+    # no process is started: the pool class is replaced before either command runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    simulate = ["simulate", "--family", "dirac", "--m", "2", "--kappa", "2",
+                "--p0", "0.8", "--p1", "0.1", "--horizon", "1", "--samples", "30000",
+                "--seed", "7"]
+    code, out_inline, _ = run_cli(capsys, *simulate, "--jobs", "64")
+    assert code == 0
+    assert InlinePool.sizes == [2]  # 30000 samples are two default chunks
+    assert out_inline == run_cli(capsys, *simulate)[1]
+    code, _, _ = run_cli(capsys, "sweep", "--what", "check-kappa2", "--family", "poisson",
+                         "--grid-param", "lam=2,3,4", "--grid-p0", "0.9",
+                         "--grid-p1", "0.05", "--jobs", "64")
+    assert code == 0
+    assert InlinePool.sizes == [2, 3]
 
 
 def test_sweep_rejects_invalid_grid(capsys):

@@ -10,7 +10,6 @@ from percgame import (Binomial, Dirac, EdgeWeightLaw, GameSpec, Kappa3Bounds,
                       kappa2_draw_zero, kappa3_bounds, kappa3_contraction_holds,
                       kappa3_p0_zero_check, kappa3_p0_zero_maps, kappa3_special_ratio,
                       ratio_law, solve)
-from percgame.criteria import count_scalar_fixed_points
 
 
 def law(p0, p1):
@@ -205,6 +204,25 @@ def test_p0_zero_check_validation_and_formula():
     G, Gp = dist.pgf, dist.pgf_derivative
     product = pm1 * (1 - pm1) * Gp(1 - (1 - pm1) * G(pm1)) * Gp(pm1 * (1 - G(pm1)))
     assert kappa3_p0_zero_check(dist, pm1) == (product < 1)
+
+
+def count_scalar_fixed_points(fn):
+    """Multi-start fixed-point count for a scalar self-map of [0, 1]."""
+    rng = np.random.default_rng(7)
+    starts = [0.0, 1.0] + list(np.arange(0.1, 0.95, 0.1)) + list(rng.random(32))
+    found = []
+    for x in starts:
+        settled = False
+        for _ in range(10**6):
+            xn = float(fn(x))
+            if abs(xn - x) < 1e-12:
+                x = xn
+                settled = True
+                break
+            x = xn
+        if settled and not any(abs(x - f) < 1e-6 for f in found):
+            found.append(x)
+    return len(found)
 
 
 def test_p0_zero_uniqueness_equivalence():

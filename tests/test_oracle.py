@@ -1,52 +1,83 @@
+import functools
+
 import numpy as np
 import pytest
 
-from percgame import (Dirac, EdgeWeightLaw, GameSpec, GameVerdict, NodeCapExceeded,
-                      Poisson, WeightedTree, estimate_probs, horizon_iterates,
-                      sample_forest, sample_tree, solve_game_exact)
+from percgame import (Dirac, EdgeWeightLaw, Forest, GameSpec, NodeCapExceeded, Poisson,
+                      estimate_probs, horizon_iterates, sample_forest)
 from percgame.oracle import _forest_root_counts
 
 
 LAW = EdgeWeightLaw.from_p0_p1(0.8, 0.1)
 
 
-def leaf_tree(depth=3):
-    return WeightedTree(parents=np.array([-1]), weights=np.array([0]), depth=depth)
+def chain_forest(weights, depth=None):
+    """One-sample forest: root -> child -> ... along the given edge weights."""
+    depth = len(weights) if depth is None else depth
+    one, empty = np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    edges = [(one, np.array([w], dtype=np.int8)) for w in weights]
+    edges += [(empty, np.empty(0, dtype=np.int8))] * (depth - len(weights))
+    return Forest(n_samples=1, depth=depth, sizes=[1] + [p.size for p, _ in edges],
+                  parents=[None] + [p for p, _ in edges], weights=[None] + [w for _, w in edges],
+                  sample_id=[one] + [p for p, _ in edges], aborted=np.zeros(1, dtype=bool))
 
 
-def chain_tree(weights, depth=None):
-    """Root -> child -> ... along the given edge weights."""
-    n = len(weights) + 1
-    return WeightedTree(parents=np.arange(-1, n - 1), weights=np.array([0] + list(weights)),
-                        depth=depth if depth is not None else len(weights))
+def reference_root_counts(forest, kappa, horizon):
+    """Per-horizon root loss/win counts by recursive minimax, one tree at a time.
+
+    Written from the rules in the oracle module docstring: a move reaching
+    kappa wins, a move emptying the mover's capital loses, and a mover with
+    no winning move loses when every move loses (so a childless mover loses).
+    """
+    kids = [[[] for _ in range(size)] for size in forest.sizes]
+    for g in range(1, forest.depth + 1):
+        for c, (p, w) in enumerate(zip(forest.parents[g], forest.weights[g])):
+            kids[g - 1][p].append((c, int(w)))
+
+    @functools.lru_cache(maxsize=None)
+    def value(g, u, i, j, m):
+        # +1: the mover (capital i, opponent j) wins within m rounds; -1: loses
+        if m == 0:
+            return 0
+        moves = [1 if i + w == kappa else -1 if i + w == 0 else -value(g + 1, c, j, i + w, m - 1)
+                 for c, w in kids[g][u]]
+        return 1 if 1 in moves else -1 if all(v == -1 for v in moves) else 0
+
+    n = kappa - 1
+    loss, win = np.zeros((horizon, n, n)), np.zeros((horizon, n, n))
+    for h in range(1, horizon + 1):
+        for s in np.flatnonzero(~forest.aborted):
+            for i in range(1, kappa):
+                for j in range(1, kappa):
+                    v = value(0, int(s), i, j, h)
+                    loss[h - 1, i - 1, j - 1] += v == -1
+                    win[h - 1, i - 1, j - 1] += v == 1
+    return loss, win
 
 
-def test_weighted_tree_validation():
-    with pytest.raises(ValueError):
-        WeightedTree(parents=np.array([0]), weights=np.array([0]), depth=0)
-    with pytest.raises(ValueError):
-        WeightedTree(parents=np.array([-1, 1]), weights=np.array([0, 0]), depth=1)
-    with pytest.raises(ValueError):
-        WeightedTree(parents=np.array([-1, 0]), weights=np.array([0, 2]), depth=1)
-    with pytest.raises(ValueError):
-        chain_tree([0, 0], depth=1)
-    t = chain_tree([1, -1])
-    assert t.n_nodes == 3
-    assert list(t.children_of(0)) == [1]
+def root_verdicts(forest, kappa, horizon):
+    """Kernel root verdicts of a one-sample forest as bool arrays (horizon, i, j)."""
+    loss, win = _forest_root_counts(forest, kappa, horizon)
+    return loss.astype(bool), win.astype(bool)
 
 
-def test_sample_tree_dirac_complete():
-    rng = np.random.default_rng(0)
-    t = sample_tree(Dirac(2), LAW, 3, rng)
-    assert t.n_nodes == 15
-    assert t.depth == 3
-    assert np.all(np.isin(t.weights[1:], [-1, 0, 1]))
+def test_sample_forest_dirac_complete():
+    n = 7
+    forest = sample_forest(Dirac(2), LAW, 3, n, np.random.default_rng(0))
+    assert forest.sizes == [n, 2 * n, 4 * n, 8 * n]
+    assert not forest.aborted.any()
+    for g in range(1, 4):
+        np.testing.assert_array_equal(np.bincount(forest.parents[g]), 2)
+        np.testing.assert_array_equal(forest.sample_id[g],
+                                      forest.sample_id[g - 1][forest.parents[g]])
+        assert np.all(np.isin(forest.weights[g], [-1, 0, 1]))
 
 
-def test_sample_tree_node_cap():
-    rng = np.random.default_rng(0)
-    with pytest.raises(NodeCapExceeded):
-        sample_tree(Dirac(3), LAW, 8, rng, node_cap=100)
+def test_sample_forest_node_cap():
+    # 3-regular trees pass 100 nodes in generation 4 (1 + 3 + 9 + 27 + 81)
+    forest = sample_forest(Dirac(3), LAW, 8, 5, np.random.default_rng(0), node_cap=100)
+    assert forest.aborted.all()
+    assert forest.sizes[5:] == [0, 0, 0, 0]
 
 
 def test_sample_forest_mean_node_count():
@@ -63,82 +94,67 @@ def test_sample_forest_mean_node_count():
 
 
 def test_childless_root_loses_everywhere():
-    table = solve_game_exact(leaf_tree(), kappa=4, horizon=1)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            assert table.verdict(0, i, j) is GameVerdict.LOSE
+    loss, win = root_verdicts(chain_forest([], depth=3), kappa=4, horizon=3)
+    assert loss.all()
+    assert not win.any()
 
 
 def test_plus_edge_reaches_target_and_wins():
-    t = chain_tree([1], depth=1)
-    table = solve_game_exact(t, kappa=2, horizon=1)
-    assert table.verdict(0, 1, 1) is GameVerdict.WIN
+    loss, win = root_verdicts(chain_forest([1]), kappa=2, horizon=1)
+    assert win[0, 0, 0] and not loss[0, 0, 0]
 
 
 def test_capital_exhaustion_beats_stranding():
     # single -1 edge to a leaf: moving bankrupts the mover even though it
     # would strand the opponent, so the mover loses
-    t = chain_tree([-1], depth=2)
-    table = solve_game_exact(t, kappa=3, horizon=1)
-    assert table.verdict(0, 1, 1) is GameVerdict.LOSE
+    loss, win = root_verdicts(chain_forest([-1], depth=2), kappa=3, horizon=2)
+    assert loss[0, 0, 0] and loss[1, 0, 0]
     # with capital 2 the same move survives and strands the opponent
-    table = solve_game_exact(t, kappa=3, horizon=2)
-    assert table.verdict(0, 2, 1) is GameVerdict.WIN
-
-
-def test_verdict_bounds_and_horizon_precondition():
-    t = chain_tree([0])
-    with pytest.raises(ValueError):
-        solve_game_exact(t, kappa=3, horizon=5)
-    table = solve_game_exact(t, kappa=3, horizon=1)
-    with pytest.raises(ValueError):
-        table.verdict(0, 0, 1)
-    with pytest.raises(ValueError):
-        table.verdict(0, 1, 3)
+    assert win[1, 1, 0]
+    assert not win[0, 1, 0]
 
 
 def test_horizon_monotone_verdicts_on_samples():
     rng = np.random.default_rng(2024)
     for _ in range(25):
-        t = sample_tree(Poisson(2.0), LAW, 4, rng)
-        prev = solve_game_exact(t, kappa=3, horizon=0)
-        for h in range(1, 5):
-            cur = solve_game_exact(t, kappa=3, horizon=h)
-            assert np.all(cur.win[prev.win])
-            assert np.all(cur.lose[prev.lose])
-            assert not np.any(cur.win & cur.lose)
-            prev = cur
+        forest = sample_forest(Poisson(2.0), LAW, 4, 1, rng)
+        loss, win = root_verdicts(forest, kappa=3, horizon=4)
+        assert np.all(win[1:] >= win[:-1])
+        assert np.all(loss[1:] >= loss[:-1])
+        assert not np.any(win & loss)
 
 
 def test_capital_monotone_verdicts_on_samples():
     rng = np.random.default_rng(99)
     for _ in range(25):
-        t = sample_tree(Poisson(2.0), EdgeWeightLaw.from_p0_p1(0.5, 0.25), 4, rng)
-        table = solve_game_exact(t, kappa=4, horizon=4)
-        win, lose = table.win, table.lose
+        forest = sample_forest(Poisson(2.0), EdgeWeightLaw.from_p0_p1(0.5, 0.25), 4, 1, rng)
+        loss, win = root_verdicts(forest, kappa=4, horizon=4)
         # win at (i, j+1) implies win at (i, j) implies win at (i+1, j)
         assert np.all(win[:, :, 1:] <= win[:, :, :-1])
         assert np.all(win[:, :-1, :] <= win[:, 1:, :])
-        assert np.all(lose[:, 1:, :] <= lose[:, :-1, :])
-        assert np.all(lose[:, :, :-1] <= lose[:, :, 1:])
+        assert np.all(loss[:, 1:, :] <= loss[:, :-1, :])
+        assert np.all(loss[:, :, :-1] <= loss[:, :, 1:])
 
 
 def test_forest_counts_match_per_tree_solver():
-    rng = np.random.default_rng(31)
-    spec = GameSpec(3, Poisson(2.0), EdgeWeightLaw.from_p0_p1(0.5, 0.25))
-    n = 150
-    horizon = 4
-    forest = sample_forest(spec.dist, spec.law, horizon, n, rng)
-    loss, win = _forest_root_counts(forest, spec.kappa, horizon)
-    for h in range(1, horizon + 1):
-        loss_ref = np.zeros((spec.size, spec.size))
-        win_ref = np.zeros((spec.size, spec.size))
-        for s in range(n):
-            table = solve_game_exact(forest.tree(s), spec.kappa, h)
-            loss_ref += table.lose[0]
-            win_ref += table.win[0]
-        np.testing.assert_array_equal(loss[h - 1], loss_ref)
-        np.testing.assert_array_equal(win[h - 1], win_ref)
+    # (kappa, offspring law, horizon, samples, node cap, aborted samples)
+    cases = [(3, Poisson(2.0), 4, 150, None, "none"),
+             (3, Poisson(2.0), 4, 150, 30, "some"),
+             (4, Dirac(2), 5, 80, None, "none"),
+             (4, Dirac(2), 5, 80, 62, "all"),
+             (2, Poisson(1.2), 6, 200, None, "none"),
+             (2, Poisson(1.2), 6, 200, 12, "some")]
+    law = EdgeWeightLaw.from_p0_p1(0.5, 0.25)
+    for seed, (kappa, dist, horizon, n, cap, aborts) in enumerate(cases):
+        rng = np.random.default_rng(31 + seed)
+        forest = sample_forest(dist, law, horizon, n, rng, node_cap=cap or 10**7)
+        n_aborted = int(forest.aborted.sum())
+        assert {"none": n_aborted == 0, "some": 0 < n_aborted < n, "all": n_aborted == n}[aborts]
+        loss, win = _forest_root_counts(forest, kappa, horizon)
+        loss_ref, win_ref = reference_root_counts(forest, kappa, horizon)
+        case = f"kappa={kappa} {dist} H={horizon} cap={cap}"
+        np.testing.assert_array_equal(loss, loss_ref, err_msg=case)
+        np.testing.assert_array_equal(win, win_ref, err_msg=case)
 
 
 def test_estimates_deterministic_and_job_invariant():
@@ -185,6 +201,13 @@ def test_estimate_abort_and_resample():
         # impossible budget: every tree of the 2-regular law needs 2^h nodes
         estimate_probs(GameSpec(2, Dirac(2), LAW), horizon=6, samples=10, seed=1,
                        node_cap=20)
+
+
+def test_estimate_rejects_nonpositive_chunk_size():
+    spec = GameSpec(2, Dirac(2), LAW)
+    for chunk_size in (0, -5):
+        with pytest.raises(ValueError, match="chunk_size"):
+            estimate_probs(spec, horizon=2, samples=10, chunk_size=chunk_size)
 
 
 def test_estimate_serialization():
