@@ -250,12 +250,18 @@ class DurationReport:
         }
 
 
-def duration_criterion(spec: GameSpec, result: SolveResult, tol: float) -> DurationReport:
+def duration_criterion(spec: GameSpec, result: SolveResult) -> DurationReport:
     """Evaluate the finite-expected-duration certificate.
 
     Requires a strictly positive edge-weight law and a converged solve.  When
     any draw verdict is not ZERO the report still carries alpha, beta and the
     row sums as diagnostics with criterion_holds False.
+
+    beta - alpha mixes entries of the raw gap 1 - W - L with the weights
+    p_m1, p_0, p_1 (the padded boundary columns contribute 0), so it is
+    bounded by the largest |gap|.  An all-ZERO verdict already accepted every
+    |gap| up to max(draw_epsilon, 10 * tol) of the solve; alpha and beta are
+    held to that same slack, plus 1e-15 of rounding.
     """
     if not spec.law.strictly_positive:
         raise ValueError("duration criterion requires p_minus1, p_0, p_1 all positive")
@@ -286,7 +292,8 @@ def duration_criterion(spec: GameSpec, result: SolveResult, tol: float) -> Durat
 
     verdicts = classify_draw(result)
     draws_zero = bool(np.all(verdicts == Verdict.ZERO))
-    if draws_zero and float(np.max(np.abs(alpha - beta))) >= 10 * tol:
+    slack = max(result.draw_epsilon, 10 * result.tol) + 1e-15
+    if draws_zero and float(np.max(np.abs(alpha - beta))) > slack:
         raise InternalInconsistencyError(
             "alpha and beta disagree beyond tolerance although all draws are zero")
 

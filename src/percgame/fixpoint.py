@@ -147,14 +147,14 @@ def apply_f(dist: OffspringDistribution, A) -> np.ndarray:
 
 def _g_fast(dist_pgf, kappa: int, p1: float, p0: float, pm1: float, X: np.ndarray) -> np.ndarray:
     """g(X) via the padded complement; boundary columns are the constants
-    (1 - X[j, 0]) = 1 and (1 - X[j, kappa]) = 0."""
+    (1 - X[j, 0]) = 1 and (1 - X[j, kappa]) = 0; leading axes of X are batch axes."""
     n = kappa - 1
-    comp = np.empty((n, kappa + 1))
-    comp[:, 0] = 1.0
-    comp[:, kappa] = 0.0
-    comp[:, 1:kappa] = 1.0 - X
-    arg = (pm1 * comp[:, 0:n] + p0 * comp[:, 1:n + 1] + p1 * comp[:, 2:n + 2]).T
-    return np.asarray(dist_pgf(arg))
+    comp = np.empty(X.shape[:-1] + (kappa + 1,))
+    comp[..., 0] = 1.0
+    comp[..., kappa] = 0.0
+    comp[..., 1:kappa] = 1.0 - X
+    arg = pm1 * comp[..., 0:n] + p0 * comp[..., 1:n + 1] + p1 * comp[..., 2:n + 2]
+    return np.asarray(dist_pgf(arg.swapaxes(-1, -2)))
 
 
 def apply_g(spec: GameSpec, X) -> np.ndarray:
@@ -337,26 +337,26 @@ def find_fixed_points(spec: GameSpec, seeds: Optional[Sequence] = None,
     """
     if seeds is None:
         seeds = default_seed_matrices(spec.kappa)
+    if len(seeds) == 0:
+        return []
     p1, p0, pm1 = spec.law.p_1, spec.law.p_0, spec.law.p_minus1
     pgf = spec.dist.pgf
+    # one stack of all seeds; a seed freezes at its first h-step changing less than tol
+    X = np.stack([ensure_prob_matrix(seed_matrix, spec.size) for seed_matrix in seeds])
+    active = np.arange(len(X))
+    for _ in range(max_iter):
+        Xn = _g_fast(pgf, spec.kappa, p1, p0, pm1,
+                     _g_fast(pgf, spec.kappa, p1, p0, pm1, X[active]))
+        moving = ~(np.max(np.abs(Xn - X[active]), axis=(1, 2)) < tol)
+        X[active] = Xn
+        active = active[moving]
+        if not active.size:
+            break
+    dropped = active.size
     found = []
-    dropped = 0
-    for seed_matrix in seeds:
-        X = ensure_prob_matrix(seed_matrix, spec.size)
-        settled = False
-        for _ in range(max_iter):
-            Xn = _g_fast(pgf, spec.kappa, p1, p0, pm1,
-                         _g_fast(pgf, spec.kappa, p1, p0, pm1, X))
-            if np.max(np.abs(Xn - X)) < tol:
-                X = Xn
-                settled = True
-                break
-            X = Xn
-        if not settled:
-            dropped += 1
-            continue
-        if not any(np.max(np.abs(X - F)) < cluster_radius for F in found):
-            found.append(X)
+    for F in np.delete(X, active, axis=0):
+        if not any(np.max(np.abs(F - G)) < cluster_radius for G in found):
+            found.append(F)
     if dropped:
         logger.warning("find_fixed_points: dropped %d non-converging seed(s)", dropped)
     found.sort(key=lambda F: tuple(F.ravel()))

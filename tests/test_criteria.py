@@ -4,8 +4,9 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from percgame import (Binomial, Dirac, EdgeWeightLaw, GameSpec, Kappa3Bounds,
-                      NegBinomial, Poisson, TwoPoint, UniformRange,
+from percgame import (Binomial, Dirac, EdgeWeightLaw, GameSpec,
+                      InternalInconsistencyError, Kappa3Bounds, NegBinomial, Poisson,
+                      SolveResult, TwoPoint, UniformRange,
                       UnsupportedFamilyError, duration_criterion, geometric,
                       kappa2_draw_zero, kappa3_bounds, kappa3_contraction_holds,
                       kappa3_p0_zero_check, kappa3_p0_zero_maps, kappa3_special_ratio,
@@ -300,17 +301,17 @@ def test_duration_requires_positive_law_and_convergence():
     spec = GameSpec(3, Dirac(2), EdgeWeightLaw(0.4, 0.0, 0.6))
     r = solve(spec)
     with pytest.raises(ValueError):
-        duration_criterion(spec, r, tol=1e-10)
+        duration_criterion(spec, r)
     spec = GameSpec(3, Dirac(2), EdgeWeightLaw.from_p0_p1(0.9, 0.05))
     r = solve(spec, max_iter=3)
     with pytest.raises(ValueError):
-        duration_criterion(spec, r, tol=1e-10)
+        duration_criterion(spec, r)
 
 
 def test_duration_zero_draw_case():
     spec = GameSpec(3, Dirac(2), EdgeWeightLaw.from_p0_p1(0.8, 0.15))
     r = solve(spec, tol=1e-13)
-    report = duration_criterion(spec, r, tol=1e-11)
+    report = duration_criterion(spec, r)
     assert report.draws_zero
     # draws vanish, so the certificate reduces to the row-sum test; here one
     # row exceeds 1 so the certificate does not apply (recorded oracle value)
@@ -323,10 +324,32 @@ def test_duration_zero_draw_case():
     assert report.row_sums[(1, 2)] < 1.0
 
 
+def _gap_result(spec, gap):
+    """A converged result whose raw gap is `gap` everywhere and whose D is 0."""
+    r = solve(spec, tol=1e-13)
+    n = spec.size
+    return SolveResult(spec=spec, L=r.L, W=1.0 - r.L - gap, D=np.zeros((n, n)),
+                       gap=np.full((n, n), gap), iterations=r.iterations, residual=0.0,
+                       converged=True, tol=1e-12, draw_epsilon=1e-8)
+
+
+def test_duration_accepts_gaps_the_zero_verdict_accepted():
+    # solve clamps |gap| <= draw_epsilon to D = 0, so all verdicts are ZERO
+    # while alpha and beta differ by up to the gap (seen at Binomial(10, 0.6),
+    # kappa=100, p0=0.6, p1=0.2: max |gap| 4.45e-9 after 1,024 iterations)
+    spec = GameSpec(3, Dirac(2), law(0.8, 0.15))
+    report = duration_criterion(spec, _gap_result(spec, 5e-9))
+    assert report.draws_zero
+    assert 1e-9 < float(np.max(np.abs(report.alpha - report.beta))) <= 5e-9 + 1e-15
+    # a gap the ZERO verdict could not have accepted is still reported
+    with pytest.raises(InternalInconsistencyError):
+        duration_criterion(spec, _gap_result(spec, 5e-8))
+
+
 def test_duration_positive_draws_disable_certificate():
     spec = GameSpec(3, Dirac(2), EdgeWeightLaw.from_p0_p1(0.9, 0.05))
     r = solve(spec)
-    report = duration_criterion(spec, r, tol=1e-10)
+    report = duration_criterion(spec, r)
     assert not report.draws_zero
     assert not report.criterion_holds
     assert report.row_sums  # diagnostics still present
@@ -336,7 +359,7 @@ def test_duration_certificate_holds_somewhere():
     # a strongly contracting point: all draws zero and all row sums below 1
     spec = GameSpec(3, Poisson(25.0), EdgeWeightLaw(0.35, 0.3, 0.35))
     r = solve(spec, tol=1e-13)
-    report = duration_criterion(spec, r, tol=1e-11)
+    report = duration_criterion(spec, r)
     assert report.draws_zero
     assert report.criterion_holds
     assert all(v < 1 for v in report.row_sums.values())
@@ -345,7 +368,7 @@ def test_duration_certificate_holds_somewhere():
 def test_duration_kappa2_reduction():
     spec = GameSpec(2, Poisson(2.0), EdgeWeightLaw.from_p0_p1(0.8, 0.1))
     r = solve(spec, tol=1e-13)
-    report = duration_criterion(spec, r, tol=1e-11)
+    report = duration_criterion(spec, r)
     assert report.draws_zero
     Gp = spec.dist.pgf_derivative
     beta11 = float(report.beta[0, 0])
@@ -356,6 +379,6 @@ def test_duration_kappa2_reduction():
 def test_duration_report_serialization():
     spec = GameSpec(3, Dirac(2), EdgeWeightLaw.from_p0_p1(0.8, 0.15))
     r = solve(spec, tol=1e-13)
-    obj = duration_criterion(spec, r, tol=1e-11).to_json_dict()
+    obj = duration_criterion(spec, r).to_json_dict()
     assert set(obj) == {"alpha", "beta", "row_sums", "criterion_holds", "draws_zero"}
     assert "2,2" in obj["row_sums"]

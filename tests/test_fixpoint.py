@@ -1,11 +1,15 @@
+import inspect
+import logging
+
 import numpy as np
 import pytest
 
-from percgame import (Binomial, Dirac, EdgeWeightLaw, GameSpec,
-                      InternalInconsistencyError, Poisson, SolveResult, UniformRange,
-                      Verdict, apply_f, apply_g, apply_h, classify_draw,
-                      default_seed_matrices, find_fixed_points, geometric,
+from percgame import (Binomial, Dirac, EdgeWeightLaw, Explicit, GameSpec,
+                      InternalInconsistencyError, NegBinomial, Poisson, SolveResult,
+                      TwoPoint, UniformRange, Verdict, apply_f, apply_g, apply_h,
+                      classify_draw, default_seed_matrices, find_fixed_points, geometric,
                       horizon_iterates, iterate_from_below, solve, weight_matrix)
+from percgame.fixpoint import _g_fast, ensure_prob_matrix
 
 
 def spec_d2(p0, p1, kappa=3):
@@ -210,6 +214,119 @@ def test_find_fixed_points_counts_and_bracketing():
 
     spec = GameSpec(3, Poisson(5.0), EdgeWeightLaw(0.3, 1 - 0.3 - 0.1, 0.1))
     assert len(find_fixed_points(spec)) == 1
+
+
+# one distribution per offspring family
+FAMILIES = {"dirac": Dirac(2), "uniform": UniformRange(3), "binomial": Binomial(10, 0.6),
+            "poisson": Poisson(5.0), "negbinomial": NegBinomial(2, 0.4),
+            "geometric": geometric(0.5), "twopoint": TwoPoint(0.7, 3),
+            "explicit": Explicit([0.1, 0.3, 0.6])}
+
+
+def reference_find_fixed_points(spec, seeds, tol=1e-12, max_iter=10**6, cluster_radius=1e-6):
+    """find_fixed_points one seed at a time: (sorted points, dropped seed count)."""
+    p1, p0, pm1 = spec.law.p_1, spec.law.p_0, spec.law.p_minus1
+    pgf = spec.dist.pgf
+    found = []
+    dropped = 0
+    for seed_matrix in seeds:
+        X = ensure_prob_matrix(seed_matrix, spec.size)
+        settled = False
+        for _ in range(max_iter):
+            Xn = _g_fast(pgf, spec.kappa, p1, p0, pm1,
+                         _g_fast(pgf, spec.kappa, p1, p0, pm1, X))
+            if np.max(np.abs(Xn - X)) < tol:
+                X = Xn
+                settled = True
+                break
+            X = Xn
+        if not settled:
+            dropped += 1
+            continue
+        if not any(np.max(np.abs(X - F)) < cluster_radius for F in found):
+            found.append(X)
+    found.sort(key=lambda F: tuple(F.ravel()))
+    return found, dropped
+
+
+def dropped_counts(caplog):
+    return [r.args[0] for r in caplog.records if "dropped" in r.msg]
+
+
+def assert_same_as_reference(spec, seeds, caplog, **kwargs):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="percgame.fixpoint"):
+        got = find_fixed_points(spec, seeds, **kwargs)
+    expected, dropped = reference_find_fixed_points(spec, seeds, **kwargs)
+    assert len(got) == len(expected)
+    for F, E in zip(got, expected):
+        assert np.array_equal(F, E)
+    assert dropped_counts(caplog) == ([dropped] if dropped else [])
+    return got, dropped
+
+
+@pytest.mark.parametrize("dist", FAMILIES.values(), ids=FAMILIES.keys())
+def test_g_fast_batch_equals_per_slice(dist):
+    rng = np.random.default_rng(5)
+    for kappa in (2, 3, 5):
+        X = rng.random((7, kappa - 1, kappa - 1))
+        got = _g_fast(dist.pgf, kappa, 0.3, 0.5, 0.2, X)
+        expected = np.stack([_g_fast(dist.pgf, kappa, 0.3, 0.5, 0.2, S) for S in X])
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("kappa", (2, 3, 4, 6))
+@pytest.mark.parametrize("dist", FAMILIES.values(), ids=FAMILIES.keys())
+def test_find_fixed_points_batch_equals_per_seed(dist, kappa, caplog):
+    spec = GameSpec(kappa, dist, EdgeWeightLaw.from_p0_p1(0.8, 0.05))
+    assert_same_as_reference(spec, default_seed_matrices(kappa, n_random=8), caplog)
+
+
+def test_find_fixed_points_batch_equals_per_seed_six_points(caplog):
+    spec = GameSpec(3, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.875, 0.025))
+    points, dropped = assert_same_as_reference(spec, default_seed_matrices(3), caplog)
+    assert len(points) == 6 and dropped == 0
+
+
+def test_find_fixed_points_batch_equals_per_seed_with_drops(caplog):
+    # at 40 h-steps some seeds of the six-point case have settled and some not
+    spec = GameSpec(3, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.875, 0.025))
+    points, dropped = assert_same_as_reference(spec, default_seed_matrices(3), caplog,
+                                               max_iter=40)
+    assert 0 < dropped < 75 and points
+
+
+def test_find_fixed_points_edge_cases(caplog):
+    spec = GameSpec(3, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.875, 0.025))
+    assert find_fixed_points(spec, []) == []
+    with caplog.at_level(logging.WARNING, logger="percgame.fixpoint"):
+        assert find_fixed_points(spec, max_iter=0) == []
+    assert dropped_counts(caplog) == [75]
+    with pytest.raises(ValueError):
+        find_fixed_points(spec, [np.zeros((2, 2)), np.zeros((3, 3))])
+    with pytest.raises(ValueError):
+        find_fixed_points(spec, [np.zeros((2, 2)), np.full((2, 2), 1.5)])
+    with pytest.raises(ValueError):
+        find_fixed_points(spec, [np.full((2, 2), -0.1)])
+    # the traced benchmark reads seeds positionally (args[1]) or by keyword
+    assert list(inspect.signature(find_fixed_points).parameters)[:2] == ["spec", "seeds"]
+    seeds = default_seed_matrices(3, n_random=2)
+    by_position, by_keyword = find_fixed_points(spec, seeds), find_fixed_points(spec, seeds=seeds)
+    assert len(by_position) == len(by_keyword) > 0
+    assert all(map(np.array_equal, by_position, by_keyword))
+
+
+def test_dropped_seed_warning_format(caplog):
+    # the traced benchmark counts dropped seeds from args[0] of any warning
+    # whose msg contains "dropped"
+    spec = GameSpec(3, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.875, 0.025))
+    with caplog.at_level(logging.WARNING, logger="percgame.fixpoint"):
+        find_fixed_points(spec, max_iter=40)
+    (record,) = caplog.records
+    assert record.name == "percgame.fixpoint" and record.levelno == logging.WARNING
+    assert record.msg == "find_fixed_points: dropped %d non-converging seed(s)"
+    assert record.args == (21,)
+    assert record.getMessage() == "find_fixed_points: dropped 21 non-converging seed(s)"
 
 
 def test_default_seed_matrices_shape_and_determinism():
