@@ -104,9 +104,12 @@ def _emit(payload, rows, header, config) -> None:
         text = buf.getvalue()
     if config["output"] in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(config["output"], "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"output: cannot write {config['output']}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -219,14 +222,9 @@ def _build_dist(config):
         raise CliError("family: an offspring family is required")
     if family not in _FAMILY_PARAMS:
         raise CliError(f"family: unknown offspring family {family!r}")
-    params = {}
-    for name in _FAMILY_PARAMS[family]:
-        value = config.get(name)
-        if value is None:
-            raise CliError(f"{name}: required for family {family!r}")
-        if name == "pmf" and isinstance(value, str):
-            value = [float(v) for v in value.split(",")]
-        params[name] = value
+    params = {name: config[name] for name in _FAMILY_PARAMS[family] if config.get(name) is not None}
+    if isinstance(params.get("pmf"), str):
+        params["pmf"] = _parse_grid(params["pmf"], "pmf")
     try:
         return distribution_from_json({"family": family, "params": params})
     except DistributionError as exc:
@@ -364,7 +362,6 @@ def _cmd_check_special(config) -> int:
 
 
 def _cmd_duration(config) -> int:
-    config = dict(config)
     spec = _build_spec(config)
     result = fixpoint.solve(spec, tol=config["tol"], max_iter=config["max_iter"],
                             draw_epsilon=config["draw_epsilon"])
@@ -422,9 +419,10 @@ def _sweep_tasks(config):
         name, values = item.split("=", 1)
         if name not in ("m", "n", "pi", "lam", "r", "d"):
             raise CliError(f"grid-param: unknown parameter {name!r}")
-        parsed = [float(v) for v in values.split(",")]
-        if name in ("m", "n", "r", "d"):
-            parsed = [int(v) for v in parsed]
+        parsed = _parse_grid(values, f"grid-param {name}")
+        if not parsed:
+            raise CliError(f"grid-param {name}: at least one value expected")
+        # integer parameters stay floats here; distribution_from_json rejects 2.7
         param_grids.append((name, parsed))
     tasks = []
     def expand(idx, overrides):

@@ -16,13 +16,14 @@ Four groups of tests:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fixpoint import (EdgeWeightLaw, GameSpec, InternalInconsistencyError,
-                       SolveResult, Verdict, classify_draw)
+                       SolveResult, Verdict, _edge_mix, classify_draw)
 from .offspring import Binomial, NegBinomial, OffspringDistribution, Poisson, TwoPoint
 
 # Interval endpoints for the 1 : a : a^2 weight-ratio certificate on the
@@ -257,9 +258,10 @@ def duration_criterion(spec: GameSpec, result: SolveResult) -> DurationReport:
     any draw verdict is not ZERO the report still carries alpha, beta and the
     row sums as diagnostics with criterion_holds False.
 
-    beta - alpha mixes entries of the raw gap 1 - W - L with the weights
-    p_m1, p_0, p_1 (the padded boundary columns contribute 0), so it is
-    bounded by the largest |gap|.  An all-ZERO verdict already accepted every
+    alpha = _edge_mix(W) and beta = _edge_mix(1 - L) use the operator's stencil
+    (fixpoint._edge_mix), so beta - alpha mixes entries of the raw gap
+    1 - W - L (the padded boundary columns contribute 0) and is bounded by the
+    largest |gap|.  An all-ZERO verdict already accepted every
     |gap| up to max(draw_epsilon, 10 * tol) of the solve; alpha and beta are
     held to that same slack, plus 1e-15 of rounding.
     """
@@ -267,28 +269,12 @@ def duration_criterion(spec: GameSpec, result: SolveResult) -> DurationReport:
         raise ValueError("duration criterion requires p_minus1, p_0, p_1 all positive")
     if not result.converged:
         raise ValueError("duration criterion requires a converged solve result")
-    k = spec.kappa
     n = spec.size
     p1, p0, pm1 = spec.law.p_1, spec.law.p_0, spec.law.p_minus1
     Gp = spec.dist.pgf_derivative
 
-    wpad = np.empty((n, k + 1))
-    wpad[:, 0] = 1.0
-    wpad[:, k] = 0.0
-    wpad[:, 1:k] = result.W
-    lpad = np.empty((n, k + 1))
-    lpad[:, 0] = 0.0
-    lpad[:, k] = 1.0
-    lpad[:, 1:k] = result.L
-
-    alpha = np.empty((n, n))
-    beta = np.empty((n, n))
-    for i in range(1, k):
-        for j in range(1, k):
-            alpha[i - 1, j - 1] = (pm1 * wpad[j - 1, i - 1] + p0 * wpad[j - 1, i]
-                                   + p1 * wpad[j - 1, i + 1])
-            beta[i - 1, j - 1] = (pm1 * (1.0 - lpad[j - 1, i - 1]) + p0 * (1.0 - lpad[j - 1, i])
-                                  + p1 * (1.0 - lpad[j - 1, i + 1]))
+    alpha = _edge_mix(result.W, p1, p0, pm1)
+    beta = _edge_mix(1.0 - result.L, p1, p0, pm1)
 
     verdicts = classify_draw(result)
     draws_zero = bool(np.all(verdicts == Verdict.ZERO))
@@ -297,18 +283,14 @@ def duration_criterion(spec: GameSpec, result: SolveResult) -> DurationReport:
         raise InternalInconsistencyError(
             "alpha and beta disagree beyond tolerance although all draws are zero")
 
-    probs = {-1: pm1, 0: p0, 1: p1}
-    Gp_beta = Gp(beta)
-    Gp_alpha = Gp(alpha)
-    row_sums = {}
-    for ip in range(1, k):
-        for jp in range(1, k):
-            total = 0.0
-            for s in range(max(1, ip - 1), min(k - 1, ip + 1) + 1):
-                for t in range(max(1, jp - 1), min(k - 1, jp + 1) + 1):
-                    total += (Gp_beta[s - 1, t - 1] * Gp_alpha[t - 1, ip - 1]
-                              * probs[ip - s] * probs[jp - t])
-            row_sums[(ip, jp)] = float(total)
-    criterion_holds = draws_zero and all(v < 1.0 for v in row_sums.values())
+    # row (i', j') sums Gp(beta)[s, t] Gp(alpha)[t, i'] p_{i'-s} p_{j'-t} over s = i'-1+a,
+    # t = j'-1+b in (s, t) order; zero padding adds exact zeros for s, t outside 1..kappa-1
+    Gp_beta = np.pad(Gp(beta), 1)
+    Gp_alpha_T = np.pad(Gp(alpha).T, ((0, 0), (1, 1)))
+    weights = (p1, p0, pm1)
+    sums = sum(Gp_beta[a:a + n, b:b + n] * Gp_alpha_T[:, b:b + n] * weights[a] * weights[b]
+               for a in range(3) for b in range(3))
+    row_sums = dict(zip(itertools.product(range(1, n + 1), repeat=2), sums.ravel().tolist()))
+    criterion_holds = draws_zero and bool(np.all(sums < 1.0))
     return DurationReport(alpha=alpha, beta=beta, row_sums=row_sums,
                           criterion_holds=criterion_holds, draws_zero=draws_zero)

@@ -145,22 +145,28 @@ def apply_f(dist: OffspringDistribution, A) -> np.ndarray:
     return np.asarray(dist.pgf(np.clip(A, 0.0, 1.0)))
 
 
-def _g_fast(dist_pgf, kappa: int, p1: float, p0: float, pm1: float, X: np.ndarray) -> np.ndarray:
-    """g(X) via the padded complement; boundary columns are the constants
-    (1 - X[j, 0]) = 1 and (1 - X[j, kappa]) = 0; leading axes of X are batch axes."""
-    n = kappa - 1
-    comp = np.empty(X.shape[:-1] + (kappa + 1,))
+def _edge_mix(C: np.ndarray, p1: float, p0: float, pm1: float) -> np.ndarray:
+    """The edge-weight stencil out[i, j] = pm1 c[j, i-1] + p0 c[j, i] + p1 c[j, i+1]
+    for i, j = 1..kappa-1, where c is C (columns 1..kappa-1) padded with the
+    boundary values c[j, 0] = 1 and c[j, kappa] = 0; leading axes are batch axes."""
+    n = C.shape[-1]
+    comp = np.empty(C.shape[:-1] + (n + 2,))
     comp[..., 0] = 1.0
-    comp[..., kappa] = 0.0
-    comp[..., 1:kappa] = 1.0 - X
+    comp[..., n + 1] = 0.0
+    comp[..., 1:n + 1] = C
     arg = pm1 * comp[..., 0:n] + p0 * comp[..., 1:n + 1] + p1 * comp[..., 2:n + 2]
-    return np.asarray(dist_pgf(arg.swapaxes(-1, -2)))
+    return arg.swapaxes(-1, -2)
+
+
+def _g_fast(dist_pgf, p1: float, p0: float, pm1: float, X: np.ndarray) -> np.ndarray:
+    """g(X) = G(_edge_mix(1 - X)); leading axes of X are batch axes."""
+    return np.asarray(dist_pgf(_edge_mix(1.0 - X, p1, p0, pm1)))
 
 
 def apply_g(spec: GameSpec, X) -> np.ndarray:
     """One half-step of the fixed-point operator: g(X) = f[p_m1 e1 1^T + P(J - X^T)]."""
     X = ensure_prob_matrix(X, spec.size)
-    return _g_fast(spec.dist.pgf, spec.kappa, spec.law.p_1, spec.law.p_0, spec.law.p_minus1, X)
+    return _g_fast(spec.dist.pgf, spec.law.p_1, spec.law.p_0, spec.law.p_minus1, X)
 
 
 def apply_h(spec: GameSpec, X) -> np.ndarray:
@@ -223,8 +229,8 @@ def iterate_from_below(spec: GameSpec, tol: float = DEFAULT_TOL,
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        ell_next = _g_fast(pgf, spec.kappa, p1, p0, pm1, ybar)
-        ybar_next = _g_fast(pgf, spec.kappa, p1, p0, pm1, ell)
+        ell_next = _g_fast(pgf, p1, p0, pm1, ybar)
+        ybar_next = _g_fast(pgf, p1, p0, pm1, ell)
         if np.any(ell_next < ell - 1e-12) or np.any(ybar_next > ybar + 1e-12):
             raise InternalInconsistencyError("monotone iteration moved backwards")
         delta = max(float(np.max(np.abs(ell_next - ell))),
@@ -345,8 +351,7 @@ def find_fixed_points(spec: GameSpec, seeds: Optional[Sequence] = None,
     X = np.stack([ensure_prob_matrix(seed_matrix, spec.size) for seed_matrix in seeds])
     active = np.arange(len(X))
     for _ in range(max_iter):
-        Xn = _g_fast(pgf, spec.kappa, p1, p0, pm1,
-                     _g_fast(pgf, spec.kappa, p1, p0, pm1, X[active]))
+        Xn = _g_fast(pgf, p1, p0, pm1, _g_fast(pgf, p1, p0, pm1, X[active]))
         moving = ~(np.max(np.abs(Xn - X[active]), axis=(1, 2)) < tol)
         X[active] = Xn
         active = active[moving]

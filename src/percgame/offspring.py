@@ -330,14 +330,25 @@ def geometric(pi: float) -> NegBinomial:
     return NegBinomial(1, pi)
 
 
+def _int_param(params: dict, name: str) -> int:
+    """params[name] as an int: 2 and 2.0 pass; 2.5, true and "x" raise, naming the parameter."""
+    value = params[name]
+    try:
+        if not isinstance(value, (bool, np.bool_)) and float(value).is_integer():
+            return int(value) if isinstance(value, (int, np.integer)) else int(float(value))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DistributionError(f"{name}: an integer is required, got {value!r}")
+
+
 _FAMILIES = {
-    "dirac": lambda p: Dirac(int(p["m"])),
-    "uniform": lambda p: UniformRange(int(p["m"])),
-    "binomial": lambda p: Binomial(int(p["n"]), float(p["pi"])),
+    "dirac": lambda p: Dirac(_int_param(p, "m")),
+    "uniform": lambda p: UniformRange(_int_param(p, "m")),
+    "binomial": lambda p: Binomial(_int_param(p, "n"), float(p["pi"])),
     "poisson": lambda p: Poisson(float(p["lam"])),
-    "negbinomial": lambda p: NegBinomial(int(p["r"]), float(p["pi"])),
+    "negbinomial": lambda p: NegBinomial(_int_param(p, "r"), float(p["pi"])),
     "geometric": lambda p: geometric(float(p["pi"])),
-    "twopoint": lambda p: TwoPoint(float(p["pi"]), int(p["d"])),
+    "twopoint": lambda p: TwoPoint(float(p["pi"]), _int_param(p, "d")),
     "explicit": lambda p: Explicit(p["pmf"]),
 }
 
@@ -351,4 +362,7 @@ def distribution_from_json(obj: dict) -> OffspringDistribution:
         raise DistributionError(f"malformed distribution spec: {obj!r}") from exc
     if family not in _FAMILIES:
         raise DistributionError(f"unknown offspring family: {family!r}")
-    return _FAMILIES[family](params)
+    try:
+        return _FAMILIES[family](params)
+    except KeyError as exc:
+        raise DistributionError(f"{exc.args[0]}: missing distribution parameter") from exc

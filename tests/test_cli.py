@@ -213,6 +213,23 @@ def test_validation_errors_name_the_field(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--family", "weibull", "--p0", "0.8", "--p1", "0.1"])
     assert exc.value.code == 2
+    sweep = ["sweep", "--what", "check-kappa2", "--grid-p0", "0.9", "--grid-p1", "0.05"]
+    for argv, field in ((["--family", "poisson", "--grid-param", "lam=2,x"], "grid-param lam"),
+                        (["--family", "poisson", "--grid-param", "lam="], "grid-param lam"),
+                        (["--family", "dirac", "--grid-param", "m=2.7"], "m: an integer"),
+                        (["--family", "explicit", "--pmf", "0.5,x"], "pmf")):
+        code, _, err = run_cli(capsys, *sweep, *argv)
+        assert code == 2
+        assert field in err
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "solve", "--family", "dirac", "--m", "2",
+                             "--p0", "0.8", "--p1", "0.1", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: output: cannot write {target}")
 
 
 def test_nonconvergence_exit_code(capsys):

@@ -4,9 +4,9 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from percgame import (Binomial, Dirac, EdgeWeightLaw, GameSpec,
+from percgame import (Binomial, Dirac, DurationReport, EdgeWeightLaw, Explicit, GameSpec,
                       InternalInconsistencyError, Kappa3Bounds, NegBinomial, Poisson,
-                      SolveResult, TwoPoint, UniformRange,
+                      SolveResult, TwoPoint, UniformRange, Verdict, classify_draw,
                       UnsupportedFamilyError, duration_criterion, geometric,
                       kappa2_draw_zero, kappa3_bounds, kappa3_contraction_holds,
                       kappa3_p0_zero_check, kappa3_p0_zero_maps, kappa3_special_ratio,
@@ -256,8 +256,8 @@ def test_p0_zero_uniqueness_equivalence():
 # duration certificate
 # ---------------------------------------------------------------------------
 
-def _independent_row_sums(spec, result):
-    """Literal re-implementation of the coefficient row sums."""
+def _independent_duration(spec, result):
+    """Literal re-implementation of alpha, beta and the coefficient row sums."""
     k = spec.kappa
     pm1, p0, p1 = spec.law.p_minus1, spec.law.p_0, spec.law.p_1
     Gp = spec.dist.pgf_derivative
@@ -294,7 +294,93 @@ def _independent_row_sums(spec, result):
                         total += (Gp(beta(s, t)) * Gp(alpha(t, ip))
                                   * prob[ip - s] * prob[jp - t])
             sums[(ip, jp)] = total
-    return sums
+    idx = range(1, k)
+    return (np.array([[alpha(i, j) for j in idx] for i in idx]),
+            np.array([[beta(i, j) for j in idx] for i in idx]), sums)
+
+
+def reference_duration_criterion(spec, result):
+    """duration_criterion's former cell-by-cell body: its own padded W and L
+    columns, alpha and beta filled in a double loop, and the row sums in a
+    four-deep loop.  The vectorised code must reproduce it bit for bit."""
+    k = spec.kappa
+    n = spec.size
+    p1, p0, pm1 = spec.law.p_1, spec.law.p_0, spec.law.p_minus1
+    Gp = spec.dist.pgf_derivative
+
+    wpad = np.empty((n, k + 1))
+    wpad[:, 0] = 1.0
+    wpad[:, k] = 0.0
+    wpad[:, 1:k] = result.W
+    lpad = np.empty((n, k + 1))
+    lpad[:, 0] = 0.0
+    lpad[:, k] = 1.0
+    lpad[:, 1:k] = result.L
+
+    alpha = np.empty((n, n))
+    beta = np.empty((n, n))
+    for i in range(1, k):
+        for j in range(1, k):
+            alpha[i - 1, j - 1] = (pm1 * wpad[j - 1, i - 1] + p0 * wpad[j - 1, i]
+                                   + p1 * wpad[j - 1, i + 1])
+            beta[i - 1, j - 1] = (pm1 * (1.0 - lpad[j - 1, i - 1]) + p0 * (1.0 - lpad[j - 1, i])
+                                  + p1 * (1.0 - lpad[j - 1, i + 1]))
+
+    verdicts = classify_draw(result)
+    draws_zero = bool(np.all(verdicts == Verdict.ZERO))
+    slack = max(result.draw_epsilon, 10 * result.tol) + 1e-15
+    if draws_zero and float(np.max(np.abs(alpha - beta))) > slack:
+        raise InternalInconsistencyError(
+            "alpha and beta disagree beyond tolerance although all draws are zero")
+
+    probs = {-1: pm1, 0: p0, 1: p1}
+    Gp_beta = Gp(beta)
+    Gp_alpha = Gp(alpha)
+    row_sums = {}
+    for ip in range(1, k):
+        for jp in range(1, k):
+            total = 0.0
+            for s in range(max(1, ip - 1), min(k - 1, ip + 1) + 1):
+                for t in range(max(1, jp - 1), min(k - 1, jp + 1) + 1):
+                    total += (Gp_beta[s - 1, t - 1] * Gp_alpha[t - 1, ip - 1]
+                              * probs[ip - s] * probs[jp - t])
+            row_sums[(ip, jp)] = float(total)
+    criterion_holds = draws_zero and all(v < 1.0 for v in row_sums.values())
+    return DurationReport(alpha=alpha, beta=beta, row_sums=row_sums,
+                          criterion_holds=criterion_holds, draws_zero=draws_zero)
+
+
+def assert_duration_matches_reference(spec):
+    """Same report as the reference, float for float and key for key, or the
+    same InternalInconsistencyError; returns (draws_zero, criterion_holds)."""
+    r = solve(spec)
+    assert r.converged
+    try:
+        expected = reference_duration_criterion(spec, r)
+    except InternalInconsistencyError as exc:
+        with pytest.raises(InternalInconsistencyError, match=str(exc)):
+            duration_criterion(spec, r)
+        return None
+    got = duration_criterion(spec, r)
+    assert np.array_equal(got.alpha, expected.alpha)
+    assert np.array_equal(got.beta, expected.beta)
+    assert list(got.row_sums.items()) == list(expected.row_sums.items())
+    assert got.draws_zero == expected.draws_zero
+    assert got.criterion_holds == expected.criterion_holds
+    return got.draws_zero, got.criterion_holds
+
+
+DURATION_DISTS = [Dirac(2), UniformRange(3), Binomial(5, 0.5), Poisson(3.0),
+                  NegBinomial(2, 0.4), TwoPoint(0.6, 3), Explicit([0.1, 0.3, 0.6])]
+
+
+def test_duration_equals_reference_bit_for_bit():
+    specs = [GameSpec(kappa, dist, lw) for kappa in (2, 3, 4, 6) for dist in DURATION_DISTS
+             for lw in (law(0.8, 0.1), law(0.5, 0.3), law(0.3, 0.35))]
+    specs.append(GameSpec(40, Poisson(5.0), law(0.4, 0.3)))
+    outcomes = {assert_duration_matches_reference(spec) for spec in specs}
+    # every outcome occurs: holds, fails on a row sum, positive draws, and the raise
+    assert outcomes == {(True, True), (True, False), (False, False), None}
 
 
 def test_duration_requires_positive_law_and_convergence():
@@ -309,19 +395,24 @@ def test_duration_requires_positive_law_and_convergence():
 
 
 def test_duration_zero_draw_case():
-    spec = GameSpec(3, Dirac(2), EdgeWeightLaw.from_p0_p1(0.8, 0.15))
-    r = solve(spec, tol=1e-13)
-    report = duration_criterion(spec, r)
-    assert report.draws_zero
-    # draws vanish, so the certificate reduces to the row-sum test; here one
-    # row exceeds 1 so the certificate does not apply (recorded oracle value)
-    assert not report.criterion_holds
-    assert float(np.max(np.abs(report.alpha - report.beta))) < 1e-10
-    expected = _independent_row_sums(spec, r)
-    for key, value in expected.items():
-        assert report.row_sums[key] == pytest.approx(value, rel=1e-9)
-    assert report.row_sums[(2, 2)] > 1.0
-    assert report.row_sums[(1, 2)] < 1.0
+    for kappa in (3, 4, 5):
+        spec = GameSpec(kappa, Dirac(2), EdgeWeightLaw.from_p0_p1(0.8, 0.15))
+        r = solve(spec, tol=1e-13)
+        report = duration_criterion(spec, r)
+        assert report.draws_zero
+        # draws vanish, so the certificate reduces to the row-sum test; here a
+        # row exceeds 1 so the certificate does not apply (recorded oracle value)
+        assert not report.criterion_holds
+        assert float(np.max(np.abs(report.alpha - report.beta))) < 1e-10
+        alpha, beta, expected = _independent_duration(spec, r)
+        assert np.array_equal(report.alpha, alpha)
+        assert np.array_equal(report.beta, beta)
+        assert list(report.row_sums) == list(expected)
+        for key, value in expected.items():
+            assert report.row_sums[key] == pytest.approx(value, rel=1e-9)
+        if kappa == 3:
+            assert report.row_sums[(2, 2)] > 1.0
+            assert report.row_sums[(1, 2)] < 1.0
 
 
 def _gap_result(spec, gap):

@@ -233,8 +233,7 @@ def reference_find_fixed_points(spec, seeds, tol=1e-12, max_iter=10**6, cluster_
         X = ensure_prob_matrix(seed_matrix, spec.size)
         settled = False
         for _ in range(max_iter):
-            Xn = _g_fast(pgf, spec.kappa, p1, p0, pm1,
-                         _g_fast(pgf, spec.kappa, p1, p0, pm1, X))
+            Xn = _g_fast(pgf, p1, p0, pm1, _g_fast(pgf, p1, p0, pm1, X))
             if np.max(np.abs(Xn - X)) < tol:
                 X = Xn
                 settled = True
@@ -270,8 +269,8 @@ def test_g_fast_batch_equals_per_slice(dist):
     rng = np.random.default_rng(5)
     for kappa in (2, 3, 5):
         X = rng.random((7, kappa - 1, kappa - 1))
-        got = _g_fast(dist.pgf, kappa, 0.3, 0.5, 0.2, X)
-        expected = np.stack([_g_fast(dist.pgf, kappa, 0.3, 0.5, 0.2, S) for S in X])
+        got = _g_fast(dist.pgf, 0.3, 0.5, 0.2, X)
+        expected = np.stack([_g_fast(dist.pgf, 0.3, 0.5, 0.2, S) for S in X])
         assert np.array_equal(got, expected)
 
 

@@ -166,3 +166,16 @@ def test_json_geometric_alias_and_errors():
         distribution_from_json({"family": "zeta", "params": {}})
     with pytest.raises(DistributionError):
         distribution_from_json(["not", "a", "dict"])
+    # every parameter fault names the parameter; 2 and 2.0 are integers
+    for params in ({}, {"m": 2.5}, {"m": True}, {"m": "x"}):
+        with pytest.raises(DistributionError, match="^m: "):
+            distribution_from_json({"family": "dirac", "params": params})
+    with pytest.raises(DistributionError, match="^n: "):
+        distribution_from_json({"family": "binomial", "params": {"n": 3.9, "pi": 0.5}})
+    with pytest.raises(DistributionError, match="^pi: "):
+        distribution_from_json({"family": "binomial", "params": {"n": 3}})
+    with pytest.raises(DistributionError, match="^pmf: "):
+        distribution_from_json({"family": "explicit", "params": {}})
+    for m in (2, 2.0):
+        assert distribution_from_json({"family": "dirac", "params": {"m": m}}) == Dirac(2)
+    assert distribution_from_json({"family": "twopoint", "params": {"pi": 0.5, "d": 3.0}}) == TwoPoint(0.5, 3)
