@@ -17,7 +17,7 @@ from .fixpoint import (EdgeWeightLaw, GameSpec, InternalInconsistencyError,
 from .criteria import (DurationReport, Kappa3Bounds, UnsupportedFamilyError,
                        duration_criterion, kappa2_draw_zero, kappa3_bounds,
                        kappa3_contraction_holds, kappa3_p0_zero_check,
-                       kappa3_p0_zero_maps, kappa3_special_ratio, ratio_law)
+                       kappa3_special_ratio, ratio_law)
 from .oracle import Forest, NodeCapExceeded, OracleEstimate, estimate_probs, sample_forest
 
 __version__ = "0.1.0"
@@ -32,6 +32,6 @@ __all__ = [
     "iterate_from_below", "solve", "weight_matrix",
     "DurationReport", "Kappa3Bounds", "UnsupportedFamilyError", "duration_criterion",
     "kappa2_draw_zero", "kappa3_bounds", "kappa3_contraction_holds",
-    "kappa3_p0_zero_check", "kappa3_p0_zero_maps", "kappa3_special_ratio", "ratio_law",
+    "kappa3_p0_zero_check", "kappa3_special_ratio", "ratio_law",
     "Forest", "NodeCapExceeded", "OracleEstimate", "estimate_probs", "sample_forest",
 ]

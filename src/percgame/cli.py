@@ -3,14 +3,17 @@
 Subcommands: solve, fixed-points, check-kappa2, check-kappa3, check-special,
 duration, simulate, sweep.  Output goes to stdout or --output as JSON or
 RFC-4180 CSV; identical configuration and seed produce byte-identical
-output.  Exit status: 0 success, 2 validation error, 3 non-convergence.
+output.  Exit status: 0 success, 2 validation error, 3 non-convergence or an
+internal-consistency failure (no trustworthy numerical result).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import criteria, fixpoint, oracle
 from .fixpoint import EdgeWeightLaw, GameSpec
-from .offspring import DistributionError, distribution_from_json
+from .offspring import _float_param, _int_param, distribution_from_json
 
 
 class CliError(ValueError):
@@ -67,6 +70,10 @@ _DEFAULTS = {
     "count_fixed_points": False,
 }
 
+# typed at the boundary: flags by argparse, config-file values here
+_INT_FIELDS = ("kappa", "max_iter", "horizon", "samples", "seed", "node_cap", "jobs")
+_FLOAT_FIELDS = ("p0", "p1", "tol", "draw_epsilon", "positive_threshold", "cluster_radius", "alpha")
+
 
 def _fmt(value):
     """Round floats to 9 significant digits, recursively, for stable output."""
@@ -92,7 +99,7 @@ def _fmt_cell(value) -> str:
 
 
 def _emit(payload, rows, header, config) -> None:
-    """Write the command result as JSON (payload) or CSV (rows/header)."""
+    """Write the command result as JSON (payload) or CSV (rows, iterated once, and header)."""
     if config["format"] == "json":
         text = json.dumps(_fmt(payload), indent=2, sort_keys=True) + "\n"
     else:
@@ -213,6 +220,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             config["seed"] = int(os.environ["PERCGAME_SEED"])
         except ValueError as exc:
             raise CliError("PERCGAME_SEED: integer expected") from exc
+    for name in _INT_FIELDS:
+        config[name] = _int_param(config, name)
+    for name in _FLOAT_FIELDS:
+        if config[name] is not None or _DEFAULTS[name] is not None:
+            _float_param(config, name)
     return config
 
 
@@ -225,10 +237,7 @@ def _build_dist(config):
     params = {name: config[name] for name in _FAMILY_PARAMS[family] if config.get(name) is not None}
     if isinstance(params.get("pmf"), str):
         params["pmf"] = _parse_grid(params["pmf"], "pmf")
-    try:
-        return distribution_from_json({"family": family, "params": params})
-    except DistributionError as exc:
-        raise CliError(str(exc)) from exc
+    return distribution_from_json({"family": family, "params": params})
 
 
 def _build_law(config) -> EdgeWeightLaw:
@@ -237,101 +246,118 @@ def _build_law(config) -> EdgeWeightLaw:
         raise CliError("p0/p1: both edge-weight probabilities are required")
     if p0 + p1 > 1.0 + 1e-12:
         raise CliError("p0/p1: p0 + p1 must not exceed 1")
-    try:
-        return EdgeWeightLaw.from_p0_p1(float(p0), float(p1))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return EdgeWeightLaw.from_p0_p1(float(p0), float(p1))
 
 
-def _build_spec(config) -> GameSpec:
-    try:
-        return GameSpec(int(config["kappa"]), _build_dist(config), _build_law(config))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _build_spec(config, kappa=None) -> GameSpec:
+    """The configured game, at target capital kappa if given, else config["kappa"]."""
+    return GameSpec(kappa or config["kappa"], _build_dist(config), _build_law(config))
 
 
-def _spec_label(spec: GameSpec) -> str:
+def _spec_row(spec: GameSpec) -> dict:
+    """Leading columns of a one-row table: the offspring law, p0 and p1."""
     params = ",".join(f"{k}={v}" for k, v in sorted(spec.dist.params().items()))
-    return f"{spec.dist.family}({params})"
+    return {"distribution": f"{spec.dist.family}({params})", "p0": spec.law.p_0,
+            "p1": spec.law.p_1}
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
+def _ij_rows(n, **columns):
+    """CSV rows over the capital pairs (i, j) in row-major order.
+
+    A column is an n x n matrix, read at [i - 1][j - 1], or one value for every
+    pair.  The rows are generated as `_emit` writes them, so JSON output builds none.
+    """
+    names = ("i", "j", *columns)
+    values = zip(*(np.broadcast_to(col, (n, n)).ravel().tolist() for col in columns.values()))
+    for ij, row in zip(itertools.product(range(1, n + 1), repeat=2), values):
+        yield dict(zip(names, ij + row))
+
+
+def _solve(spec: GameSpec, config):
+    return fixpoint.solve(spec, tol=config["tol"], max_iter=config["max_iter"],
+                          draw_epsilon=config["draw_epsilon"])
+
+
+def _fixed_points(spec: GameSpec, config) -> list:
+    return fixpoint.find_fixed_points(spec, tol=config["tol"], max_iter=config["max_iter"],
+                                      cluster_radius=config["cluster_radius"])
+
+
+def _status(result) -> int:
+    return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
+
+
+# A row function maps (spec, config) to (one table row, exit status, what else
+# its command prints); `sweep` runs it once per grid cell.
+
+def _solve_row(spec: GameSpec, config):
+    result = _solve(spec, config)
+    row = _spec_row(spec)
+    row.update((f"d{i + 1}{j + 1}", d) for (i, j), d in np.ndenumerate(result.D))
+    return row, _status(result), None
+
+
+def _kappa2_row(spec: GameSpec, config):
+    zero = criteria.kappa2_draw_zero(spec.dist, spec.law)
+    return {**_spec_row(spec), "draw_zero": zero}, EXIT_OK, None
+
+
+def _kappa3_row(spec: GameSpec, config):
+    bounds = criteria.kappa3_bounds(spec.dist, spec.law)
+    row = {**_spec_row(spec), "E11": bounds.E[0, 0], "E12": bounds.E[0, 1],
+           "E21": bounds.E[1, 0], "E22": bounds.E[1, 1],
+           "max_E": float(np.max(bounds.E)),
+           "contraction_holds": criteria.kappa3_contraction_holds(bounds)}
+    if config["count_fixed_points"]:
+        row["fixed_point_count"] = len(_fixed_points(spec, config))
+    return row, EXIT_OK, bounds
+
+
 def _cmd_solve(config) -> int:
     spec = _build_spec(config)
-    result = fixpoint.solve(spec, tol=config["tol"], max_iter=config["max_iter"],
-                            draw_epsilon=config["draw_epsilon"])
+    result = _solve(spec, config)
     verdicts = None
     if result.converged:
-        verdicts = fixpoint.classify_draw(result, positive_threshold=config["positive_threshold"])
-    payload = {"spec": spec.to_json(), "result": result.to_json_dict(),
-               "verdicts": None if verdicts is None else [[v.value for v in row] for row in verdicts]}
-    rows = []
-    for row in result.csv_rows():
-        i, j = row["i"], row["j"]
-        row["verdict"] = verdicts[i - 1][j - 1].value if verdicts is not None else ""
-        rows.append(row)
+        verdicts = [[v.value for v in row] for row in
+                    fixpoint.classify_draw(result, positive_threshold=config["positive_threshold"])]
+    payload = {"spec": spec.to_json(), "result": result.to_json_dict(), "verdicts": verdicts}
+    rows = _ij_rows(spec.size, ell=result.L, w=result.W, d=result.D,
+                    verdict="" if verdicts is None else verdicts)
     _emit(payload, rows, ["i", "j", "ell", "w", "d", "verdict"], config)
-    return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
+    return _status(result)
 
 
 def _cmd_fixed_points(config) -> int:
     spec = _build_spec(config)
-    points = fixpoint.find_fixed_points(spec, tol=config["tol"], max_iter=config["max_iter"],
-                                        cluster_radius=config["cluster_radius"])
+    points = _fixed_points(spec, config)
     payload = {"spec": spec.to_json(), "count": len(points),
                "fixed_points": [p.tolist() for p in points]}
-    rows = []
-    for idx, p in enumerate(points):
-        for i in range(1, spec.size + 1):
-            for j in range(1, spec.size + 1):
-                rows.append({"index": idx, "i": i, "j": j, "value": p[i - 1, j - 1]})
+    rows = (row for idx, p in enumerate(points) for row in _ij_rows(spec.size, index=idx, value=p))
     _emit(payload, rows, ["index", "i", "j", "value"], config)
     return EXIT_OK
 
 
 def _cmd_check_kappa2(config) -> int:
-    dist = _build_dist(config)
-    law = _build_law(config)
-    try:
-        zero = criteria.kappa2_draw_zero(dist, law)
-    except criteria.UnsupportedFamilyError as exc:
-        raise CliError(str(exc)) from exc
-    payload = {"family": dist.to_json(), "p0": law.p_0, "p1": law.p_1, "draw_zero": zero}
-    rows = [{"distribution": _spec_label(GameSpec(2, dist, law)), "p0": law.p_0,
-             "p1": law.p_1, "draw_zero": zero}]
-    _emit(payload, rows, ["distribution", "p0", "p1", "draw_zero"], config)
+    spec = _build_spec(config, kappa=2)
+    row, _, _ = _kappa2_row(spec, config)
+    payload = {"family": spec.dist.to_json(), "p0": row["p0"], "p1": row["p1"],
+               "draw_zero": row["draw_zero"]}
+    _emit(payload, [row], ["distribution", "p0", "p1", "draw_zero"], config)
     return EXIT_OK
 
 
-def _kappa3_row(spec: GameSpec, config, count_fixed_points: bool) -> dict:
-    bounds = criteria.kappa3_bounds(spec.dist, spec.law)
-    row = {"distribution": _spec_label(spec), "p0": spec.law.p_0, "p1": spec.law.p_1,
-           "E11": bounds.E[0, 0], "E12": bounds.E[0, 1],
-           "E21": bounds.E[1, 0], "E22": bounds.E[1, 1],
-           "max_E": float(np.max(bounds.E)),
-           "contraction_holds": criteria.kappa3_contraction_holds(bounds)}
-    if count_fixed_points:
-        points = fixpoint.find_fixed_points(spec, tol=config["tol"],
-                                            max_iter=config["max_iter"],
-                                            cluster_radius=config["cluster_radius"])
-        row["fixed_point_count"] = len(points)
-    return row, bounds
-
-
 def _cmd_check_kappa3(config) -> int:
-    config = dict(config)
-    config["kappa"] = 3
-    spec = _build_spec(config)
-    count = bool(config.get("count_fixed_points"))
-    row, bounds = _kappa3_row(spec, config, count)
+    spec = _build_spec(config, kappa=3)
+    row, _, bounds = _kappa3_row(spec, config)
     payload = {"spec": spec.to_json(), "A": bounds.A.tolist(), "B": bounds.B.tolist(),
                "E": bounds.E.tolist(), "max_E": row["max_E"],
                "contraction_holds": row["contraction_holds"]}
     header = ["distribution", "p0", "p1", "E11", "E12", "E21", "E22", "contraction_holds"]
-    if count:
+    if config["count_fixed_points"]:
         payload["fixed_point_count"] = row["fixed_point_count"]
         header = header[:-1] + ["max_E", "fixed_point_count", "contraction_holds"]
     _emit(payload, [row], header, config)
@@ -363,33 +389,28 @@ def _cmd_check_special(config) -> int:
 
 def _cmd_duration(config) -> int:
     spec = _build_spec(config)
-    result = fixpoint.solve(spec, tol=config["tol"], max_iter=config["max_iter"],
-                            draw_epsilon=config["draw_epsilon"])
+    result = _solve(spec, config)
     if not result.converged:
         sys.stderr.write("duration: fixed-point iteration did not converge\n")
         return EXIT_NONCONVERGENCE
     report = criteria.duration_criterion(spec, result)
     payload = {"spec": spec.to_json(), "report": report.to_json_dict()}
-    rows = []
-    for (i, j), rs in sorted(report.row_sums.items()):
-        rows.append({"i": i, "j": j, "alpha": report.alpha[i - 1, j - 1],
-                     "beta": report.beta[i - 1, j - 1], "row_sum": rs,
-                     "draws_zero": report.draws_zero,
-                     "criterion_holds": report.criterion_holds})
+    n = spec.size
+    rows = _ij_rows(n, alpha=report.alpha, beta=report.beta,
+                    row_sum=np.reshape(list(report.row_sums.values()), (n, n)),
+                    draws_zero=report.draws_zero, criterion_holds=report.criterion_holds)
     _emit(payload, rows, ["i", "j", "alpha", "beta", "row_sum", "draws_zero", "criterion_holds"], config)
     return EXIT_OK
 
 
 def _cmd_simulate(config) -> int:
     spec = _build_spec(config)
-    est = oracle.estimate_probs(spec, horizon=int(config["horizon"]),
-                                samples=int(config["samples"]), seed=int(config["seed"]),
-                                node_cap=int(config["node_cap"]), jobs=int(config["jobs"]))
+    est = oracle.estimate_probs(spec, horizon=config["horizon"], samples=config["samples"],
+                                seed=config["seed"], node_cap=config["node_cap"],
+                                jobs=config["jobs"])
     payload = {"spec": spec.to_json(), "estimate": est.to_json_dict(), "seed": est.seed}
-    rows = []
-    for row in est.csv_rows():
-        row["horizon"] = est.horizon
-        rows.append(row)
+    rows = _ij_rows(spec.size, horizon=est.horizon, ell=est.loss_hat[-1],
+                    ell_stderr=est.loss_stderr[-1], w=est.win_hat[-1], w_stderr=est.win_stderr[-1])
     _emit(payload, rows, ["i", "j", "horizon", "ell", "ell_stderr", "w", "w_stderr"], config)
     return EXIT_OK
 
@@ -442,56 +463,34 @@ def _sweep_tasks(config):
     return tasks
 
 
-def _sweep_cell(config, overrides, p0, p1):
-    cell = dict(config)
-    cell.update(overrides)
-    cell["p0"], cell["p1"] = p0, p1
-    what = config.get("what") or "solve"
-    if what == "solve":
-        spec = _build_spec(cell)
-        result = fixpoint.solve(spec, tol=cell["tol"], max_iter=cell["max_iter"],
-                                draw_epsilon=cell["draw_epsilon"])
-        row = {"distribution": _spec_label(spec), "p0": p0, "p1": p1}
-        for i in range(1, spec.size + 1):
-            for j in range(1, spec.size + 1):
-                row[f"d{i}{j}"] = result.D[i - 1, j - 1]
-        row["_converged"] = result.converged
-        return row
-    if what == "check-kappa2":
-        dist = _build_dist(cell)
-        law = EdgeWeightLaw.from_p0_p1(p0, p1)
-        row = {"distribution": _spec_label(GameSpec(2, dist, law)), "p0": p0, "p1": p1,
-               "draw_zero": criteria.kappa2_draw_zero(dist, law), "_converged": True}
-        return row
-    if what == "check-kappa3":
-        cell["kappa"] = 3
-        spec = _build_spec(cell)
-        row, _ = _kappa3_row(spec, cell, bool(cell.get("count_fixed_points")))
-        row["_converged"] = True
-        return row
-    raise CliError(f"what: unknown sweep target {what!r}")
+_SWEEP_ROWS = {"solve": (_solve_row, None), "check-kappa2": (_kappa2_row, 2),
+               "check-kappa3": (_kappa3_row, 3)}
+
+
+def _sweep_cell(config, task):
+    """Row and exit status of one grid cell, at the target capital the sweep target forces."""
+    overrides, p0, p1 = task
+    row_fn, kappa = _SWEEP_ROWS[config["what"]]
+    spec = _build_spec({**config, **overrides, "p0": p0, "p1": p1}, kappa)
+    row, status, _ = row_fn(spec, config)
+    return row, status
 
 
 def _cmd_sweep(config) -> int:
+    if config["what"] not in _SWEEP_ROWS:
+        raise CliError(f"what: unknown sweep target {config['what']!r}")
     tasks = _sweep_tasks(config)
-    jobs = int(config.get("jobs") or 1)
-    if jobs > 1 and len(tasks) > 1:
+    cell = functools.partial(_sweep_cell, config)
+    jobs = min(config["jobs"], len(tasks))
+    if jobs > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            rows = list(pool.map(_sweep_cell_star,
-                                 [(config, o, p0, p1) for (o, p0, p1) in tasks]))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            cells = list(pool.map(cell, tasks))
     else:
-        rows = [_sweep_cell(config, o, p0, p1) for (o, p0, p1) in tasks]
-    all_converged = all(row.pop("_converged", True) for row in rows)
-    header = list(rows[0].keys()) if rows else []
-    payload = {"rows": rows}
-    _emit(payload, rows, header, config)
-    return EXIT_OK if all_converged else EXIT_NONCONVERGENCE
-
-
-def _sweep_cell_star(packed):
-    config, overrides, p0, p1 = packed
-    return _sweep_cell(config, overrides, p0, p1)
+        cells = [cell(task) for task in tasks]
+    rows = [row for row, _ in cells]
+    _emit({"rows": rows}, rows, list(rows[0]), config)
+    return max(status for _, status in cells)
 
 
 _COMMANDS = {
@@ -512,12 +511,12 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         return _COMMANDS[args.command](config)
-    except CliError as exc:
+    except ValueError as exc:  # CliError, DistributionError and the library's input checks
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except (DistributionError, ValueError) as exc:
+    except fixpoint.InternalInconsistencyError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
+        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

@@ -187,22 +187,6 @@ def kappa3_special_ratio(alpha: float) -> bool:
     return alpha < SPECIAL_RATIO_LOW or alpha > SPECIAL_RATIO_HIGH
 
 
-def kappa3_p0_zero_maps(dist: OffspringDistribution, p_minus1: float):
-    """The pair of scalar maps a(x) = G(p_m1 - p_m1 x), b(x) = G(1 - p1 x)
-    governing the p_0 = 0 regime at kappa = 3 (p1 = 1 - p_m1)."""
-    if not 0.0 <= p_minus1 <= 1.0:
-        raise ValueError("p_minus1 must lie in [0, 1]")
-    p1 = 1.0 - p_minus1
-
-    def a(x):
-        return dist.pgf(p_minus1 - p_minus1 * x)
-
-    def b(x):
-        return dist.pgf(1.0 - p1 * x)
-
-    return a, b
-
-
 def kappa3_p0_zero_check(dist: OffspringDistribution, p_minus1: float) -> bool:
     """Sufficient product test for zero draws at kappa = 3 when p_0 = 0.
 

@@ -107,7 +107,7 @@ class GameSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GameSpec":
-        return cls(int(obj["kappa"]), distribution_from_json(obj["dist"]), EdgeWeightLaw.from_json(obj["law"]))
+        return cls(obj["kappa"], distribution_from_json(obj["dist"]), EdgeWeightLaw.from_json(obj["law"]))
 
 
 class Verdict(Enum):
@@ -283,17 +283,6 @@ class SolveResult:
             "residual": self.residual,
             "converged": self.converged,
         }
-
-    def csv_rows(self) -> list:
-        rows = []
-        n = self.spec.size
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                rows.append({"i": i, "j": j,
-                             "ell": self.L[i - 1, j - 1],
-                             "w": self.W[i - 1, j - 1],
-                             "d": self.D[i - 1, j - 1]})
-        return rows
 
 
 def solve(spec: GameSpec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,

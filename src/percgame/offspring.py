@@ -13,6 +13,7 @@ at construction time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -341,14 +342,22 @@ def _int_param(params: dict, name: str) -> int:
     raise DistributionError(f"{name}: an integer is required, got {value!r}")
 
 
+def _float_param(params: dict, name: str) -> float:
+    """params[name] as a float: numbers pass; true, "0.5" and null raise, naming the parameter."""
+    value = params[name]
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise DistributionError(f"{name}: a number is required, got {value!r}")
+
+
 _FAMILIES = {
     "dirac": lambda p: Dirac(_int_param(p, "m")),
     "uniform": lambda p: UniformRange(_int_param(p, "m")),
-    "binomial": lambda p: Binomial(_int_param(p, "n"), float(p["pi"])),
-    "poisson": lambda p: Poisson(float(p["lam"])),
-    "negbinomial": lambda p: NegBinomial(_int_param(p, "r"), float(p["pi"])),
-    "geometric": lambda p: geometric(float(p["pi"])),
-    "twopoint": lambda p: TwoPoint(float(p["pi"]), _int_param(p, "d")),
+    "binomial": lambda p: Binomial(_int_param(p, "n"), _float_param(p, "pi")),
+    "poisson": lambda p: Poisson(_float_param(p, "lam")),
+    "negbinomial": lambda p: NegBinomial(_int_param(p, "r"), _float_param(p, "pi")),
+    "geometric": lambda p: geometric(_float_param(p, "pi")),
+    "twopoint": lambda p: TwoPoint(_float_param(p, "pi"), _int_param(p, "d")),
     "explicit": lambda p: Explicit(p["pmf"]),
 }
 

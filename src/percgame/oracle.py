@@ -194,18 +194,6 @@ class OracleEstimate:
             "aborted_samples": self.aborted_samples,
         }
 
-    def csv_rows(self) -> list:
-        rows = []
-        n = self.spec.size
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                rows.append({"i": i, "j": j,
-                             "ell": self.loss_hat[-1][i - 1, j - 1],
-                             "ell_stderr": self.loss_stderr[-1][i - 1, j - 1],
-                             "w": self.win_hat[-1][i - 1, j - 1],
-                             "w_stderr": self.win_stderr[-1][i - 1, j - 1]})
-        return rows
-
 
 def estimate_probs(spec: GameSpec, horizon: int, samples: int, seed: int = 0,
                    chunk_size: int = DEFAULT_CHUNK_SIZE,

@@ -202,7 +202,7 @@ def test_sweep_rejects_invalid_grid(capsys):
     assert "grid" in err
 
 
-def test_validation_errors_name_the_field(capsys):
+def test_validation_errors_name_the_field(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--family", "poisson",
                            "--p0", "0.8", "--p1", "0.1")
     assert code == 2
@@ -221,6 +221,40 @@ def test_validation_errors_name_the_field(capsys):
         code, _, err = run_cli(capsys, *sweep, *argv)
         assert code == 2
         assert field in err
+    # config-file values are typed at the boundary like flags
+    conf = tmp_path / "conf.json"
+    for field, value in (("kappa", 3.7), ("horizon", 2.5), ("max_iter", 10.5), ("samples", "x"),
+                         ("seed", True), ("node_cap", None), ("jobs", 1.5), ("p0", "0.5"),
+                         ("tol", "x"), ("draw_epsilon", None), ("positive_threshold", False),
+                         ("cluster_radius", [1]), ("alpha", "1"), ("lam", "x")):
+        conf.write_text(json.dumps({"family": "poisson", "lam": 2, "kappa": 3, "p0": 0.8,
+                                    "p1": 0.1, field: value}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", "--config", str(conf))
+        assert (code, out) == (2, ""), field
+        assert err.startswith(f"error: {field}: "), err
+
+
+def test_config_file_integral_floats_and_null_defaults(capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"family": "dirac", "m": 2.0, "kappa": 3.0, "max_iter": 1e4,
+                                "p0": 0.9, "p1": 0.05, "alpha": None}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "solve", "--config", str(conf))
+    assert code == 0
+    assert json.loads(out)["spec"]["kappa"] == 3
+
+
+def test_internal_inconsistency_exits_3(capsys, monkeypatch):
+    from percgame import fixpoint
+
+    def inconsistent(*args, **kwargs):
+        raise fixpoint.InternalInconsistencyError("mixed ZERO and POSITIVE draw verdicts")
+
+    monkeypatch.setattr(fixpoint, "classify_draw", inconsistent)
+    code, out, err = run_cli(capsys, "solve", "--family", "dirac", "--m", "2",
+                             "--kappa", "3", "--p0", "0.9", "--p1", "0.05")
+    assert code == 3
+    assert out == ""
+    assert err == "error: mixed ZERO and POSITIVE draw verdicts\n"
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):
@@ -238,6 +272,15 @@ def test_nonconvergence_exit_code(capsys):
                            "--max-iter", "3")
     assert code == 3
     assert json.loads(out)["result"]["converged"] is False
+    # a sweep exits 3 when any cell does not converge; every row keeps the table's columns
+    code, out, _ = run_cli(capsys, "sweep", "--what", "solve", "--family", "dirac",
+                           "--grid-param", "m=2,5", "--grid-p0", "0.8,0.9", "--grid-p1", "0.05",
+                           "--kappa", "3", "--max-iter", "5")
+    assert code == 3
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 4
+    assert all(sorted(row) == ["d11", "d12", "d21", "d22", "distribution", "p0", "p1"]
+               for row in rows)
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):

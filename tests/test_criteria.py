@@ -9,7 +9,7 @@ from percgame import (Binomial, Dirac, DurationReport, EdgeWeightLaw, Explicit, 
                       SolveResult, TwoPoint, UniformRange, Verdict, classify_draw,
                       UnsupportedFamilyError, duration_criterion, geometric,
                       kappa2_draw_zero, kappa3_bounds, kappa3_contraction_holds,
-                      kappa3_p0_zero_check, kappa3_p0_zero_maps, kappa3_special_ratio,
+                      kappa3_p0_zero_check, kappa3_special_ratio,
                       ratio_law, solve)
 
 
@@ -205,6 +205,20 @@ def test_p0_zero_check_validation_and_formula():
     G, Gp = dist.pgf, dist.pgf_derivative
     product = pm1 * (1 - pm1) * Gp(1 - (1 - pm1) * G(pm1)) * Gp(pm1 * (1 - G(pm1)))
     assert kappa3_p0_zero_check(dist, pm1) == (product < 1)
+
+
+def kappa3_p0_zero_maps(dist, p_minus1):
+    """The pair of scalar maps a(x) = G(p_m1 - p_m1 x), b(x) = G(1 - p1 x)
+    governing the p_0 = 0 regime at kappa = 3 (p1 = 1 - p_m1)."""
+    p1 = 1.0 - p_minus1
+
+    def a(x):
+        return dist.pgf(p_minus1 - p_minus1 * x)
+
+    def b(x):
+        return dist.pgf(1.0 - p1 * x)
+
+    return a, b
 
 
 def count_scalar_fixed_points(fn):

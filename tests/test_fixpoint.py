@@ -47,6 +47,8 @@ def test_game_spec_validation():
     spec = GameSpec(4, dist, law)
     assert spec.size == 3
     assert GameSpec.from_json(spec.to_json()) == spec
+    with pytest.raises(ValueError, match="kappa"):
+        GameSpec.from_json({**spec.to_json(), "kappa": 3.7})  # not truncated to 3
 
 
 def test_weight_matrix_layout():
@@ -390,7 +392,3 @@ def test_solve_result_serialization():
     obj = r.to_json_dict()
     assert set(obj) == {"L", "W", "D", "iterations", "residual", "converged"}
     assert obj["converged"] is True
-    rows = r.csv_rows()
-    assert len(rows) == 4
-    assert rows[0]["i"] == 1 and rows[0]["j"] == 1
-    assert rows[-1]["d"] == pytest.approx(r.D[1, 1])

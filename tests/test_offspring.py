@@ -174,6 +174,12 @@ def test_json_geometric_alias_and_errors():
         distribution_from_json({"family": "binomial", "params": {"n": 3.9, "pi": 0.5}})
     with pytest.raises(DistributionError, match="^pi: "):
         distribution_from_json({"family": "binomial", "params": {"n": 3}})
+    for value in ("0.5", True, None, [0.5]):
+        with pytest.raises(DistributionError, match="^pi: a number"):
+            distribution_from_json({"family": "binomial", "params": {"n": 3, "pi": value}})
+        with pytest.raises(DistributionError, match="^lam: a number"):
+            distribution_from_json({"family": "poisson", "params": {"lam": value}})
+    assert distribution_from_json({"family": "poisson", "params": {"lam": 5}}) == Poisson(5.0)
     with pytest.raises(DistributionError, match="^pmf: "):
         distribution_from_json({"family": "explicit", "params": {}})
     for m in (2, 2.0):

@@ -216,6 +216,3 @@ def test_estimate_serialization():
     obj = est.to_json_dict()
     assert set(obj) == {"L", "W", "L_stderr", "W_stderr", "horizon", "samples",
                         "aborted_samples"}
-    rows = est.csv_rows()
-    assert len(rows) == 4
-    assert {"i", "j", "ell", "ell_stderr", "w", "w_stderr"} <= set(rows[0])
