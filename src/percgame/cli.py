@@ -297,7 +297,8 @@ def _status(result) -> int:
 def _solve_row(spec: GameSpec, config):
     result = _solve(spec, config)
     row = _spec_row(spec)
-    row.update((f"d{i + 1}{j + 1}", d) for (i, j), d in np.ndenumerate(result.D))
+    sep = "_" if spec.size >= 10 else ""       # d1_11 and d11_1, not two d111
+    row.update((f"d{i + 1}{sep}{j + 1}", d) for (i, j), d in np.ndenumerate(result.D))
     return row, _status(result), None
 
 
@@ -514,7 +515,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # CliError, DistributionError and the library's input checks
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except fixpoint.InternalInconsistencyError as exc:
+    except (fixpoint.InternalInconsistencyError, oracle.NodeCapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NONCONVERGENCE
 

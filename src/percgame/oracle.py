@@ -13,6 +13,24 @@ Terminal rules follow the recurrences: a move that empties the mover's
 capital loses immediately and one that reaches the target capital wins
 immediately, both taking precedence over the destination being a leaf; a
 mover stranded at a leaf with interior capital loses.
+
+The induction keeps each node's win set and loss set as bit rows, in one of
+two layouts that alternate with generation parity:
+
+* layout A (the root's parity): one row per interior mover capital, with
+  bit c set when the verdict holds at opponent capital c = 0..kappa; the
+  boundary bits (0 in the win rows, kappa in the loss rows) are set once;
+* layout B: one row per opponent capital 0..kappa, with bit i-1 set when the
+  verdict holds at interior mover capital i; the boundary rows (row 0 of the
+  win table, row kappa of the loss table) are constant.
+
+A move along an edge of weight w swaps the roles, so a parent reads a child
+without any transpose: from a layout-A child it takes `(row >> (1 + w)) &
+mask` of each row, and from a layout-B child it takes rows 1+w .. n+w; the
+first gives the parent its layout-B rows and the second its layout-A rows.
+Rows are the narrowest unsigned integers that hold kappa+1 bits, or Python
+ints above 64 bits.  `sample_forest` keeps siblings contiguous, so "every
+child" and "some child" are `reduceat` runs of bitwise AND and OR.
 """
 
 from __future__ import annotations
@@ -40,7 +58,7 @@ class Forest:
     n_samples: int
     depth: int
     sizes: List[int]                       # nodes per generation
-    parents: List[Optional[np.ndarray]]    # index into previous generation
+    parents: List[Optional[np.ndarray]]    # index into previous generation, non-decreasing
     weights: List[Optional[np.ndarray]]
     sample_id: List[np.ndarray]
     aborted: np.ndarray                    # bool per sample: exceeded node cap
@@ -85,6 +103,14 @@ def sample_forest(dist: OffspringDistribution, law: EdgeWeightLaw, depth: int,
                   weights=weights, sample_id=sample_id, aborted=aborted)
 
 
+def _row_dtype(bits: int) -> np.dtype:
+    """Narrowest unsigned integer dtype with `bits` bits; object rows (Python ints) above 64."""
+    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if bits <= np.iinfo(dt).bits:
+            return np.dtype(dt)
+    return np.dtype(object)
+
+
 def _forest_root_counts(forest: Forest, kappa: int, horizon: int):
     """Per-horizon root loss/win counts over the non-aborted samples.
 
@@ -92,53 +118,72 @@ def _forest_root_counts(forest: Forest, kappa: int, horizon: int):
     under the weight-shifted mover capital, lies in the opponent's horizon-m
     win set (capital 0 counting as an immediate win for the opponent, capital
     kappa as an immediate loss).  The win case is dual.
+
+    Win and loss sets are bit rows in the layouts of the module docstring:
+    even generations in layout A, odd ones in layout B.  The sibling runs of
+    the reductions end in one identity row (all ones for AND, zero for OR) so
+    that a run may start at the end; runs of leaf parents are masked out.
     """
     n = kappa - 1
     H = horizon
-    Wp, Lp = [], []
+    dt = _row_dtype(kappa + 1)
+    row = dt.type
+    mask = row((1 << n) - 1)
+    win, lose = [], []
     for g in range(H + 1):
         N = forest.sizes[g]
-        wv = np.zeros((N, n, kappa + 1), dtype=bool)
-        lv = np.zeros((N, n, kappa + 1), dtype=bool)
-        wv[:, :, 0] = True
-        lv[:, :, kappa] = True
-        Wp.append(wv)
-        Lp.append(lv)
-    nchild = [np.bincount(forest.parents[g + 1], minlength=forest.sizes[g])
-              if forest.sizes[g + 1] else np.zeros(forest.sizes[g], dtype=np.int64)
-              for g in range(H)]
+        if g % 2 == 0:      # layout A
+            win.append(np.full((N, n), row(1), dtype=dt))
+            lose.append(np.full((N, n), row(1 << kappa), dtype=dt))
+        else:               # layout B
+            wv = np.zeros((N, kappa + 1), dtype=dt)
+            lv = np.zeros((N, kappa + 1), dtype=dt)
+            wv[:, 0] = mask
+            lv[:, kappa] = mask
+            win.append(wv)
+            lose.append(lv)
+    # Per parent generation: sibling-run starts, leaf mask and how to read a
+    # child.  Reads and leaf masks are full (rows, n) arrays: numpy applies a
+    # column broadcast across n rows several times slower.
+    ones, zeros = np.full((1, n), mask, dtype=dt), np.zeros((1, n), dtype=dt)
+    plan = []
+    for g in range(H):
+        nch = np.bincount(forest.parents[g + 1], minlength=forest.sizes[g])
+        w = forest.weights[g + 1]
+        if g % 2 == 0:      # child rows are per opponent capital: pick rows i + w
+            read = (np.arange(1, w.size * (kappa + 1), kappa + 1) + w)[:, None] + np.arange(n)
+        else:               # child rows are per mover capital: shift out bits i + w
+            read = np.repeat((1 + w).astype(dt)[:, None], n, axis=1)
+        plan.append((np.cumsum(nch) - nch, np.repeat((nch == 0)[:, None], n, axis=1), read))
+    # The reductions see each child's n rows as a few wide words: an AND or OR
+    # of whole words gives the same bits, and reduceat's cost is per element.
+    word = dt if dt == object else np.dtype(f"u{np.gcd(8, n * dt.itemsize)}")
+    bits = np.arange(1, kappa).astype(dt)
     keep = ~forest.aborted
     loss = np.zeros((H, n, n))
-    win = np.zeros((H, n, n))
-    aa = np.arange(n)
+    wins = np.zeros((H, n, n))
     for step in range(1, H + 1):
         for g in range(H - step + 1):
-            N = forest.sizes[g]
-            Nc = forest.sizes[g + 1]
-            if N == 0:
-                continue
-            if Nc == 0:
-                lose_g = np.ones((N, n, n), dtype=bool)
-                win_g = np.zeros((N, n, n), dtype=bool)
+            starts, leaf, read = plan[g]
+            if g % 2 == 0:
+                cw = win[g + 1].reshape(-1).take(read)
+                cl = lose[g + 1].reshape(-1).take(read)
             else:
-                parent = forest.parents[g + 1]
-                wts = forest.weights[g + 1].astype(np.int64)
-                nodes = np.arange(Nc)[:, None, None]
-                jm1 = aa[None, None, :]
-                col = (aa[None, :, None] + 1) + wts[:, None, None]
-                condW = Wp[g + 1][nodes, jm1, col]
-                condL = Lp[g + 1][nodes, jm1, col]
-                flat = (parent[:, None, None] * (n * n) + aa[None, :, None] * n + jm1).reshape(-1)
-                cntW = np.bincount(flat, weights=condW.reshape(-1), minlength=N * n * n).reshape(N, n, n)
-                cntL = np.bincount(flat, weights=condL.reshape(-1), minlength=N * n * n).reshape(N, n, n)
-                nch = nchild[g][:, None, None]
-                lose_g = (nch == 0) | (cntW >= nch)
-                win_g = cntL > 0
-            Wp[g][:, :, 1:kappa] = win_g
-            Lp[g][:, :, 1:kappa] = lose_g
-        loss[step - 1] = Lp[0][keep][:, :, 1:kappa].sum(axis=0)
-        win[step - 1] = Wp[0][keep][:, :, 1:kappa].sum(axis=0)
-    return loss, win
+                cw = (win[g + 1] >> read) & mask
+                cl = (lose[g + 1] >> read) & mask
+            every = np.bitwise_and.reduceat(np.concatenate([cw, ones]).view(word), starts, axis=0)
+            some = np.bitwise_or.reduceat(np.concatenate([cl, zeros]).view(word), starts, axis=0)
+            lose_g = np.where(leaf, mask, every.view(dt))
+            win_g = np.where(leaf, row(0), some.view(dt))
+            if g % 2 == 0:
+                win[g] = (win_g << 1) | row(1)
+                lose[g] = (lose_g << 1) | row(1 << kappa)
+            else:
+                win[g][:, 1:kappa] = win_g
+                lose[g][:, 1:kappa] = lose_g
+        loss[step - 1] = ((lose[0][keep][:, :, None] >> bits) & 1).sum(axis=0)
+        wins[step - 1] = ((win[0][keep][:, :, None] >> bits) & 1).sum(axis=0)
+    return loss, wins
 
 
 def _chunk_counts(spec: GameSpec, horizon: int, m: int, seed_seq, node_cap: int):
@@ -211,6 +256,8 @@ def estimate_probs(spec: GameSpec, horizon: int, samples: int, seed: int = 0,
         raise ValueError("horizon must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    if node_cap < 1:
+        raise ValueError("node_cap must be >= 1")
     master = np.random.SeedSequence(seed)
     chunk_sizes = []
     remaining = samples

@@ -257,6 +257,26 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     assert err == "error: mixed ZERO and POSITIVE draw verdicts\n"
 
 
+def test_simulate_unreachable_node_cap_exits_3(capsys):
+    # every 2-regular tree of depth 3 has 15 nodes, so no sample fits under 3
+    code, out, err = run_cli(capsys, "simulate", "--family", "dirac", "--m", "2", "--kappa", "3",
+                             "--p0", "0.8", "--p1", "0.1", "--horizon", "3", "--samples", "5",
+                             "--node-cap", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "error: resampling keeps hitting the node cap; raise node_cap\n"
+
+
+def test_simulate_rejects_nonpositive_node_cap(capsys):
+    for cap in ("0", "-4"):
+        code, out, err = run_cli(capsys, "simulate", "--family", "dirac", "--m", "2",
+                                 "--kappa", "3", "--p0", "0.8", "--p1", "0.1", "--horizon", "3",
+                                 "--samples", "5", "--node-cap", cap)
+        assert code == 2
+        assert out == ""
+        assert err == "error: node_cap must be >= 1\n"
+
+
 def test_unwritable_output_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(capsys, "solve", "--family", "dirac", "--m", "2",

@@ -13,6 +13,10 @@ import pytest
 
 from percgame.cli import main
 
+# From kappa = 12 on, d{i}{j} would name (1, 11) and (11, 1) alike; d{i}_{j} keeps both.
+KAPPA12_SWEEP = ("sweep --what solve --family dirac --m 2 --kappa 12 --grid-p0 0.8 --grid-p1 0.1 "
+                 "--format csv")
+
 GOLDEN = [
     ("solve --family dirac --m 2 --kappa 3 --p0 0.9 --p1 0.05 --format csv",
      0, "8bec088ed1647c12de1f3a1a6d02353e6c07c972c8121b24fb536c1fe35b0be7"),
@@ -63,6 +67,8 @@ GOLDEN = [
     ("sweep --what solve --family dirac --grid-param m=2,5 --grid-p0 0.8,0.9 --grid-p1 "
      "0.05 --kappa 3 --max-iter 5 --format csv",
      3, "22519037ec93246d3a88120e06c33354e32578fd3fb473aec7cc4ecf6f448e80"),
+    (KAPPA12_SWEEP,
+     0, "58972d944dca1f531d87229bc526f14acd003c2df08a2751bf76ad98b418739a"),
     ("sweep --what check-kappa2 --family binomial --pi 0.6 --grid-param n=5,10 --grid-p0 "
      "0.9,0.5 --grid-p1 0.05 --format json",
      0, "760ab1141075721e18f5bc2ea1910b3ff66a35f48dead49bce94aaaaf46dcd01"),
@@ -83,3 +89,11 @@ def test_cli_stdout_is_byte_identical(capsys, argv, status, digest):
     code = main(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (status, digest)
+
+
+def test_kappa12_sweep_keeps_every_draw_column(capsys):
+    assert main(KAPPA12_SWEEP.split()) == 0
+    header = capsys.readouterr().out.split("\r\n")[0].split(",")
+    assert len(header) == len(set(header)) == 3 + 11 ** 2
+    assert header[:4] == ["distribution", "p0", "p1", "d1_1"]
+    assert {"d1_11", "d11_1", "d11_11"} <= set(header)

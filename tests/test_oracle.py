@@ -11,15 +11,22 @@ from percgame.oracle import _forest_root_counts
 LAW = EdgeWeightLaw.from_p0_p1(0.8, 0.1)
 
 
+def build_forest(n_roots, *generations):
+    """Forest from one (parent indices, edge weights) pair per generation, siblings contiguous."""
+    parents = [np.asarray(p, dtype=np.int64) for p, _ in generations]
+    sample_id = [np.arange(n_roots, dtype=np.int64)]
+    for p in parents:
+        sample_id.append(sample_id[-1][p])
+    return Forest(n_samples=n_roots, depth=len(generations),
+                  sizes=[n_roots] + [p.size for p in parents], parents=[None] + parents,
+                  weights=[None] + [np.asarray(w, dtype=np.int8) for _, w in generations],
+                  sample_id=sample_id, aborted=np.zeros(n_roots, dtype=bool))
+
+
 def chain_forest(weights, depth=None):
     """One-sample forest: root -> child -> ... along the given edge weights."""
     depth = len(weights) if depth is None else depth
-    one, empty = np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    edges = [(one, np.array([w], dtype=np.int8)) for w in weights]
-    edges += [(empty, np.empty(0, dtype=np.int8))] * (depth - len(weights))
-    return Forest(n_samples=1, depth=depth, sizes=[1] + [p.size for p, _ in edges],
-                  parents=[None] + [p for p, _ in edges], weights=[None] + [w for _, w in edges],
-                  sample_id=[one] + [p for p, _ in edges], aborted=np.zeros(1, dtype=bool))
+    return build_forest(1, *[([0], [w]) for w in weights], *[([], [])] * (depth - len(weights)))
 
 
 def reference_root_counts(forest, kappa, horizon):
@@ -143,7 +150,17 @@ def test_forest_counts_match_per_tree_solver():
              (4, Dirac(2), 5, 80, None, "none"),
              (4, Dirac(2), 5, 80, 62, "all"),
              (2, Poisson(1.2), 6, 200, None, "none"),
-             (2, Poisson(1.2), 6, 200, 12, "some")]
+             (2, Poisson(1.2), 6, 200, 12, "some"),
+             # the other horizon parity at each kappa above; kappa=2 has one-bit rows
+             (3, Poisson(2.0), 5, 150, None, "none"),
+             (4, Dirac(2), 4, 80, None, "none"),
+             (2, Poisson(1.2), 5, 200, None, "none"),
+             # kappa=8: the first kappa whose kappa+1 bits need 16-bit rows
+             (8, Poisson(1.5), 3, 60, None, "none"),
+             (8, Poisson(1.5), 4, 60, 40, "some"),
+             # kappa=66: more than 64 bits, so rows are Python ints
+             (66, Poisson(1.2), 2, 6, None, "none"),
+             (66, Poisson(1.2), 3, 6, None, "none")]
     law = EdgeWeightLaw.from_p0_p1(0.5, 0.25)
     for seed, (kappa, dist, horizon, n, cap, aborts) in enumerate(cases):
         rng = np.random.default_rng(31 + seed)
@@ -155,6 +172,19 @@ def test_forest_counts_match_per_tree_solver():
         case = f"kappa={kappa} {dist} H={horizon} cap={cap}"
         np.testing.assert_array_equal(loss, loss_ref, err_msg=case)
         np.testing.assert_array_equal(win, win_ref, err_msg=case)
+    # Sibling runs at the edges: in generation 2 only the last parent has
+    # children, in generation 3 only the first (the later runs start at the
+    # end of the children), and generations 4 and 5 are empty.
+    forest = build_forest(3, ([0, 0, 2], [1, -1, 0]), ([2, 2, 2], [0, 1, -1]),
+                          ([0, 0], [-1, 0]), ([], []), ([], []))
+    assert forest.sizes == [3, 3, 3, 2, 0, 0]
+    for kappa in (2, 3, 4, 8):
+        for horizon in (4, 5):
+            loss, win = _forest_root_counts(forest, kappa, horizon)
+            loss_ref, win_ref = reference_root_counts(forest, kappa, horizon)
+            case = f"hand-built forest kappa={kappa} H={horizon}"
+            np.testing.assert_array_equal(loss, loss_ref, err_msg=case)
+            np.testing.assert_array_equal(win, win_ref, err_msg=case)
 
 
 def test_estimates_deterministic_and_job_invariant():
