@@ -17,12 +17,13 @@ import itertools
 import json
 import os
 import sys
+from typing import Callable, Collection, NamedTuple
 
 import numpy as np
 
 from . import criteria, fixpoint, oracle
 from .fixpoint import EdgeWeightLaw, GameSpec
-from .offspring import _float_param, _int_param, distribution_from_json
+from .offspring import _FAMILIES, _float_param, _floats_param, _int_param, distribution_from_json
 
 
 class CliError(ValueError):
@@ -32,48 +33,6 @@ class CliError(ValueError):
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
-
-_FAMILY_PARAMS = {
-    "dirac": ("m",),
-    "uniform": ("m",),
-    "binomial": ("n", "pi"),
-    "poisson": ("lam",),
-    "negbinomial": ("r", "pi"),
-    "geometric": ("pi",),
-    "twopoint": ("pi", "d"),
-    "explicit": ("pmf",),
-}
-
-_DEFAULTS = {
-    "kappa": 3,
-    "p0": None,
-    "p1": None,
-    "tol": fixpoint.DEFAULT_TOL,
-    "max_iter": fixpoint.DEFAULT_MAX_ITER,
-    "draw_epsilon": fixpoint.DEFAULT_DRAW_EPSILON,
-    "positive_threshold": fixpoint.DEFAULT_POSITIVE_THRESHOLD,
-    "cluster_radius": fixpoint.DEFAULT_CLUSTER_RADIUS,
-    "horizon": 6,
-    "samples": 10000,
-    "seed": 0,
-    "node_cap": oracle.DEFAULT_NODE_CAP,
-    "jobs": 1,
-    "format": "json",
-    "output": "-",
-    "alpha": None,
-    "family": None,
-    "m": None, "n": None, "pi": None, "lam": None, "r": None, "d": None, "pmf": None,
-    "what": "solve",
-    "grid_p0": None,
-    "grid_p1": None,
-    "grid_param": None,
-    "count_fixed_points": False,
-}
-
-# typed at the boundary: flags by argparse, config-file values here
-_INT_FIELDS = ("kappa", "max_iter", "horizon", "samples", "seed", "node_cap", "jobs")
-_FLOAT_FIELDS = ("p0", "p1", "tol", "draw_epsilon", "positive_threshold", "cluster_radius", "alpha")
-
 
 def _fmt(value):
     """Round floats to 9 significant digits, recursively, for stable output."""
@@ -119,129 +78,20 @@ def _emit(payload, rows, header, config) -> None:
         raise CliError(f"output: cannot write {config['output']}: {exc}") from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="percgame",
-                                     description="Percolation games on edge-weighted branching trees")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, law=True, knobs=True):
-        p.add_argument("--config", help="JSON config file; explicit flags take precedence")
-        p.add_argument("--family", choices=sorted(_FAMILY_PARAMS))
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--pi", type=float)
-        p.add_argument("--lam", "--lambda", dest="lam", type=float)
-        p.add_argument("--r", type=int)
-        p.add_argument("--d", type=int)
-        p.add_argument("--pmf", help="comma-separated probabilities for the explicit family")
-        if law:
-            p.add_argument("--kappa", type=int)
-            p.add_argument("--p0", type=float)
-            p.add_argument("--p1", type=float)
-        if knobs:
-            p.add_argument("--tol", type=float)
-            p.add_argument("--max-iter", dest="max_iter", type=int)
-            p.add_argument("--draw-epsilon", dest="draw_epsilon", type=float)
-            p.add_argument("--positive-threshold", dest="positive_threshold", type=float)
-            p.add_argument("--cluster-radius", dest="cluster_radius", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--output", help="output path; '-' for stdout")
-        p.add_argument("--format", choices=["json", "csv"])
-
-    p = sub.add_parser("solve", help="loss/win/draw matrices for one parameter point")
-    add_common(p)
-
-    p = sub.add_parser("fixed-points", help="multi-start fixed-point search")
-    add_common(p)
-
-    p = sub.add_parser("check-kappa2", help="exact draw dichotomy at target capital 2")
-    add_common(p, knobs=False)
-
-    p = sub.add_parser("check-kappa3", help="contraction bounds at target capital 3")
-    add_common(p)
-    p.add_argument("--count-fixed-points", action="store_true", default=None,
-                   help="also report max E and the number of fixed points found")
-
-    p = sub.add_parser("check-special", help="ratio-form certificate on the binary tree")
-    add_common(p, knobs=False)
-    p.add_argument("--alpha", type=float)
-
-    p = sub.add_parser("duration", help="finite expected duration certificate")
-    add_common(p)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo oracle estimates")
-    add_common(p)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--node-cap", dest="node_cap", type=int)
-    p.add_argument("--jobs", type=int)
-
-    p = sub.add_parser("sweep", help="run a check over a parameter grid")
-    add_common(p)
-    p.add_argument("--what", choices=["solve", "check-kappa2", "check-kappa3"])
-    p.add_argument("--grid-p0", help="comma-separated p0 values")
-    p.add_argument("--grid-p1", help="comma-separated p1 values")
-    p.add_argument("--grid-param", action="append",
-                   help="NAME=v1,v2,... distribution parameter values to sweep")
-    p.add_argument("--count-fixed-points", action="store_true", default=None)
-    p.add_argument("--jobs", type=int)
-    return parser
-
-
-def _resolve_config(args: argparse.Namespace) -> dict:
-    """Merge CLI flags over the optional config file over defaults.
-
-    The PERCGAME_SEED environment variable supplies the seed only when
-    neither a flag nor the config file does.
-    """
-    config = dict(_DEFAULTS)
-    file_conf = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"config: cannot read {args.config}: {exc}") from exc
-        if not isinstance(file_conf, dict):
-            raise CliError("config: top-level JSON object expected")
-    for key, value in file_conf.items():
-        key = key.replace("-", "_")
-        if key not in config:
-            raise CliError(f"config: unknown field {key!r}")
-        config[key] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            config[key] = value
-    if config["seed"] == _DEFAULTS["seed"] and args.__dict__.get("seed") is None \
-            and "seed" not in file_conf and os.environ.get("PERCGAME_SEED"):
-        try:
-            config["seed"] = int(os.environ["PERCGAME_SEED"])
-        except ValueError as exc:
-            raise CliError("PERCGAME_SEED: integer expected") from exc
-    for name in _INT_FIELDS:
-        config[name] = _int_param(config, name)
-    for name in _FLOAT_FIELDS:
-        if config[name] is not None or _DEFAULTS[name] is not None:
-            _float_param(config, name)
-    return config
+def _family_params(config) -> dict:
+    """{parameter: parser} of the configured offspring family, from offspring._FAMILIES."""
+    if config["family"] is None:
+        raise CliError("family: an offspring family is required")
+    return _FAMILIES[config["family"]][1]
 
 
 def _build_dist(config):
-    family = config.get("family")
-    if not family:
-        raise CliError("family: an offspring family is required")
-    if family not in _FAMILY_PARAMS:
-        raise CliError(f"family: unknown offspring family {family!r}")
-    params = {name: config[name] for name in _FAMILY_PARAMS[family] if config.get(name) is not None}
-    if isinstance(params.get("pmf"), str):
-        params["pmf"] = _parse_grid(params["pmf"], "pmf")
-    return distribution_from_json({"family": family, "params": params})
+    params = {name: config[name] for name in _family_params(config) if config[name] is not None}
+    return distribution_from_json({"family": config["family"], "params": params})
 
 
 def _build_law(config) -> EdgeWeightLaw:
-    p0, p1 = config.get("p0"), config.get("p1")
+    p0, p1 = config["p0"], config["p1"]
     if p0 is None or p1 is None:
         raise CliError("p0/p1: both edge-weight probabilities are required")
     if p0 + p1 > 1.0 + 1e-12:
@@ -366,15 +216,12 @@ def _cmd_check_kappa3(config) -> int:
 
 
 def _cmd_check_special(config) -> int:
-    alpha = config.get("alpha")
+    alpha = config["alpha"]
     if alpha is None:
         raise CliError("alpha: required for check-special")
-    if alpha < 0:
-        raise CliError("alpha: must be non-negative")
-    if config.get("family") is not None:
-        if config["family"] != "dirac" or config.get("m") != 2:
-            raise CliError("family: the ratio certificate applies to the dirac family with m=2")
-    if config.get("p0") is not None or config.get("p1") is not None:
+    if config["family"] is not None and (config["family"] != "dirac" or config["m"] != 2):
+        raise CliError("family: the ratio certificate applies to the dirac family with m=2")
+    if config["p0"] is not None or config["p1"] is not None:
         law = _build_law(config)
         expected = criteria.ratio_law(alpha)
         if (abs(law.p_0 - expected.p_0) > 1e-9 or abs(law.p_1 - expected.p_1) > 1e-9
@@ -394,7 +241,8 @@ def _cmd_duration(config) -> int:
     if not result.converged:
         sys.stderr.write("duration: fixed-point iteration did not converge\n")
         return EXIT_NONCONVERGENCE
-    report = criteria.duration_criterion(spec, result)
+    report = criteria.duration_criterion(spec, result,
+                                         positive_threshold=config["positive_threshold"])
     payload = {"spec": spec.to_json(), "report": report.to_json_dict()}
     n = spec.size
     rows = _ij_rows(n, alpha=report.alpha, beta=report.beta,
@@ -416,51 +264,23 @@ def _cmd_simulate(config) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text, name):
-    if text is None:
-        return None
-    try:
-        return [float(v) for v in str(text).split(",") if v != ""]
-    except ValueError as exc:
-        raise CliError(f"{name}: comma-separated numbers expected") from exc
-
-
 def _sweep_tasks(config):
-    """Cartesian grid of (distribution params) x (p0, p1) pairs, in grid order."""
-    grid_p0 = _parse_grid(config.get("grid_p0"), "grid-p0") or [config.get("p0")]
-    grid_p1 = _parse_grid(config.get("grid_p1"), "grid-p1") or [config.get("p1")]
-    if any(v is None for v in grid_p0) or any(v is None for v in grid_p1):
+    """(parameter overrides, p0, p1) per grid cell; the first grid parameter varies slowest."""
+    grid_p0 = config["grid_p0"] or [config["p0"]]
+    grid_p1 = config["grid_p1"] or [config["p1"]]
+    if None in grid_p0 or None in grid_p1:
         raise CliError("grid-p0/grid-p1: a grid or fixed p0/p1 values are required")
-    param_grids = []
-    raw = config.get("grid_param") or []
-    if isinstance(raw, dict):
-        raw = [f"{k}={','.join(str(x) for x in v)}" for k, v in sorted(raw.items())]
-    for item in raw:
-        if "=" not in item:
-            raise CliError("grid-param: expected NAME=v1,v2,...")
-        name, values = item.split("=", 1)
-        if name not in ("m", "n", "pi", "lam", "r", "d"):
-            raise CliError(f"grid-param: unknown parameter {name!r}")
-        parsed = _parse_grid(values, f"grid-param {name}")
-        if not parsed:
-            raise CliError(f"grid-param {name}: at least one value expected")
-        # integer parameters stay floats here; distribution_from_json rejects 2.7
-        param_grids.append((name, parsed))
+    grids = config["grid_param"] or []
+    takes = _family_params(config)
+    for name, _ in grids:
+        if name not in takes or name == "pmf":
+            raise CliError(f"grid-param: family {config['family']} takes no parameter {name!r}")
+    names = [name for name, _ in grids]
     tasks = []
-    def expand(idx, overrides):
-        if idx == len(param_grids):
-            for p0 in grid_p0:
-                for p1 in grid_p1:
-                    if p0 + p1 > 1.0 + 1e-12:
-                        raise CliError(f"grid: p0 + p1 exceeds 1 at ({p0}, {p1})")
-                    tasks.append((dict(overrides), float(p0), float(p1)))
-            return
-        name, values = param_grids[idx]
-        for v in values:
-            overrides[name] = v
-            expand(idx + 1, overrides)
-        del overrides[name]
-    expand(0, {})
+    for *values, p0, p1 in itertools.product(*(values for _, values in grids), grid_p0, grid_p1):
+        if p0 + p1 > 1.0 + 1e-12:
+            raise CliError(f"grid: p0 + p1 exceeds 1 at ({p0}, {p1})")
+        tasks.append((dict(zip(names, values)), p0, p1))
     return tasks
 
 
@@ -478,8 +298,6 @@ def _sweep_cell(config, task):
 
 
 def _cmd_sweep(config) -> int:
-    if config["what"] not in _SWEEP_ROWS:
-        raise CliError(f"what: unknown sweep target {config['what']!r}")
     tasks = _sweep_tasks(config)
     cell = functools.partial(_sweep_cell, config)
     jobs = min(config["jobs"], len(tasks))
@@ -495,15 +313,175 @@ def _cmd_sweep(config) -> int:
 
 
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "fixed-points": _cmd_fixed_points,
-    "check-kappa2": _cmd_check_kappa2,
-    "check-kappa3": _cmd_check_kappa3,
-    "check-special": _cmd_check_special,
-    "duration": _cmd_duration,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
+    "solve": (_cmd_solve, "loss/win/draw matrices for one parameter point"),
+    "fixed-points": (_cmd_fixed_points, "multi-start fixed-point search"),
+    "check-kappa2": (_cmd_check_kappa2, "exact draw dichotomy at target capital 2"),
+    "check-kappa3": (_cmd_check_kappa3, "contraction bounds at target capital 3"),
+    "check-special": (_cmd_check_special, "ratio-form certificate on the binary tree"),
+    "duration": (_cmd_duration, "finite expected duration certificate"),
+    "simulate": (_cmd_simulate, "Monte-Carlo oracle estimates"),
+    "sweep": (_cmd_sweep, "run a check over a parameter grid"),
 }
+
+
+# ---------------------------------------------------------------------------
+# options: one table types the flags and the config-file values alike
+# ---------------------------------------------------------------------------
+
+def _text(config, name):
+    if isinstance(config[name], str):
+        return config[name]
+    raise CliError(f"{name}: a string is required, got {config[name]!r}")
+
+
+def _switch(config, name):
+    if isinstance(config[name], bool):
+        return config[name]
+    raise CliError(f"{name}: true or false is required, got {config[name]!r}")
+
+
+def _numbers(config, name):
+    """Comma-separated numbers, one number or a list of numbers, as a list of floats."""
+    value = config[name]
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, list):
+        items = [items]
+    try:
+        if not any(isinstance(v, bool) for v in items):
+            return [float(v) for v in items if v != ""]
+    except (TypeError, ValueError):
+        pass
+    raise CliError(f"{name}: comma-separated numbers or a list of numbers is required, got {value!r}")
+
+
+def _grid(config, name):
+    """NAME=v1,v2,... strings (one per --grid-param) or an object of lists, as (NAME, values)
+    pairs; an object's names are taken in sorted order."""
+    value = config[name]
+    if isinstance(value, list) and all(isinstance(item, str) and "=" in item for item in value):
+        pairs = [item.split("=", 1) for item in value]
+        pairs = [(key, _numbers({f"grid-param {key}": text}, f"grid-param {key}"))
+                 for key, text in pairs]
+    elif isinstance(value, dict) and all(isinstance(v, list) for v in value.values()):
+        pairs = sorted(value.items())
+    else:
+        raise CliError(f"{name}: NAME=v1,v2,... strings or an object of lists is required, "
+                       f"got {value!r}")
+    for key, values in pairs:
+        if not values:
+            raise CliError(f"grid-param {key}: at least one value expected")
+    return pairs
+
+
+class _Kind(NamedTuple):
+    flag: dict         # argparse keywords of the flag
+    check: Callable    # (config, name) -> typed value; raises an error naming the field
+
+
+def _choice(*values):
+    def check(config, name):
+        if config[name] in values:
+            return config[name]
+        raise CliError(f"{name}: one of {', '.join(values)} is required, got {config[name]!r}")
+    return _Kind({"choices": values}, check)
+
+
+_INT = _Kind({"type": int}, _int_param)
+_REAL = _Kind({"type": float}, _float_param)
+_TEXT = _Kind({}, _text)
+_SWITCH = _Kind({"action": "store_true", "default": None}, _switch)
+_NUMBERS = _Kind({"metavar": "X1,X2,..."}, _numbers)
+_GRID = _Kind({"action": "append", "metavar": "NAME=X1,X2,..."}, _grid)
+_PARAM_KINDS = {_int_param: _INT, _float_param: _REAL, _floats_param: _NUMBERS}
+
+_EVERY = frozenset(_COMMANDS)
+_SOLVING = _EVERY - {"check-kappa2", "check-special"}   # commands that take the solver knobs
+
+
+class _Option(NamedTuple):
+    kind: _Kind
+    default: object = None        # a null value is accepted only where this is None
+    commands: Collection[str] = _EVERY  # subcommands that take the flag; config files take every field
+    help: str = None
+
+
+_OPTIONS = {
+    "family": _Option(_choice(*sorted(_FAMILIES)), help="offspring family"),
+    **{name: _Option(_PARAM_KINDS[parse], help="offspring parameter")
+       for _, parsers in _FAMILIES.values() for name, parse in parsers.items()},
+    "kappa": _Option(_INT, 3, help="target capital"),
+    "p0": _Option(_REAL, help="probability of edge weight 0"),
+    "p1": _Option(_REAL, help="probability of edge weight +1"),
+    "tol": _Option(_REAL, fixpoint.DEFAULT_TOL, _SOLVING),
+    "max_iter": _Option(_INT, fixpoint.DEFAULT_MAX_ITER, _SOLVING),
+    "draw_epsilon": _Option(_REAL, fixpoint.DEFAULT_DRAW_EPSILON, _SOLVING),
+    "positive_threshold": _Option(_REAL, fixpoint.DEFAULT_POSITIVE_THRESHOLD, _SOLVING),
+    "cluster_radius": _Option(_REAL, fixpoint.DEFAULT_CLUSTER_RADIUS, _SOLVING),
+    "seed": _Option(_INT, 0),
+    "output": _Option(_TEXT, help="output path; '-' for stdout"),
+    "format": _Option(_choice("json", "csv"), "json"),
+    "count_fixed_points": _Option(_SWITCH, False, {"check-kappa3", "sweep"},
+                                  "also report max E and the number of fixed points found"),
+    "alpha": _Option(_REAL, None, {"check-special"}),
+    "horizon": _Option(_INT, 6, {"simulate"}),
+    "samples": _Option(_INT, 10000, {"simulate"}),
+    "node_cap": _Option(_INT, oracle.DEFAULT_NODE_CAP, {"simulate"}),
+    "jobs": _Option(_INT, 1, {"simulate", "sweep"}),
+    "what": _Option(_choice(*_SWEEP_ROWS), "solve", {"sweep"}),
+    "grid_p0": _Option(_NUMBERS, None, {"sweep"}, "p0 values"),
+    "grid_p1": _Option(_NUMBERS, None, {"sweep"}, "p1 values"),
+    "grid_param": _Option(_GRID, None, {"sweep"}, "distribution parameter values to sweep"),
+}
+_ALIASES = {"lam": ("--lambda",)}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="percgame",
+                                     description="Percolation games on edge-weighted branching trees")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; explicit flags take precedence")
+        for name, option in _OPTIONS.items():
+            if command in option.commands:
+                p.add_argument("--" + name.replace("_", "-"), *_ALIASES.get(name, ()), dest=name,
+                               help=option.help, **option.kind.flag)
+    return parser
+
+
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """Merge CLI flags over the optional config file over the defaults, then type every
+    value by its option's kind.
+
+    The PERCGAME_SEED environment variable supplies the seed only when
+    neither a flag nor the config file does.
+    """
+    config = {name: option.default for name, option in _OPTIONS.items()}
+    file_conf = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                file_conf = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CliError(f"config: cannot read {args.config}: {exc}") from exc
+        if not isinstance(file_conf, dict):
+            raise CliError("config: top-level JSON object expected")
+    for key, value in file_conf.items():
+        key = key.replace("-", "_")
+        if key not in config:
+            raise CliError(f"config: unknown field {key!r}")
+        config[key] = value
+    config.update((key, value) for key, value in vars(args).items()
+                  if key not in ("command", "config") and value is not None)
+    if args.seed is None and "seed" not in file_conf and os.environ.get("PERCGAME_SEED"):
+        try:
+            config["seed"] = int(os.environ["PERCGAME_SEED"])
+        except ValueError as exc:
+            raise CliError("PERCGAME_SEED: integer expected") from exc
+    for name, option in _OPTIONS.items():
+        if config[name] is not None or option.default is not None:
+            config[name] = option.kind.check(config, name)
+    return config
 
 
 def main(argv=None) -> int:
@@ -511,7 +489,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except ValueError as exc:  # CliError, DistributionError and the library's input checks
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

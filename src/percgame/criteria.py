@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixpoint import (EdgeWeightLaw, GameSpec, InternalInconsistencyError,
-                       SolveResult, Verdict, _edge_mix, classify_draw)
+from .fixpoint import (DEFAULT_POSITIVE_THRESHOLD, EdgeWeightLaw, GameSpec,
+                       InternalInconsistencyError, SolveResult, Verdict, _edge_mix,
+                       classify_draw)
 from .offspring import Binomial, NegBinomial, OffspringDistribution, Poisson, TwoPoint
 
 # Interval endpoints for the 1 : a : a^2 weight-ratio certificate on the
@@ -235,12 +236,14 @@ class DurationReport:
         }
 
 
-def duration_criterion(spec: GameSpec, result: SolveResult) -> DurationReport:
+def duration_criterion(spec: GameSpec, result: SolveResult,
+                       positive_threshold: float = DEFAULT_POSITIVE_THRESHOLD) -> DurationReport:
     """Evaluate the finite-expected-duration certificate.
 
-    Requires a strictly positive edge-weight law and a converged solve.  When
-    any draw verdict is not ZERO the report still carries alpha, beta and the
-    row sums as diagnostics with criterion_holds False.
+    Requires a strictly positive edge-weight law and a converged solve.  The
+    draw verdicts are `classify_draw(result, positive_threshold)`.  When any
+    verdict is not ZERO the report still carries alpha, beta and the row sums
+    as diagnostics with criterion_holds False.
 
     alpha = _edge_mix(W) and beta = _edge_mix(1 - L) use the operator's stencil
     (fixpoint._edge_mix), so beta - alpha mixes entries of the raw gap
@@ -260,7 +263,7 @@ def duration_criterion(spec: GameSpec, result: SolveResult) -> DurationReport:
     alpha = _edge_mix(result.W, p1, p0, pm1)
     beta = _edge_mix(1.0 - result.L, p1, p0, pm1)
 
-    verdicts = classify_draw(result)
+    verdicts = classify_draw(result, positive_threshold=positive_threshold)
     draws_zero = bool(np.all(verdicts == Verdict.ZERO))
     slack = max(result.draw_epsilon, 10 * result.tol) + 1e-15
     if draws_zero and float(np.max(np.abs(alpha - beta))) > slack:

@@ -51,29 +51,15 @@ class OffspringDistribution:
     def pgf_derivative(self, x: ArrayLike) -> ArrayLike:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` child counts as an int64 array."""
         raise NotImplementedError
-
-    def support_bound(self, tail_mass: float = 1e-12) -> int:
-        """Smallest M with P(children > M) < tail_mass."""
-        total = 0.0
-        m = 0
-        while total < 1.0 - tail_mass:
-            total += self.pmf(m)
-            m += 1
-            if m > 10**7:
-                raise DistributionError("support bound search did not terminate")
-        return m - 1
 
     def params(self) -> dict:
         raise NotImplementedError
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": self.params()}
-
-    def _validate(self) -> None:
-        if self.pmf(0) >= 1.0:
-            raise DistributionError("distribution must give positive mass to m >= 1")
 
 
 @dataclass(frozen=True)
@@ -97,8 +83,8 @@ class Dirac(OffspringDistribution):
         x = _check_unit_interval(x)
         return self.m * x ** (self.m - 1)
 
-    def sample(self, rng, size=None):
-        return self.m if size is None else np.full(size, self.m, dtype=np.int64)
+    def sample(self, rng, size):
+        return np.full(size, self.m, dtype=np.int64)
 
     def params(self):
         return {"m": self.m}
@@ -134,8 +120,8 @@ class UniformRange(OffspringDistribution):
         acc = acc / self.m
         return acc if isinstance(x, np.ndarray) else float(acc)
 
-    def sample(self, rng, size=None):
-        return int(rng.integers(1, self.m + 1)) if size is None else rng.integers(1, self.m + 1, size=size)
+    def sample(self, rng, size):
+        return rng.integers(1, self.m + 1, size=size)
 
     def params(self):
         return {"m": self.m}
@@ -168,9 +154,8 @@ class Binomial(OffspringDistribution):
         x = _check_unit_interval(x)
         return self.n * self.pi * (1.0 - self.pi + self.pi * x) ** (self.n - 1)
 
-    def sample(self, rng, size=None):
-        out = rng.binomial(self.n, self.pi, size=size)
-        return int(out) if size is None else out
+    def sample(self, rng, size):
+        return rng.binomial(self.n, self.pi, size=size)
 
     def params(self):
         return {"n": self.n, "pi": self.pi}
@@ -197,9 +182,8 @@ class Poisson(OffspringDistribution):
     def pgf_derivative(self, x):
         return self.lam * self.pgf(x)
 
-    def sample(self, rng, size=None):
-        out = rng.poisson(self.lam, size=size)
-        return int(out) if size is None else out
+    def sample(self, rng, size):
+        return rng.poisson(self.lam, size=size)
 
     def params(self):
         return {"lam": self.lam}
@@ -237,9 +221,8 @@ class NegBinomial(OffspringDistribution):
         return (self.r * (1.0 - self.pi) * self.pi**self.r
                 * (1.0 - (1.0 - self.pi) * x) ** (-self.r - 1))
 
-    def sample(self, rng, size=None):
-        out = rng.negative_binomial(self.r, self.pi, size=size)
-        return int(out) if size is None else out
+    def sample(self, rng, size):
+        return rng.negative_binomial(self.r, self.pi, size=size)
 
     def params(self):
         return {"r": self.r, "pi": self.pi}
@@ -274,9 +257,7 @@ class TwoPoint(OffspringDistribution):
         x = _check_unit_interval(x)
         return self.pi * self.d * x ** (self.d - 1)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.d if rng.random() < self.pi else 0
+    def sample(self, rng, size):
         return np.where(rng.random(size) < self.pi, self.d, 0).astype(np.int64)
 
     def params(self):
@@ -298,8 +279,9 @@ class Explicit(OffspringDistribution):
             raise DistributionError("Explicit: pmf entries must be non-negative")
         if abs(sum(values) - 1.0) > 1e-12:
             raise DistributionError("Explicit: pmf must sum to 1 within 1e-12")
+        if values[0] >= 1.0:
+            raise DistributionError("Explicit: pmf must give positive mass to m >= 1")
         object.__setattr__(self, "pmf_values", values)
-        self._validate()
 
     def pmf(self, m: int) -> float:
         return self.pmf_values[m] if 0 <= m < len(self.pmf_values) else 0.0
@@ -318,9 +300,8 @@ class Explicit(OffspringDistribution):
             acc = acc * x + m * self.pmf_values[m]
         return acc if isinstance(x, np.ndarray) else float(acc)
 
-    def sample(self, rng, size=None):
-        out = rng.choice(len(self.pmf_values), size=size, p=self.pmf_values)
-        return int(out) if size is None else out.astype(np.int64)
+    def sample(self, rng, size):
+        return rng.choice(len(self.pmf_values), size=size, p=self.pmf_values)
 
     def params(self):
         return {"pmf": list(self.pmf_values)}
@@ -350,15 +331,25 @@ def _float_param(params: dict, name: str) -> float:
     raise DistributionError(f"{name}: a number is required, got {value!r}")
 
 
+def _floats_param(params: dict, name: str) -> tuple:
+    """params[name] as a tuple of floats: a list of numbers passes; 0.5, "0.5" and [true] raise."""
+    value = params[name]
+    if isinstance(value, (list, tuple, np.ndarray)) and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value):
+        return tuple(float(v) for v in value)
+    raise DistributionError(f"{name}: a list of numbers is required, got {value!r}")
+
+
+# family: (constructor, {parameter: parser}), parameters in constructor order
 _FAMILIES = {
-    "dirac": lambda p: Dirac(_int_param(p, "m")),
-    "uniform": lambda p: UniformRange(_int_param(p, "m")),
-    "binomial": lambda p: Binomial(_int_param(p, "n"), _float_param(p, "pi")),
-    "poisson": lambda p: Poisson(_float_param(p, "lam")),
-    "negbinomial": lambda p: NegBinomial(_int_param(p, "r"), _float_param(p, "pi")),
-    "geometric": lambda p: geometric(_float_param(p, "pi")),
-    "twopoint": lambda p: TwoPoint(_float_param(p, "pi"), _int_param(p, "d")),
-    "explicit": lambda p: Explicit(p["pmf"]),
+    "dirac": (Dirac, {"m": _int_param}),
+    "uniform": (UniformRange, {"m": _int_param}),
+    "binomial": (Binomial, {"n": _int_param, "pi": _float_param}),
+    "poisson": (Poisson, {"lam": _float_param}),
+    "negbinomial": (NegBinomial, {"r": _int_param, "pi": _float_param}),
+    "geometric": (geometric, {"pi": _float_param}),
+    "twopoint": (TwoPoint, {"pi": _float_param, "d": _int_param}),
+    "explicit": (Explicit, {"pmf": _floats_param}),
 }
 
 
@@ -369,9 +360,12 @@ def distribution_from_json(obj: dict) -> OffspringDistribution:
         params = obj.get("params", {})
     except (TypeError, KeyError) as exc:
         raise DistributionError(f"malformed distribution spec: {obj!r}") from exc
-    if family not in _FAMILIES:
-        raise DistributionError(f"unknown offspring family: {family!r}")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise DistributionError(f"family: unknown offspring family {family!r}")
+    if not isinstance(params, dict):
+        raise DistributionError(f"params: an object is required, got {params!r}")
+    constructor, parsers = _FAMILIES[family]
     try:
-        return _FAMILIES[family](params)
+        return constructor(*(parse(params, name) for name, parse in parsers.items()))
     except KeyError as exc:
         raise DistributionError(f"{exc.args[0]}: missing distribution parameter") from exc

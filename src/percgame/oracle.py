@@ -87,7 +87,7 @@ def sample_forest(dist: OffspringDistribution, law: EdgeWeightLaw, depth: int,
             weights.append(np.empty(0, dtype=np.int8))
             sample_id.append(np.empty(0, dtype=np.int64))
             continue
-        counts = np.atleast_1d(dist.sample(rng, size=prev_n)).astype(np.int64)
+        counts = dist.sample(rng, size=prev_n)
         counts[aborted[sample_id[g - 1]]] = 0
         parent = np.repeat(np.arange(prev_n, dtype=np.int64), counts)
         sid = sample_id[g - 1][parent]

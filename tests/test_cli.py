@@ -217,7 +217,11 @@ def test_validation_errors_name_the_field(capsys, tmp_path):
     for argv, field in ((["--family", "poisson", "--grid-param", "lam=2,x"], "grid-param lam"),
                         (["--family", "poisson", "--grid-param", "lam="], "grid-param lam"),
                         (["--family", "dirac", "--grid-param", "m=2.7"], "m: an integer"),
-                        (["--family", "explicit", "--pmf", "0.5,x"], "pmf")):
+                        (["--family", "explicit", "--pmf", "0.5,x"], "pmf"),
+                        (["--family", "poisson", "--lam", "2", "--grid-param", "m=2,3,4"],
+                         "grid-param: family poisson takes no parameter 'm'"),
+                        (["--family", "explicit", "--pmf", "0,1", "--grid-param", "pmf=1"],
+                         "grid-param: family explicit takes no parameter 'pmf'")):
         code, _, err = run_cli(capsys, *sweep, *argv)
         assert code == 2
         assert field in err
@@ -226,7 +230,10 @@ def test_validation_errors_name_the_field(capsys, tmp_path):
     for field, value in (("kappa", 3.7), ("horizon", 2.5), ("max_iter", 10.5), ("samples", "x"),
                          ("seed", True), ("node_cap", None), ("jobs", 1.5), ("p0", "0.5"),
                          ("tol", "x"), ("draw_epsilon", None), ("positive_threshold", False),
-                         ("cluster_radius", [1]), ("alpha", "1"), ("lam", "x")):
+                         ("cluster_radius", [1]), ("alpha", "1"), ("lam", "x"),
+                         ("format", "xml"), ("output", 2), ("count_fixed_points", "no"),
+                         ("what", "x"), ("family", "weibull"), ("grid_param", {"lam": 2}),
+                         ("grid_param", "lam=2"), ("grid_p0", "0.5,x"), ("pmf", {"a": 1})):
         conf.write_text(json.dumps({"family": "poisson", "lam": 2, "kappa": 3, "p0": 0.8,
                                     "p1": 0.1, field: value}), encoding="utf-8")
         code, out, err = run_cli(capsys, "solve", "--config", str(conf))
@@ -241,6 +248,56 @@ def test_config_file_integral_floats_and_null_defaults(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "solve", "--config", str(conf))
     assert code == 0
     assert json.loads(out)["spec"]["kappa"] == 3
+
+
+def test_config_file_forms_match_their_flags(capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    sweep = ["sweep", "--what", "check-kappa2", "--family", "poisson", "--format", "csv"]
+    flags = run_cli(capsys, *sweep, "--grid-param", "lam=2,3", "--grid-p0", "0.9,0.5",
+                    "--grid-p1", "0.05")
+    for grid in ({"grid_param": {"lam": [2, 3]}, "grid_p0": "0.9,0.5", "grid_p1": 0.05},
+                 {"grid_param": ["lam=2,3"], "grid_p0": [0.9, 0.5], "grid_p1": "0.05",
+                  "output": None}):
+        conf.write_text(json.dumps(grid), encoding="utf-8")
+        assert run_cli(capsys, *sweep, "--config", str(conf)) == flags
+    explicit = ["check-kappa2", "--family", "explicit", "--p0", "0.9", "--p1", "0.05"]
+    flags = run_cli(capsys, *explicit, "--pmf", "0.2,0.3,0.5")
+    for pmf in ([0.2, 0.3, 0.5], "0.2,0.3,0.5"):
+        conf.write_text(json.dumps({"pmf": pmf}), encoding="utf-8")
+        assert run_cli(capsys, *explicit, "--config", str(conf)) == flags
+
+
+# every subcommand's option strings, as the parser declared them before its flags came
+# from one option table; a subcommand keeps flags it ignores (check-kappa3 --kappa)
+COMMON_FLAGS = ["--config", "--d", "--family", "--format", "--help", "--kappa", "--lam",
+                "--lambda", "--m", "--n", "--output", "--p0", "--p1", "--pi", "--pmf", "--r",
+                "--seed", "-h"]
+SOLVER_FLAGS = ["--cluster-radius", "--draw-epsilon", "--max-iter", "--positive-threshold",
+                "--tol"]
+SUBCOMMAND_FLAGS = {
+    "solve": SOLVER_FLAGS,
+    "fixed-points": SOLVER_FLAGS,
+    "check-kappa2": [],
+    "check-kappa3": SOLVER_FLAGS + ["--count-fixed-points"],
+    "check-special": ["--alpha"],
+    "duration": SOLVER_FLAGS,
+    "simulate": SOLVER_FLAGS + ["--horizon", "--jobs", "--node-cap", "--samples"],
+    "sweep": SOLVER_FLAGS + ["--count-fixed-points", "--grid-p0", "--grid-p1", "--grid-param",
+                             "--jobs", "--what"],
+}
+
+
+def test_subcommands_keep_their_option_strings():
+    import argparse
+
+    from percgame.cli import _build_parser
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(SUBCOMMAND_FLAGS)
+    for command, extra in SUBCOMMAND_FLAGS.items():
+        flags = [flag for action in subparsers.choices[command]._actions
+                 for flag in action.option_strings]
+        assert sorted(flags) == sorted(COMMON_FLAGS + extra), command
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

@@ -451,6 +451,22 @@ def test_duration_accepts_gaps_the_zero_verdict_accepted():
         duration_criterion(spec, _gap_result(spec, 5e-8))
 
 
+def test_duration_uses_the_positive_threshold():
+    # one entry of 1e-5 is POSITIVE at the default 1e-6 threshold next to ZERO entries,
+    # which a strictly positive law cannot have; at threshold 1 it is INCONCLUSIVE
+    spec = GameSpec(3, Dirac(2), law(0.8, 0.15))
+    gapped = _gap_result(spec, 0.0)
+    D = np.zeros((2, 2))
+    D[0, 0] = 1e-5
+    result = SolveResult(spec=spec, L=gapped.L, W=gapped.W, D=D, gap=D, iterations=1,
+                         residual=0.0, converged=True, tol=1e-12, draw_epsilon=1e-8)
+    with pytest.raises(InternalInconsistencyError):
+        duration_criterion(spec, result)
+    report = duration_criterion(spec, result, positive_threshold=1.0)
+    assert not report.draws_zero
+    assert not report.criterion_holds
+
+
 def test_duration_positive_draws_disable_certificate():
     spec = GameSpec(3, Dirac(2), EdgeWeightLaw.from_p0_p1(0.9, 0.05))
     r = solve(spec)

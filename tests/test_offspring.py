@@ -50,9 +50,18 @@ def test_pgf_normalization_at_one(dist):
     assert dist.pgf(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def support_bound(dist, tail_mass=1e-12):
+    """Smallest M with P(children > M) < tail_mass."""
+    total, m = 0.0, 0
+    while total < 1.0 - tail_mass:
+        total += dist.pmf(m)
+        m += 1
+    return m - 1
+
+
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: repr(d))
 def test_pgf_matches_truncated_series(dist):
-    M = dist.support_bound(1e-12)
+    M = support_bound(dist)
     for x in (0.0, 0.25, 0.5, 0.75, 1.0):
         series = sum(x**m * dist.pmf(m) for m in range(M + 1))
         assert dist.pgf(x) == pytest.approx(series, abs=1e-9)
@@ -105,8 +114,10 @@ def test_pgf_accepts_arrays():
 
 def test_sampling_degenerate_cases():
     rng = np.random.default_rng(0)
-    assert all(Dirac(5).sample(rng) == 5 for _ in range(20))
-    assert all(Explicit([0.0, 1.0]).sample(rng) == 1 for _ in range(20))
+    for dist, m in ((Dirac(5), 5), (Explicit([0.0, 1.0]), 1)):
+        draws = dist.sample(rng, size=20)
+        assert draws.dtype == np.int64
+        assert np.all(draws == m)
 
 
 def test_sampling_poisson_mean():
@@ -116,14 +127,15 @@ def test_sampling_poisson_mean():
     assert abs(draws.mean() - 2.0) < 3 * se
 
 
-def test_sampling_matches_pmf():
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: repr(d))
+def test_sampling_matches_pmf(dist):
     rng = np.random.default_rng(7)
-    dist = NegBinomial(2, 0.4)
     draws = dist.sample(rng, size=200000)
-    for m in range(4):
+    assert draws.dtype == np.int64
+    for m in range(support_bound(dist) + 1):
         freq = np.mean(draws == m)
         p = dist.pmf(m)
-        assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / draws.size)
+        assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / draws.size)
 
 
 def test_invalid_parameters_rejected():
@@ -162,10 +174,12 @@ def test_json_round_trip(dist):
 def test_json_geometric_alias_and_errors():
     g = distribution_from_json({"family": "geometric", "params": {"pi": 0.3}})
     assert g == NegBinomial(1, 0.3)
-    with pytest.raises(DistributionError):
+    with pytest.raises(DistributionError, match="^family: unknown offspring family 'zeta'$"):
         distribution_from_json({"family": "zeta", "params": {}})
     with pytest.raises(DistributionError):
         distribution_from_json(["not", "a", "dict"])
+    with pytest.raises(DistributionError, match="^params: "):
+        distribution_from_json({"family": "dirac", "params": [2]})
     # every parameter fault names the parameter; 2 and 2.0 are integers
     for params in ({}, {"m": 2.5}, {"m": True}, {"m": "x"}):
         with pytest.raises(DistributionError, match="^m: "):
@@ -180,8 +194,9 @@ def test_json_geometric_alias_and_errors():
         with pytest.raises(DistributionError, match="^lam: a number"):
             distribution_from_json({"family": "poisson", "params": {"lam": value}})
     assert distribution_from_json({"family": "poisson", "params": {"lam": 5}}) == Poisson(5.0)
-    with pytest.raises(DistributionError, match="^pmf: "):
-        distribution_from_json({"family": "explicit", "params": {}})
+    for params in ({}, {"pmf": 0.5}, {"pmf": "0.5,0.5"}, {"pmf": [True]}):
+        with pytest.raises(DistributionError, match="^pmf: "):
+            distribution_from_json({"family": "explicit", "params": params})
     for m in (2, 2.0):
         assert distribution_from_json({"family": "dirac", "params": {"m": m}}) == Dirac(2)
     assert distribution_from_json({"family": "twopoint", "params": {"pi": 0.5, "d": 3.0}}) == TwoPoint(0.5, 3)
