@@ -15,6 +15,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Callable, Collection, NamedTuple
@@ -341,17 +342,20 @@ def _switch(config, name):
 
 
 def _numbers(config, name):
-    """Comma-separated numbers, one number or a list of numbers, as a list of floats."""
+    """Comma-separated numbers, one number or a list of numbers, as a list of finite floats."""
     value = config[name]
     items = value.split(",") if isinstance(value, str) else value
     if not isinstance(items, list):
         items = [items]
     try:
         if not any(isinstance(v, bool) for v in items):
-            return [float(v) for v in items if v != ""]
+            values = [float(v) for v in items if v != ""]
+            if all(math.isfinite(v) for v in values):
+                return values
     except (TypeError, ValueError):
         pass
-    raise CliError(f"{name}: comma-separated numbers or a list of numbers is required, got {value!r}")
+    raise CliError(f"{name}: comma-separated finite numbers or a list of them is required, "
+                   f"got {value!r}")
 
 
 def _grid(config, name):

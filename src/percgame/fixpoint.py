@@ -56,9 +56,10 @@ class EdgeWeightLaw:
 
     def __post_init__(self):
         probs = (self.p_minus1, self.p_0, self.p_1)
-        if any(p < -1e-12 or p > 1.0 + 1e-12 for p in probs):
+        # written so that NaN fails each test
+        if not all(-1e-12 <= p <= 1.0 + 1e-12 for p in probs):
             raise ValueError(f"edge-weight probabilities must lie in [0, 1]: {probs}")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ValueError(f"edge-weight probabilities must sum to 1: {probs}")
         # absorb float roundoff from arithmetic like 1 - p0 - p1
         for name in ("p_minus1", "p_0", "p_1"):
@@ -117,11 +118,11 @@ class Verdict(Enum):
 
 
 def ensure_prob_matrix(X, size: int) -> np.ndarray:
-    """Validate an element of the operator domain: size x size, entries in [0, 1]."""
+    """Validate an element of the operator domain: size x size, entries in [0, 1], no NaN."""
     A = np.asarray(X, dtype=float)
     if A.shape != (size, size):
         raise ValueError(f"matrix has shape {A.shape}, expected {(size, size)}")
-    if np.any(A < -1e-12) or np.any(A > 1.0 + 1e-12):
+    if not (A.min() >= -1e-12 and A.max() <= 1.0 + 1e-12):
         raise ValueError("matrix entries must lie in [0, 1]")
     return np.clip(A, 0.0, 1.0)
 
@@ -145,22 +146,47 @@ def apply_f(dist: OffspringDistribution, A) -> np.ndarray:
     return np.asarray(dist.pgf(np.clip(A, 0.0, 1.0)))
 
 
-def _edge_mix(C: np.ndarray, p1: float, p0: float, pm1: float) -> np.ndarray:
+def _stencil_buffers(shape: tuple) -> tuple:
+    """Working arrays of _edge_mix for inputs of `shape` (..., n, n): views of one
+    padded array whose boundary columns already hold 1 and 0 (columns 0..n-1,
+    the interior 1..n and 2..n+1), then the mix and a work array for one term."""
+    n = shape[-1]
+    padded = np.empty(shape[:-1] + (n + 2,))
+    padded[..., 0] = 1.0
+    padded[..., n + 1] = 0.0
+    return (padded[..., 0:n], padded[..., 1:n + 1], padded[..., 2:n + 2],
+            np.empty(shape), np.empty(shape))
+
+
+def _edge_mix(C: np.ndarray, p1: float, p0: float, pm1: float,
+              _buffers: tuple = None) -> np.ndarray:
     """The edge-weight stencil out[i, j] = pm1 c[j, i-1] + p0 c[j, i] + p1 c[j, i+1]
     for i, j = 1..kappa-1, where c is C (columns 1..kappa-1) padded with the
-    boundary values c[j, 0] = 1 and c[j, kappa] = 0; leading axes are batch axes."""
-    n = C.shape[-1]
-    comp = np.empty(C.shape[:-1] + (n + 2,))
-    comp[..., 0] = 1.0
-    comp[..., n + 1] = 0.0
-    comp[..., 1:n + 1] = C
-    arg = pm1 * comp[..., 0:n] + p0 * comp[..., 1:n + 1] + p1 * comp[..., 2:n + 2]
-    return arg.swapaxes(-1, -2)
+    boundary values c[j, 0] = 1 and c[j, kappa] = 0; leading axes are batch axes.
+
+    The result is a view of the mix buffer.  A loop passes its own
+    _stencil_buffers so nothing is allocated, and may have written C into
+    their interior already.
+    """
+    buffers = _stencil_buffers(C.shape) if _buffers is None else _buffers
+    left, interior, right, mix, term = buffers
+    if C is not interior:
+        interior[...] = C
+    np.multiply(left, pm1, out=mix)
+    np.multiply(interior, p0, out=term)
+    mix += term
+    np.multiply(right, p1, out=term)
+    mix += term
+    return mix.swapaxes(-1, -2)
 
 
-def _g_fast(dist_pgf, p1: float, p0: float, pm1: float, X: np.ndarray) -> np.ndarray:
-    """g(X) = G(_edge_mix(1 - X)); leading axes of X are batch axes."""
-    return np.asarray(dist_pgf(_edge_mix(1.0 - X, p1, p0, pm1)))
+def _g_fast(dist_pgf, p1: float, p0: float, pm1: float, X: np.ndarray,
+            _buffers: tuple = None) -> np.ndarray:
+    """g(X) = G(_edge_mix(1 - X)); leading axes of X are batch axes.  A loop
+    passes its own _stencil_buffers for X's shape."""
+    buffers = _stencil_buffers(X.shape) if _buffers is None else _buffers
+    np.subtract(1.0, X, out=buffers[1])
+    return np.asarray(dist_pgf(_edge_mix(buffers[1], p1, p0, pm1, buffers)))
 
 
 def apply_g(spec: GameSpec, X) -> np.ndarray:
@@ -215,30 +241,35 @@ def iterate_from_below(spec: GameSpec, tol: float = DEFAULT_TOL,
     ell[j, 0] = 0, ell[j, kappa] = 1.  Both sequences increase monotonically
     to the loss matrix L and the win matrix W.  Stops once the max-norm
     change of both falls below tol.
+
+    The pair advances as one stack Z = (ybar, ell), ybar = 1 - w: since
+    g(ybar) = ell' and g(ell) = ybar', one operator call gives Z' = g(Z)[::-1].
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be non-negative")
     n = spec.size
     p1, p0, pm1 = spec.law.p_1, spec.law.p_0, spec.law.p_minus1
     pgf = spec.dist.pgf
-    ell = np.zeros((n, n))
-    ybar = np.ones((n, n))          # ybar = 1 - w
-    ells = [ell.copy()] if keep_iterates else None
+    Z = np.stack([np.ones((n, n)), np.zeros((n, n))])
+    buffers = _stencil_buffers(Z.shape)
+    step = np.empty(Z.shape)
+    ells = [Z[1].copy()] if keep_iterates else None
     ws = [np.zeros((n, n))] if keep_iterates else None
     delta = np.inf
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        ell_next = _g_fast(pgf, p1, p0, pm1, ybar)
-        ybar_next = _g_fast(pgf, p1, p0, pm1, ell)
-        if np.any(ell_next < ell - 1e-12) or np.any(ybar_next > ybar + 1e-12):
+        Z_next = _g_fast(pgf, p1, p0, pm1, Z, buffers)[::-1]
+        np.subtract(Z_next, Z, out=step)
+        step[0] *= -1.0               # both halves now hold increases: of w and of ell
+        low = step.min()
+        if low < -1e-12:
             raise InternalInconsistencyError("monotone iteration moved backwards")
-        delta = max(float(np.max(np.abs(ell_next - ell))),
-                    float(np.max(np.abs(ybar_next - ybar))))
-        ell, ybar = ell_next, ybar_next
+        delta = max(step.max(), -low)  # the max-norm change of both
+        Z = Z_next
         if keep_iterates:
-            ells.append(ell.copy())
-            ws.append(1.0 - ybar)
+            ells.append(Z[1].copy())
+            ws.append(1.0 - Z[0])
         if delta < tol:
             converged = True
             break
@@ -247,7 +278,7 @@ def iterate_from_below(spec: GameSpec, tol: float = DEFAULT_TOL,
             converged = True  # degenerate request: the start is the answer
     if tol == 0.0:
         converged = True      # fixed-step run, e.g. horizon iterates
-    return IterationRun(ell=ell, w=1.0 - ybar, iterations=it, delta=float(delta) if delta != np.inf else 0.0,
+    return IterationRun(ell=Z[1], w=1.0 - Z[0], iterations=it, delta=float(delta) if delta != np.inf else 0.0,
                         converged=converged, ell_iterates=ells, w_iterates=ws)
 
 

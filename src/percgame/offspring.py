@@ -29,9 +29,13 @@ class DistributionError(ValueError):
 
 
 def _check_unit_interval(x: ArrayLike) -> ArrayLike:
-    """Validate pgf arguments, tolerating tiny floating-point overshoot."""
+    """Validate pgf arguments, tolerating tiny floating-point overshoot; NaN is rejected.
+
+    An array argument comes back as a fresh clipped copy that the caller may
+    overwrite, anything else as a float.
+    """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -_PGF_DOMAIN_SLACK) or np.any(arr > 1.0 + _PGF_DOMAIN_SLACK):
+    if arr.size and not (arr.min() >= -_PGF_DOMAIN_SLACK and arr.max() <= 1.0 + _PGF_DOMAIN_SLACK):
         raise DistributionError(f"pgf argument outside [0, 1]: {x!r}")
     clipped = np.clip(arr, 0.0, 1.0)
     return clipped if isinstance(x, np.ndarray) else float(clipped)
@@ -77,7 +81,11 @@ class Dirac(OffspringDistribution):
         return 1.0 if m == self.m else 0.0
 
     def pgf(self, x):
-        return _check_unit_interval(x) ** self.m
+        x = _check_unit_interval(x)
+        if not isinstance(x, np.ndarray):
+            return x ** self.m
+        x **= self.m
+        return x
 
     def pgf_derivative(self, x):
         x = _check_unit_interval(x)
@@ -108,8 +116,9 @@ class UniformRange(OffspringDistribution):
         x = _check_unit_interval(x)
         acc = np.zeros_like(np.asarray(x, dtype=float))
         for _ in range(self.m):  # Horner: x(1 + x(1 + ...)) = x + x^2 + ... + x^m
-            acc = x * (acc + 1.0)
-        acc = acc / self.m
+            acc += 1.0
+            acc *= x
+        acc /= self.m
         return acc if isinstance(x, np.ndarray) else float(acc)
 
     def pgf_derivative(self, x):
@@ -148,7 +157,12 @@ class Binomial(OffspringDistribution):
 
     def pgf(self, x):
         x = _check_unit_interval(x)
-        return (1.0 - self.pi + self.pi * x) ** self.n
+        if not isinstance(x, np.ndarray):
+            return (1.0 - self.pi + self.pi * x) ** self.n
+        x *= self.pi
+        x += 1.0 - self.pi
+        x **= self.n
+        return x
 
     def pgf_derivative(self, x):
         x = _check_unit_interval(x)
@@ -169,15 +183,19 @@ class Poisson(OffspringDistribution):
     family: str = field(default="poisson", init=False, repr=False)
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise DistributionError("Poisson: lam must be positive")
+        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+            raise DistributionError("Poisson: lam must be positive and finite")
 
     def pmf(self, m: int) -> float:
         return math.exp(-self.lam + m * math.log(self.lam) - math.lgamma(m + 1)) if m >= 0 else 0.0
 
     def pgf(self, x):
         x = _check_unit_interval(x)
-        return np.exp(self.lam * (x - 1.0))
+        if not isinstance(x, np.ndarray):
+            return np.exp(self.lam * (x - 1.0))
+        x -= 1.0
+        x *= self.lam
+        return np.exp(x, out=x)
 
     def pgf_derivative(self, x):
         return self.lam * self.pgf(x)
@@ -214,7 +232,13 @@ class NegBinomial(OffspringDistribution):
 
     def pgf(self, x):
         x = _check_unit_interval(x)
-        return self.pi**self.r * (1.0 - (1.0 - self.pi) * x) ** (-self.r)
+        if not isinstance(x, np.ndarray):
+            return self.pi**self.r * (1.0 - (1.0 - self.pi) * x) ** (-self.r)
+        x *= 1.0 - self.pi
+        np.subtract(1.0, x, out=x)
+        x **= -self.r
+        x *= self.pi**self.r
+        return x
 
     def pgf_derivative(self, x):
         x = _check_unit_interval(x)
@@ -251,7 +275,12 @@ class TwoPoint(OffspringDistribution):
 
     def pgf(self, x):
         x = _check_unit_interval(x)
-        return (1.0 - self.pi) + self.pi * x**self.d
+        if not isinstance(x, np.ndarray):
+            return (1.0 - self.pi) + self.pi * x**self.d
+        x **= self.d
+        x *= self.pi
+        x += 1.0 - self.pi
+        return x
 
     def pgf_derivative(self, x):
         x = _check_unit_interval(x)
@@ -275,9 +304,9 @@ class Explicit(OffspringDistribution):
         values = tuple(float(v) for v in pmf_values)
         if len(values) == 0:
             raise DistributionError("Explicit: pmf must be non-empty")
-        if any(v < 0 for v in values):
+        if not all(v >= 0 for v in values):   # NaN fails this and the next test
             raise DistributionError("Explicit: pmf entries must be non-negative")
-        if abs(sum(values) - 1.0) > 1e-12:
+        if not abs(sum(values) - 1.0) <= 1e-12:
             raise DistributionError("Explicit: pmf must sum to 1 within 1e-12")
         if values[0] >= 1.0:
             raise DistributionError("Explicit: pmf must give positive mass to m >= 1")
@@ -290,7 +319,8 @@ class Explicit(OffspringDistribution):
         x = _check_unit_interval(x)
         acc = np.zeros_like(np.asarray(x, dtype=float))
         for v in reversed(self.pmf_values):
-            acc = acc * x + v
+            acc *= x
+            acc += v
         return acc if isinstance(x, np.ndarray) else float(acc)
 
     def pgf_derivative(self, x):
@@ -323,21 +353,29 @@ def _int_param(params: dict, name: str) -> int:
     raise DistributionError(f"{name}: an integer is required, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _float_param(params: dict, name: str) -> float:
-    """params[name] as a float: numbers pass; true, "0.5" and null raise, naming the parameter."""
+    """params[name] as a float: finite numbers pass; true, "0.5", null, nan and inf raise,
+    naming the parameter."""
     value = params[name]
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise DistributionError(f"{name}: a number is required, got {value!r}")
+    if not _is_real(value):
+        raise DistributionError(f"{name}: a number is required, got {value!r}")
+    if not math.isfinite(value):
+        raise DistributionError(f"{name}: a finite number is required, got {value!r}")
+    return float(value)
 
 
 def _floats_param(params: dict, name: str) -> tuple:
-    """params[name] as a tuple of floats: a list of numbers passes; 0.5, "0.5" and [true] raise."""
+    """params[name] as a tuple of floats: a list of finite numbers passes; 0.5, "0.5", [true]
+    and [nan] raise."""
     value = params[name]
     if isinstance(value, (list, tuple, np.ndarray)) and all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value):
+            _is_real(v) and math.isfinite(v) for v in value):
         return tuple(float(v) for v in value)
-    raise DistributionError(f"{name}: a list of numbers is required, got {value!r}")
+    raise DistributionError(f"{name}: a list of finite numbers is required, got {value!r}")
 
 
 # family: (constructor, {parameter: parser}), parameters in constructor order

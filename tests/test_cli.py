@@ -210,6 +210,16 @@ def test_validation_errors_name_the_field(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--family", "dirac", "--m", "2")
     assert code == 2
     assert "p0" in err
+    # non-finite reals stop at the boundary: p0 nan once printed ZERO verdicts,
+    # tol nan ran all max_iter iterations
+    poisson = ["solve", "--family", "poisson", "--lam", "5", "--kappa", "3", "--format", "csv"]
+    for argv, field in ((["--p0", "nan", "--p1", "0.1"], "p0"),
+                        (["--p0", "0.8", "--p1", "0.1", "--tol", "nan"], "tol"),
+                        (["--p0", "0.8", "--p1", "0.1", "--tol", "inf"], "tol"),
+                        (["--p0", "0.8", "--p1", "0.1", "--lam", "inf"], "lam")):
+        code, out, err = run_cli(capsys, *poisson, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {field}: a finite number"), err
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--family", "weibull", "--p0", "0.8", "--p1", "0.1"])
     assert exc.value.code == 2
@@ -218,6 +228,8 @@ def test_validation_errors_name_the_field(capsys, tmp_path):
                         (["--family", "poisson", "--grid-param", "lam="], "grid-param lam"),
                         (["--family", "dirac", "--grid-param", "m=2.7"], "m: an integer"),
                         (["--family", "explicit", "--pmf", "0.5,x"], "pmf"),
+                        (["--family", "explicit", "--pmf", "0.5,nan,0.5"], "pmf"),
+                        (["--family", "poisson", "--grid-param", "lam=2,nan"], "grid-param lam"),
                         (["--family", "poisson", "--lam", "2", "--grid-param", "m=2,3,4"],
                          "grid-param: family poisson takes no parameter 'm'"),
                         (["--family", "explicit", "--pmf", "0,1", "--grid-param", "pmf=1"],
@@ -233,7 +245,9 @@ def test_validation_errors_name_the_field(capsys, tmp_path):
                          ("cluster_radius", [1]), ("alpha", "1"), ("lam", "x"),
                          ("format", "xml"), ("output", 2), ("count_fixed_points", "no"),
                          ("what", "x"), ("family", "weibull"), ("grid_param", {"lam": 2}),
-                         ("grid_param", "lam=2"), ("grid_p0", "0.5,x"), ("pmf", {"a": 1})):
+                         ("grid_param", "lam=2"), ("grid_p0", "0.5,x"), ("pmf", {"a": 1}),
+                         ("tol", float("nan")), ("p0", float("nan")), ("lam", float("inf")),
+                         ("grid_p1", [0.1, float("nan")]), ("pmf", [0.5, float("nan")])):
         conf.write_text(json.dumps({"family": "poisson", "lam": 2, "kappa": 3, "p0": 0.8,
                                     "p1": 0.1, field: value}), encoding="utf-8")
         code, out, err = run_cli(capsys, "solve", "--config", str(conf))

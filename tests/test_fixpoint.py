@@ -9,7 +9,8 @@ from percgame import (Binomial, Dirac, EdgeWeightLaw, Explicit, GameSpec,
                       TwoPoint, UniformRange, Verdict, apply_f, apply_g, apply_h,
                       classify_draw, default_seed_matrices, find_fixed_points, geometric,
                       horizon_iterates, iterate_from_below, solve, weight_matrix)
-from percgame.fixpoint import _g_fast, ensure_prob_matrix
+from percgame.fixpoint import IterationRun, _g_fast, ensure_prob_matrix
+from percgame.offspring import OffspringDistribution
 
 
 def spec_d2(p0, p1, kappa=3):
@@ -25,6 +26,13 @@ RANDOM_SPECS = [
 ]
 
 
+# one distribution per offspring family
+FAMILIES = {"dirac": Dirac(2), "uniform": UniformRange(3), "binomial": Binomial(10, 0.6),
+            "poisson": Poisson(5.0), "negbinomial": NegBinomial(2, 0.4),
+            "geometric": geometric(0.5), "twopoint": TwoPoint(0.7, 3),
+            "explicit": Explicit([0.1, 0.3, 0.6])}
+
+
 def test_edge_weight_law_validation():
     with pytest.raises(ValueError):
         EdgeWeightLaw(0.5, 0.5, 0.2)
@@ -35,6 +43,16 @@ def test_edge_weight_law_validation():
     assert law.strictly_positive
     assert not EdgeWeightLaw.from_p0_p1(1.0, 0.0).strictly_positive
     assert EdgeWeightLaw.from_json(law.to_json()) == law
+
+
+def test_edge_weight_law_rejects_nan():
+    # every comparison with NaN is False: a NaN probability once passed both
+    # tests and the clamp then turned (nan, p0, p1) into (0, 0, p1)
+    for probs in ((np.nan, 0.5, 0.5), (0.5, np.nan, 0.1), (0.2, 0.8, np.nan), (np.nan,) * 3):
+        with pytest.raises(ValueError):
+            EdgeWeightLaw(*probs)
+    with pytest.raises(ValueError):
+        EdgeWeightLaw.from_p0_p1(np.nan, 0.1)
 
 
 def test_game_spec_validation():
@@ -136,6 +154,91 @@ def test_h_monotone_on_ordered_pairs(spec):
         assert np.all(h2 <= h1 + 1e-14)
 
 
+def reference_iterate_from_below(spec, tol=1e-12, max_iter=10**6, keep_iterates=False):
+    """iterate_from_below with two operator calls per step, one on ybar and one on ell."""
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    n = spec.size
+    p1, p0, pm1 = spec.law.p_1, spec.law.p_0, spec.law.p_minus1
+    pgf = spec.dist.pgf
+    ell = np.zeros((n, n))
+    ybar = np.ones((n, n))          # ybar = 1 - w
+    ells = [ell.copy()] if keep_iterates else None
+    ws = [np.zeros((n, n))] if keep_iterates else None
+    delta = np.inf
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        ell_next = _g_fast(pgf, p1, p0, pm1, ybar)
+        ybar_next = _g_fast(pgf, p1, p0, pm1, ell)
+        if np.any(ell_next < ell - 1e-12) or np.any(ybar_next > ybar + 1e-12):
+            raise InternalInconsistencyError("monotone iteration moved backwards")
+        delta = max(float(np.max(np.abs(ell_next - ell))),
+                    float(np.max(np.abs(ybar_next - ybar))))
+        ell, ybar = ell_next, ybar_next
+        if keep_iterates:
+            ells.append(ell.copy())
+            ws.append(1.0 - ybar)
+        if delta < tol:
+            converged = True
+            break
+    else:
+        if max_iter == 0:
+            converged = True  # degenerate request: the start is the answer
+    if tol == 0.0:
+        converged = True      # fixed-step run, e.g. horizon iterates
+    return IterationRun(ell=ell, w=1.0 - ybar, iterations=it, delta=float(delta) if delta != np.inf else 0.0,
+                        converged=converged, ell_iterates=ells, w_iterates=ws)
+
+
+def assert_same_run(got, expected):
+    assert np.array_equal(got.ell, expected.ell)
+    assert np.array_equal(got.w, expected.w)
+    assert (got.iterations, got.delta, got.converged) == (
+        expected.iterations, expected.delta, expected.converged)
+    for mine, theirs in ((got.ell_iterates, expected.ell_iterates),
+                         (got.w_iterates, expected.w_iterates)):
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            assert len(mine) == len(theirs)
+            assert all(map(np.array_equal, mine, theirs))
+
+
+@pytest.mark.parametrize("kappa", (2, 3, 4, 6, 40))
+@pytest.mark.parametrize("dist", FAMILIES.values(), ids=FAMILIES.keys())
+def test_stacked_iteration_equals_two_call_reference(dist, kappa):
+    spec = GameSpec(kappa, dist, EdgeWeightLaw.from_p0_p1(0.8, 0.05))
+    # at kappa = 40 the dirac, uniform and poisson runs stop unconverged at the cap
+    for kwargs in ({"max_iter": 4000}, {"max_iter": 0},
+                   {"tol": 0.0, "max_iter": 25, "keep_iterates": True},
+                   {"max_iter": 7, "keep_iterates": True}, {"tol": 1e-6, "max_iter": 4000}):
+        assert_same_run(iterate_from_below(spec, **kwargs),
+                        reference_iterate_from_below(spec, **kwargs))
+
+
+class _Decreasing(OffspringDistribution):
+    """Not a generating function: G(x) = 1 - x decreases, so the iteration cannot be monotone."""
+
+    family = "decreasing"
+
+    def pgf(self, x):
+        return 1.0 - np.asarray(x)
+
+
+def test_iteration_that_moves_backwards_raises():
+    spec = GameSpec(3, _Decreasing(), EdgeWeightLaw.from_p0_p1(0.5, 0.25))
+    for iterate in (iterate_from_below, reference_iterate_from_below):
+        with pytest.raises(InternalInconsistencyError, match="monotone iteration moved backwards"):
+            iterate(spec)
+
+
+def test_iterate_rejects_nan_and_negative_tol():
+    spec = spec_d2(0.9, 0.05)
+    for tol in (np.nan, -1e-12):
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            iterate_from_below(spec, tol=tol)
+
+
 def test_iterate_all_zero_weights_never_ends():
     run = iterate_from_below(GameSpec(3, Dirac(2), EdgeWeightLaw(0.0, 1.0, 0.0)))
     assert run.converged
@@ -216,13 +319,6 @@ def test_find_fixed_points_counts_and_bracketing():
 
     spec = GameSpec(3, Poisson(5.0), EdgeWeightLaw(0.3, 1 - 0.3 - 0.1, 0.1))
     assert len(find_fixed_points(spec)) == 1
-
-
-# one distribution per offspring family
-FAMILIES = {"dirac": Dirac(2), "uniform": UniformRange(3), "binomial": Binomial(10, 0.6),
-            "poisson": Poisson(5.0), "negbinomial": NegBinomial(2, 0.4),
-            "geometric": geometric(0.5), "twopoint": TwoPoint(0.7, 3),
-            "explicit": Explicit([0.1, 0.3, 0.6])}
 
 
 def reference_find_fixed_points(spec, seeds, tol=1e-12, max_iter=10**6, cluster_radius=1e-6):
@@ -309,6 +405,10 @@ def test_find_fixed_points_edge_cases(caplog):
         find_fixed_points(spec, [np.zeros((2, 2)), np.full((2, 2), 1.5)])
     with pytest.raises(ValueError):
         find_fixed_points(spec, [np.full((2, 2), -0.1)])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):   # once iterated and dropped as non-converging
+        find_fixed_points(spec, seeds=[np.full((2, 2), np.nan)])
+    with pytest.raises(ValueError):
+        ensure_prob_matrix(np.array([[0.5, np.nan], [0.0, 1.0]]), 2)
     # the traced benchmark reads seeds positionally (args[1]) or by keyword
     assert list(inspect.signature(find_fixed_points).parameters)[:2] == ["spec", "seeds"]
     seeds = default_seed_matrices(3, n_random=2)

@@ -103,6 +103,24 @@ def test_pgf_domain_violation():
         Poisson(2.0).pgf(1.5)
     with pytest.raises(DistributionError):
         Dirac(2).pgf(-0.2)
+    for dist in ALL_DISTS:   # NaN is outside [0, 1] too, as a scalar and in an array
+        with pytest.raises(DistributionError):
+            dist.pgf(math.nan)
+        with pytest.raises(DistributionError):
+            dist.pgf(np.array([0.5, np.nan]))
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: repr(d))
+def test_pgf_never_mutates_its_argument(dist):
+    # the array path works in place on a copy: the argument, a transposed view
+    # of another array, and that array stay as they were
+    base = np.random.default_rng(4).random((2, 3, 3))
+    base[0, 0, 0], base[1, 2, 2] = 0.0, 1.0
+    saved = base.copy()
+    for arg in (base, base.swapaxes(-1, -2), base[1]):
+        out = dist.pgf(arg)
+        assert not np.shares_memory(out, base)
+        assert np.array_equal(base, saved)
 
 
 def test_pgf_accepts_arrays():
@@ -155,6 +173,14 @@ def test_invalid_parameters_rejected():
         Explicit([0.5, 0.4])   # does not sum to 1
     with pytest.raises(DistributionError):
         Explicit([-0.1, 1.1])
+    for bad in (math.nan, math.inf):   # non-finite parameters and pmf entries
+        for make in (lambda v: Poisson(v), lambda v: Binomial(3, v), lambda v: NegBinomial(2, v),
+                     lambda v: TwoPoint(v, 2), lambda v: Explicit([v, 0.5, 0.5]),
+                     lambda v: distribution_from_json({"family": "poisson", "params": {"lam": v}}),
+                     lambda v: distribution_from_json({"family": "explicit",
+                                                       "params": {"pmf": [0.5, 0.5, v]}})):
+            with pytest.raises(DistributionError):
+                make(bad)
 
 
 def test_geometric_is_negbinomial_r1():
