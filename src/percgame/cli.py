@@ -300,14 +300,7 @@ def _sweep_cell(config, task):
 
 def _cmd_sweep(config) -> int:
     tasks = _sweep_tasks(config)
-    cell = functools.partial(_sweep_cell, config)
-    jobs = min(config["jobs"], len(tasks))
-    if jobs > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(cell, tasks))
-    else:
-        cells = [cell(task) for task in tasks]
+    cells = oracle.map_in_processes(functools.partial(_sweep_cell, config), config["jobs"], tasks)
     rows = [row for row, _ in cells]
     _emit({"rows": rows}, rows, list(rows[0]), config)
     return max(status for _, status in cells)

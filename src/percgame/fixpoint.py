@@ -117,6 +117,13 @@ class Verdict(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
+def _check_nonnegative(**values) -> None:
+    """Reject a negative or NaN solver setting with a ValueError naming it."""
+    for name, value in values.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be non-negative, got {value!r}")
+
+
 def ensure_prob_matrix(X, size: int) -> np.ndarray:
     """Validate an element of the operator domain: size x size, entries in [0, 1], no NaN."""
     A = np.asarray(X, dtype=float)
@@ -245,8 +252,7 @@ def iterate_from_below(spec: GameSpec, tol: float = DEFAULT_TOL,
     The pair advances as one stack Z = (ybar, ell), ybar = 1 - w: since
     g(ybar) = ell' and g(ell) = ybar', one operator call gives Z' = g(Z)[::-1].
     """
-    if not tol >= 0:
-        raise ValueError("tol must be non-negative")
+    _check_nonnegative(tol=tol, max_iter=max_iter)
     n = spec.size
     p1, p0, pm1 = spec.law.p_1, spec.law.p_0, spec.law.p_minus1
     pgf = spec.dist.pgf
@@ -325,6 +331,7 @@ def solve(spec: GameSpec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     extremes are verified to be fixed points of the full operator within
     10 * tol.
     """
+    _check_nonnegative(draw_epsilon=draw_epsilon)
     run = iterate_from_below(spec, tol=tol, max_iter=max_iter)
     L, W = run.ell, run.w
     gap = 1.0 - W - L
@@ -361,6 +368,9 @@ def find_fixed_points(spec: GameSpec, seeds: Optional[Sequence] = None,
     distinct limits are returned sorted lexicographically by their entries,
     an order that extends the entrywise partial order.
     """
+    _check_nonnegative(tol=tol, max_iter=max_iter)
+    if not cluster_radius > 0:
+        raise ValueError(f"cluster_radius must be positive, got {cluster_radius!r}")
     if seeds is None:
         seeds = default_seed_matrices(spec.kappa)
     if len(seeds) == 0:
@@ -400,6 +410,7 @@ def classify_draw(result: SolveResult,
     """
     if not result.converged:
         raise ValueError("classify_draw requires a converged solve result")
+    _check_nonnegative(positive_threshold=positive_threshold)
     D = result.D
     verdicts = np.empty(D.shape, dtype=object)
     verdicts[...] = Verdict.INCONCLUSIVE

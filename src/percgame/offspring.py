@@ -32,13 +32,23 @@ def _check_unit_interval(x: ArrayLike) -> ArrayLike:
     """Validate pgf arguments, tolerating tiny floating-point overshoot; NaN is rejected.
 
     An array argument comes back as a fresh clipped copy that the caller may
-    overwrite, anything else as a float.
+    overwrite (a numpy scalar for a 0-d array), anything else as a float, so
+    augmented assignments on the result serve every kind of argument.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size and not (arr.min() >= -_PGF_DOMAIN_SLACK and arr.max() <= 1.0 + _PGF_DOMAIN_SLACK):
         raise DistributionError(f"pgf argument outside [0, 1]: {x!r}")
     clipped = np.clip(arr, 0.0, 1.0)
     return clipped if isinstance(x, np.ndarray) else float(clipped)
+
+
+def _horner(coeffs, x: ArrayLike) -> ArrayLike:
+    """sum_k coeffs[k] x^k by Horner's rule; an array x gives a fresh array."""
+    acc = 0.0 * x
+    for c in reversed(coeffs):
+        acc *= x
+        acc += c
+    return acc
 
 
 class OffspringDistribution:
@@ -82,8 +92,6 @@ class Dirac(OffspringDistribution):
 
     def pgf(self, x):
         x = _check_unit_interval(x)
-        if not isinstance(x, np.ndarray):
-            return x ** self.m
         x **= self.m
         return x
 
@@ -113,21 +121,10 @@ class UniformRange(OffspringDistribution):
         return 1.0 / self.m if 1 <= m <= self.m else 0.0
 
     def pgf(self, x):
-        x = _check_unit_interval(x)
-        acc = np.zeros_like(np.asarray(x, dtype=float))
-        for _ in range(self.m):  # Horner: x(1 + x(1 + ...)) = x + x^2 + ... + x^m
-            acc += 1.0
-            acc *= x
-        acc /= self.m
-        return acc if isinstance(x, np.ndarray) else float(acc)
+        return _horner((0,) + (1,) * self.m, _check_unit_interval(x)) / self.m
 
     def pgf_derivative(self, x):
-        x = _check_unit_interval(x)
-        acc = np.zeros_like(np.asarray(x, dtype=float))
-        for k in range(self.m, 0, -1):  # Horner on sum_k k x^(k-1)
-            acc = acc * x + k
-        acc = acc / self.m
-        return acc if isinstance(x, np.ndarray) else float(acc)
+        return _horner(range(1, self.m + 1), _check_unit_interval(x)) / self.m
 
     def sample(self, rng, size):
         return rng.integers(1, self.m + 1, size=size)
@@ -157,8 +154,6 @@ class Binomial(OffspringDistribution):
 
     def pgf(self, x):
         x = _check_unit_interval(x)
-        if not isinstance(x, np.ndarray):
-            return (1.0 - self.pi + self.pi * x) ** self.n
         x *= self.pi
         x += 1.0 - self.pi
         x **= self.n
@@ -191,11 +186,9 @@ class Poisson(OffspringDistribution):
 
     def pgf(self, x):
         x = _check_unit_interval(x)
-        if not isinstance(x, np.ndarray):
-            return np.exp(self.lam * (x - 1.0))
         x -= 1.0
         x *= self.lam
-        return np.exp(x, out=x)
+        return np.exp(x, out=x if isinstance(x, np.ndarray) else None)
 
     def pgf_derivative(self, x):
         return self.lam * self.pgf(x)
@@ -232,10 +225,8 @@ class NegBinomial(OffspringDistribution):
 
     def pgf(self, x):
         x = _check_unit_interval(x)
-        if not isinstance(x, np.ndarray):
-            return self.pi**self.r * (1.0 - (1.0 - self.pi) * x) ** (-self.r)
-        x *= 1.0 - self.pi
-        np.subtract(1.0, x, out=x)
+        x *= self.pi - 1.0      # fl(pi - 1) = -fl(1 - pi): the same roundings as 1 - (1 - pi) x
+        x += 1.0
         x **= -self.r
         x *= self.pi**self.r
         return x
@@ -275,8 +266,6 @@ class TwoPoint(OffspringDistribution):
 
     def pgf(self, x):
         x = _check_unit_interval(x)
-        if not isinstance(x, np.ndarray):
-            return (1.0 - self.pi) + self.pi * x**self.d
         x **= self.d
         x *= self.pi
         x += 1.0 - self.pi
@@ -316,19 +305,11 @@ class Explicit(OffspringDistribution):
         return self.pmf_values[m] if 0 <= m < len(self.pmf_values) else 0.0
 
     def pgf(self, x):
-        x = _check_unit_interval(x)
-        acc = np.zeros_like(np.asarray(x, dtype=float))
-        for v in reversed(self.pmf_values):
-            acc *= x
-            acc += v
-        return acc if isinstance(x, np.ndarray) else float(acc)
+        return _horner(self.pmf_values, _check_unit_interval(x))
 
     def pgf_derivative(self, x):
-        x = _check_unit_interval(x)
-        acc = np.zeros_like(np.asarray(x, dtype=float))
-        for m in range(len(self.pmf_values) - 1, 0, -1):
-            acc = acc * x + m * self.pmf_values[m]
-        return acc if isinstance(x, np.ndarray) else float(acc)
+        coeffs = [m * p for m, p in enumerate(self.pmf_values)][1:]
+        return _horner(coeffs, _check_unit_interval(x))
 
     def sample(self, rng, size):
         return rng.choice(len(self.pmf_values), size=size, p=self.pmf_values)

@@ -35,6 +35,7 @@ child" and "some child" are `reduceat` runs of bitwise AND and OR.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -81,12 +82,6 @@ def sample_forest(dist: OffspringDistribution, law: EdgeWeightLaw, depth: int,
     aborted = np.zeros(n_samples, dtype=bool)
     for g in range(1, depth + 1):
         prev_n = sizes[g - 1]
-        if prev_n == 0:
-            sizes.append(0)
-            parents.append(np.empty(0, dtype=np.int64))
-            weights.append(np.empty(0, dtype=np.int8))
-            sample_id.append(np.empty(0, dtype=np.int64))
-            continue
         counts = dist.sample(rng, size=prev_n)
         counts[aborted[sample_id[g - 1]]] = 0
         parent = np.repeat(np.arange(prev_n, dtype=np.int64), counts)
@@ -186,6 +181,20 @@ def _forest_root_counts(forest: Forest, kappa: int, horizon: int):
     return loss, wins
 
 
+def map_in_processes(fn, jobs: int, *iterables) -> list:
+    """[fn(*args) for args in zip(*iterables)], in task order, on up to `jobs` worker
+    processes (never more than there are tasks); in this process when one suffices."""
+    if not jobs >= 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    tasks = list(zip(*iterables))
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(*args) for args in tasks]
+    import concurrent.futures
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
+
+
 def _chunk_counts(spec: GameSpec, horizon: int, m: int, seed_seq, node_cap: int):
     rng = np.random.default_rng(seed_seq)
     n = spec.size
@@ -258,35 +267,11 @@ def estimate_probs(spec: GameSpec, horizon: int, samples: int, seed: int = 0,
         raise ValueError("chunk_size must be >= 1")
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
-    master = np.random.SeedSequence(seed)
-    chunk_sizes = []
-    remaining = samples
-    while remaining > 0:
-        take = min(chunk_size, remaining)
-        chunk_sizes.append(take)
-        remaining -= take
-    subs = master.spawn(len(chunk_sizes))
-    n = spec.size
-    loss = np.zeros((horizon, n, n))
-    win = np.zeros((horizon, n, n))
-    aborted = 0
-    if jobs > 1 and len(chunk_sizes) > 1:
-        import concurrent.futures
-        workers = min(jobs, len(chunk_sizes))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_chunk_counts, spec, horizon, m, ss, node_cap)
-                       for m, ss in zip(chunk_sizes, subs)]
-            for fut in futures:
-                lo, wi, ab = fut.result()
-                loss += lo
-                win += wi
-                aborted += ab
-    else:
-        for m, ss in zip(chunk_sizes, subs):
-            lo, wi, ab = _chunk_counts(spec, horizon, m, ss, node_cap)
-            loss += lo
-            win += wi
-            aborted += ab
+    chunk_sizes = [min(chunk_size, samples - start) for start in range(0, samples, chunk_size)]
+    subs = np.random.SeedSequence(seed).spawn(len(chunk_sizes))
+    counts = map_in_processes(functools.partial(_chunk_counts, spec, horizon, node_cap=node_cap),
+                              jobs, chunk_sizes, subs)
+    loss, win, aborted = (sum(parts) for parts in zip(*counts))   # in chunk order
     loss_hat = loss / samples
     win_hat = win / samples
     loss_se = np.sqrt(loss_hat * (1.0 - loss_hat) / samples)

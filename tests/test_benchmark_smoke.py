@@ -27,3 +27,13 @@ def test_near_critical_cheap_round_checks_clean(monkeypatch, tmp_path):
     assert len(cheap) == 12
     outputs = {call.label: call.collect(call.run()) for call in cheap}
     assert plan.check(outputs) == {}
+
+
+def test_oracle_mc_pass_checks_clean(monkeypatch, tmp_path):
+    # one pass: 50k trees per spec through the chunk map and the forest sampler
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    plan = workloads.build_plan("oracle_mc", 1, tmp_path)
+    assert plan.calls
+    outputs = {call.label: call.collect(call.run()) for call in plan.calls}
+    assert plan.check(outputs) == {}

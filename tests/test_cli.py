@@ -168,13 +168,8 @@ class InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def test_process_pools_capped_at_work(capsys, monkeypatch):
@@ -193,6 +188,31 @@ def test_process_pools_capped_at_work(capsys, monkeypatch):
                          "--grid-p1", "0.05", "--jobs", "64")
     assert code == 0
     assert InlinePool.sizes == [2, 3]
+
+
+SOLVE_POINT = ("--family", "poisson", "--lam", "5", "--kappa", "3", "--p0", "0.8", "--p1", "0.1")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("solve", *SOLVE_POINT, "--max-iter", "-1"), "max_iter"),
+    (("solve", *SOLVE_POINT, "--draw-epsilon", "-1"), "draw_epsilon"),
+    (("solve", *SOLVE_POINT, "--positive-threshold", "-1"), "positive_threshold"),
+    (("duration", *SOLVE_POINT, "--positive-threshold", "-1"), "positive_threshold"),
+    (("check-kappa3", *SOLVE_POINT, "--count-fixed-points", "--cluster-radius", "-1"),
+     "cluster_radius"),
+    (("check-kappa3", *SOLVE_POINT, "--count-fixed-points", "--cluster-radius", "0"),
+     "cluster_radius"),
+    (("fixed-points", "--family", "dirac", "--m", "2", "--kappa", "3", "--p0", "0.875",
+      "--p1", "0.025", "--tol", "-1", "--max-iter", "2000"), "tol"),
+    (("fixed-points", *SOLVE_POINT, "--max-iter", "-1"), "max_iter"),
+    (("simulate", *SOLVE_POINT, "--samples", "10", "--jobs", "0"), "jobs"),
+    (("simulate", *SOLVE_POINT, "--samples", "10", "--jobs", "-3"), "jobs"),
+    (("sweep", "--what", "check-kappa2", *SOLVE_POINT, "--jobs", "0"), "jobs"),
+], ids=lambda v: "_".join(v[:1] + v[-2:]) if isinstance(v, tuple) else v)
+def test_out_of_range_solver_values_exit_2(capsys, argv, field):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert field in err
 
 
 def test_sweep_rejects_invalid_grid(capsys):

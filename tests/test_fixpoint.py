@@ -239,6 +239,22 @@ def test_iterate_rejects_nan_and_negative_tol():
             iterate_from_below(spec, tol=tol)
 
 
+@pytest.mark.parametrize("call, field", [
+    (lambda spec: iterate_from_below(spec, max_iter=-1), "max_iter"),
+    (lambda spec: solve(spec, max_iter=-1), "max_iter"),
+    (lambda spec: solve(spec, draw_epsilon=-1e-9), "draw_epsilon"),
+    (lambda spec: solve(spec, draw_epsilon=np.nan), "draw_epsilon"),
+    (lambda spec: classify_draw(solve(spec), positive_threshold=-1.0), "positive_threshold"),
+    (lambda spec: find_fixed_points(spec, max_iter=-1), "max_iter"),
+    (lambda spec: find_fixed_points(spec, tol=-1.0, max_iter=2000), "tol"),
+    (lambda spec: find_fixed_points(spec, cluster_radius=-1.0), "cluster_radius"),
+    (lambda spec: find_fixed_points(spec, cluster_radius=0.0), "cluster_radius"),
+])
+def test_out_of_range_solver_values_rejected(call, field):
+    with pytest.raises(ValueError, match=field):
+        call(spec_d2(0.875, 0.025))
+
+
 def test_iterate_all_zero_weights_never_ends():
     run = iterate_from_below(GameSpec(3, Dirac(2), EdgeWeightLaw(0.0, 1.0, 0.0)))
     assert run.converged

@@ -5,7 +5,7 @@ import pytest
 
 from percgame import (Dirac, EdgeWeightLaw, Forest, GameSpec, NodeCapExceeded, Poisson,
                       estimate_probs, horizon_iterates, sample_forest)
-from percgame.oracle import _forest_root_counts
+from percgame.oracle import _forest_root_counts, map_in_processes
 
 
 LAW = EdgeWeightLaw.from_p0_p1(0.8, 0.1)
@@ -238,6 +238,16 @@ def test_estimate_rejects_nonpositive_chunk_size():
     for chunk_size in (0, -5):
         with pytest.raises(ValueError, match="chunk_size"):
             estimate_probs(spec, horizon=2, samples=10, chunk_size=chunk_size)
+
+
+def test_map_in_processes_keeps_task_order_and_rejects_jobs_below_one():
+    assert map_in_processes(pow, 1, [2, 3, 4], [3, 2, 1]) == [8, 9, 4]
+    assert map_in_processes(pow, 4, [], []) == []
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            map_in_processes(pow, jobs, [2], [3])
+        with pytest.raises(ValueError, match="jobs"):
+            estimate_probs(GameSpec(2, Dirac(2), LAW), horizon=2, samples=10, jobs=jobs)
 
 
 def test_estimate_serialization():
