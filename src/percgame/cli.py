@@ -242,8 +242,7 @@ def _cmd_duration(config) -> int:
     if not result.converged:
         sys.stderr.write("duration: fixed-point iteration did not converge\n")
         return EXIT_NONCONVERGENCE
-    report = criteria.duration_criterion(spec, result,
-                                         positive_threshold=config["positive_threshold"])
+    report = criteria.duration_criterion(result, positive_threshold=config["positive_threshold"])
     payload = {"spec": spec.to_json(), "report": report.to_json_dict()}
     n = spec.size
     rows = _ij_rows(n, alpha=report.alpha, beta=report.beta,
@@ -392,31 +391,36 @@ _GRID = _Kind({"action": "append", "metavar": "NAME=X1,X2,..."}, _grid)
 _PARAM_KINDS = {_int_param: _INT, _float_param: _REAL, _floats_param: _NUMBERS}
 
 _EVERY = frozenset(_COMMANDS)
-_SOLVING = _EVERY - {"check-kappa2", "check-special"}   # commands that take the solver knobs
+_LAW = _EVERY - {"check-special"}                  # the ratio certificate reads family and m only
+_KAPPA = _LAW - {"check-kappa2", "check-kappa3"}   # the checks fix the target capital
+_ITERATE = {"solve", "fixed-points", "check-kappa3", "duration", "sweep"}   # tol and max_iter
+_SOLVE = {"solve", "duration", "sweep"}
+_CLUSTER = {"fixed-points", "check-kappa3", "sweep"}
 
 
 class _Option(NamedTuple):
     kind: _Kind
-    default: object = None        # a null value is accepted only where this is None
-    commands: Collection[str] = _EVERY  # subcommands that take the flag; config files take every field
+    default: object               # a null value is accepted only where this is None
+    commands: Collection[str]     # subcommands that take the flag; config files take every field
     help: str = None
 
 
 _OPTIONS = {
-    "family": _Option(_choice(*sorted(_FAMILIES)), help="offspring family"),
-    **{name: _Option(_PARAM_KINDS[parse], help="offspring parameter")
+    "family": _Option(_choice(*sorted(_FAMILIES)), None, _EVERY, "offspring family"),
+    **{name: _Option(_PARAM_KINDS[parse], None, _EVERY if name == "m" else _LAW,
+                     "offspring parameter")
        for _, parsers in _FAMILIES.values() for name, parse in parsers.items()},
-    "kappa": _Option(_INT, 3, help="target capital"),
-    "p0": _Option(_REAL, help="probability of edge weight 0"),
-    "p1": _Option(_REAL, help="probability of edge weight +1"),
-    "tol": _Option(_REAL, fixpoint.DEFAULT_TOL, _SOLVING),
-    "max_iter": _Option(_INT, fixpoint.DEFAULT_MAX_ITER, _SOLVING),
-    "draw_epsilon": _Option(_REAL, fixpoint.DEFAULT_DRAW_EPSILON, _SOLVING),
-    "positive_threshold": _Option(_REAL, fixpoint.DEFAULT_POSITIVE_THRESHOLD, _SOLVING),
-    "cluster_radius": _Option(_REAL, fixpoint.DEFAULT_CLUSTER_RADIUS, _SOLVING),
-    "seed": _Option(_INT, 0),
-    "output": _Option(_TEXT, help="output path; '-' for stdout"),
-    "format": _Option(_choice("json", "csv"), "json"),
+    "kappa": _Option(_INT, 3, _KAPPA, "target capital"),
+    "p0": _Option(_REAL, None, _EVERY, "probability of edge weight 0"),
+    "p1": _Option(_REAL, None, _EVERY, "probability of edge weight +1"),
+    "tol": _Option(_REAL, fixpoint.DEFAULT_TOL, _ITERATE),
+    "max_iter": _Option(_INT, fixpoint.DEFAULT_MAX_ITER, _ITERATE),
+    "draw_epsilon": _Option(_REAL, fixpoint.DEFAULT_DRAW_EPSILON, _SOLVE),
+    "positive_threshold": _Option(_REAL, fixpoint.DEFAULT_POSITIVE_THRESHOLD, _SOLVE - {"sweep"}),
+    "cluster_radius": _Option(_REAL, fixpoint.DEFAULT_CLUSTER_RADIUS, _CLUSTER),
+    "seed": _Option(_INT, 0, {"simulate"}),
+    "output": _Option(_TEXT, None, _EVERY, "output path; '-' for stdout"),
+    "format": _Option(_choice("json", "csv"), "json", _EVERY),
     "count_fixed_points": _Option(_SWITCH, False, {"check-kappa3", "sweep"},
                                   "also report max E and the number of fixed points found"),
     "alpha": _Option(_REAL, None, {"check-special"}),
@@ -470,7 +474,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         config[key] = value
     config.update((key, value) for key, value in vars(args).items()
                   if key not in ("command", "config") and value is not None)
-    if args.seed is None and "seed" not in file_conf and os.environ.get("PERCGAME_SEED"):
+    if (getattr(args, "seed", None) is None and "seed" not in file_conf
+            and os.environ.get("PERCGAME_SEED")):
         try:
             config["seed"] = int(os.environ["PERCGAME_SEED"])
         except ValueError as exc:
@@ -478,6 +483,13 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     for name, option in _OPTIONS.items():
         if config[name] is not None or option.default is not None:
             config[name] = option.kind.check(config, name)
+    # checked before any work, also where a run never reaches the reader; the library checks again
+    fixpoint._check_nonnegative(**{name: config[name] for name in
+                                   ("tol", "max_iter", "draw_epsilon", "positive_threshold")})
+    if not config["cluster_radius"] > 0:
+        raise CliError(f"cluster_radius must be positive, got {config['cluster_radius']!r}")
+    if config["jobs"] < 1:
+        raise CliError(f"jobs must be >= 1, got {config['jobs']!r}")
     return config
 
 

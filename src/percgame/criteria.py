@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixpoint import (DEFAULT_POSITIVE_THRESHOLD, EdgeWeightLaw, GameSpec,
-                       InternalInconsistencyError, SolveResult, Verdict, _edge_mix,
-                       classify_draw)
+from .fixpoint import (DEFAULT_POSITIVE_THRESHOLD, EdgeWeightLaw, InternalInconsistencyError,
+                       SolveResult, Verdict, _edge_mix, classify_draw)
 from .offspring import Binomial, NegBinomial, OffspringDistribution, Poisson, TwoPoint
 
 # Interval endpoints for the 1 : a : a^2 weight-ratio certificate on the
@@ -236,9 +235,9 @@ class DurationReport:
         }
 
 
-def duration_criterion(spec: GameSpec, result: SolveResult,
+def duration_criterion(result: SolveResult,
                        positive_threshold: float = DEFAULT_POSITIVE_THRESHOLD) -> DurationReport:
-    """Evaluate the finite-expected-duration certificate.
+    """Evaluate the finite-expected-duration certificate of the solved game result.spec.
 
     Requires a strictly positive edge-weight law and a converged solve.  The
     draw verdicts are `classify_draw(result, positive_threshold)`.  When any
@@ -252,6 +251,7 @@ def duration_criterion(spec: GameSpec, result: SolveResult,
     |gap| up to max(draw_epsilon, 10 * tol) of the solve; alpha and beta are
     held to that same slack, plus 1e-15 of rounding.
     """
+    spec = result.spec
     if not spec.law.strictly_positive:
         raise ValueError("duration criterion requires p_minus1, p_0, p_1 all positive")
     if not result.converged:

@@ -347,13 +347,12 @@ def solve(spec: GameSpec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
                        draw_epsilon=draw_epsilon)
 
 
-def default_seed_matrices(kappa: int, n_random: int = DEFAULT_SEED_GRID_RANDOM,
-                          seed: int = SEED_GRID_RNG_SEED) -> list:
+def default_seed_matrices(kappa: int, n_random: int = DEFAULT_SEED_GRID_RANDOM) -> list:
     """Multi-start grid: all-zeros, all-ones, constant levels, random matrices."""
     n = kappa - 1
     seeds = [np.zeros((n, n)), np.ones((n, n))]
     seeds += [np.full((n, n), c) for c in np.arange(0.1, 0.95, 0.1)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED_GRID_RNG_SEED)
     seeds += [rng.random((n, n)) for _ in range(n_random)]
     return seeds
 

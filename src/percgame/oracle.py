@@ -250,24 +250,22 @@ class OracleEstimate:
 
 
 def estimate_probs(spec: GameSpec, horizon: int, samples: int, seed: int = 0,
-                   chunk_size: int = DEFAULT_CHUNK_SIZE,
                    node_cap: int = DEFAULT_NODE_CAP, jobs: int = 1) -> OracleEstimate:
     """Estimate the horizon-n loss/win probabilities for n = 1..horizon.
 
-    Samples are processed in fixed-size chunks, each driven by a substream
-    spawned deterministically from the master seed, so results are
-    bit-identical for a given (seed, samples, chunk_size) regardless of the
-    number of worker processes.
+    Samples are processed in chunks of DEFAULT_CHUNK_SIZE, each driven by a
+    substream spawned deterministically from the master seed, so results are
+    bit-identical for a given (seed, samples) regardless of the number of
+    worker processes.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
-    chunk_sizes = [min(chunk_size, samples - start) for start in range(0, samples, chunk_size)]
+    chunk_sizes = [min(DEFAULT_CHUNK_SIZE, samples - start)
+                   for start in range(0, samples, DEFAULT_CHUNK_SIZE)]
     subs = np.random.SeedSequence(seed).spawn(len(chunk_sizes))
     counts = map_in_processes(functools.partial(_chunk_counts, spec, horizon, node_cap=node_cap),
                               jobs, chunk_sizes, subs)

@@ -190,7 +190,8 @@ def test_process_pools_capped_at_work(capsys, monkeypatch):
     assert InlinePool.sizes == [2, 3]
 
 
-SOLVE_POINT = ("--family", "poisson", "--lam", "5", "--kappa", "3", "--p0", "0.8", "--p1", "0.1")
+LAW_POINT = ("--family", "poisson", "--lam", "5", "--p0", "0.8", "--p1", "0.1")
+SOLVE_POINT = (*LAW_POINT, "--kappa", "3")
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -198,9 +199,9 @@ SOLVE_POINT = ("--family", "poisson", "--lam", "5", "--kappa", "3", "--p0", "0.8
     (("solve", *SOLVE_POINT, "--draw-epsilon", "-1"), "draw_epsilon"),
     (("solve", *SOLVE_POINT, "--positive-threshold", "-1"), "positive_threshold"),
     (("duration", *SOLVE_POINT, "--positive-threshold", "-1"), "positive_threshold"),
-    (("check-kappa3", *SOLVE_POINT, "--count-fixed-points", "--cluster-radius", "-1"),
+    (("check-kappa3", *LAW_POINT, "--count-fixed-points", "--cluster-radius", "-1"),
      "cluster_radius"),
-    (("check-kappa3", *SOLVE_POINT, "--count-fixed-points", "--cluster-radius", "0"),
+    (("check-kappa3", *LAW_POINT, "--count-fixed-points", "--cluster-radius", "0"),
      "cluster_radius"),
     (("fixed-points", "--family", "dirac", "--m", "2", "--kappa", "3", "--p0", "0.875",
       "--p1", "0.025", "--tol", "-1", "--max-iter", "2000"), "tol"),
@@ -208,11 +209,43 @@ SOLVE_POINT = ("--family", "poisson", "--lam", "5", "--kappa", "3", "--p0", "0.8
     (("simulate", *SOLVE_POINT, "--samples", "10", "--jobs", "0"), "jobs"),
     (("simulate", *SOLVE_POINT, "--samples", "10", "--jobs", "-3"), "jobs"),
     (("sweep", "--what", "check-kappa2", *SOLVE_POINT, "--jobs", "0"), "jobs"),
+    # a setting is checked before any work, not only once a run reaches its reader: the
+    # check-kappa2 cells never solve, and an unconverged solve never classifies
+    (("sweep", "--what", "check-kappa2", "--family", "poisson", "--lam", "5", "--grid-p0", "0.8",
+      "--grid-p1", "0.1", "--draw-epsilon", "-5", "--tol", "-1", "--format", "csv"), "tol"),
+    (("solve", *SOLVE_POINT, "--positive-threshold", "-1", "--max-iter", "3", "--format", "csv"),
+     "positive_threshold"),
 ], ids=lambda v: "_".join(v[:1] + v[-2:]) if isinstance(v, tuple) else v)
 def test_out_of_range_solver_values_exit_2(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert field in err
+
+
+def test_out_of_range_config_values_exit_2_for_every_command(capsys, tmp_path):
+    # a config file is range-checked like the flags, also for a command that never reads the field
+    conf = tmp_path / "conf.json"
+    for command, (field, value) in zip(
+            ("solve", "fixed-points", "check-kappa2", "check-kappa3", "check-special", "duration",
+             "simulate", "sweep"),
+            (("tol", -1), ("max_iter", -1), ("draw_epsilon", -1), ("positive_threshold", -1),
+             ("cluster_radius", 0), ("cluster_radius", -1), ("jobs", 0), ("jobs", -3))):
+        conf.write_text(json.dumps({field: value}), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--config", str(conf))
+        assert (code, out) == (2, ""), command
+        assert err.startswith(f"error: {field} must be"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-kappa3", "--kappa", "5"), ("check-kappa2", "--kappa", "2"),
+    ("simulate", "--tol", "1e-9"), ("solve", "--seed", "1"), ("check-special", "--lam", "2"),
+    ("fixed-points", "--draw-epsilon", "1e-8"), ("sweep", "--positive-threshold", "1e-6"),
+], ids=" ".join)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_sweep_rejects_invalid_grid(capsys):
@@ -301,37 +334,83 @@ def test_config_file_forms_match_their_flags(capsys, tmp_path):
         assert run_cli(capsys, *explicit, "--config", str(conf)) == flags
 
 
-# every subcommand's option strings, as the parser declared them before its flags came
-# from one option table; a subcommand keeps flags it ignores (check-kappa3 --kappa)
-COMMON_FLAGS = ["--config", "--d", "--family", "--format", "--help", "--kappa", "--lam",
-                "--lambda", "--m", "--n", "--output", "--p0", "--p1", "--pi", "--pmf", "--r",
-                "--seed", "-h"]
-SOLVER_FLAGS = ["--cluster-radius", "--draw-epsilon", "--max-iter", "--positive-threshold",
-                "--tol"]
+# every subcommand's option strings: exactly the options its command reads
+# (test_every_flag_of_a_command_is_read checks that against the running commands)
+COMMON_FLAGS = ["--config", "--family", "--format", "--help", "--m", "--output", "--p0", "--p1",
+                "-h"]
+LAW_FLAGS = ["--d", "--lam", "--lambda", "--n", "--pi", "--pmf", "--r"]
 SUBCOMMAND_FLAGS = {
-    "solve": SOLVER_FLAGS,
-    "fixed-points": SOLVER_FLAGS,
-    "check-kappa2": [],
-    "check-kappa3": SOLVER_FLAGS + ["--count-fixed-points"],
+    "solve": LAW_FLAGS + ["--kappa", "--tol", "--max-iter", "--draw-epsilon",
+                          "--positive-threshold"],
+    "fixed-points": LAW_FLAGS + ["--kappa", "--tol", "--max-iter", "--cluster-radius"],
+    "check-kappa2": LAW_FLAGS,
+    "check-kappa3": LAW_FLAGS + ["--count-fixed-points", "--tol", "--max-iter",
+                                 "--cluster-radius"],
     "check-special": ["--alpha"],
-    "duration": SOLVER_FLAGS,
-    "simulate": SOLVER_FLAGS + ["--horizon", "--jobs", "--node-cap", "--samples"],
-    "sweep": SOLVER_FLAGS + ["--count-fixed-points", "--grid-p0", "--grid-p1", "--grid-param",
-                             "--jobs", "--what"],
+    "duration": LAW_FLAGS + ["--kappa", "--tol", "--max-iter", "--draw-epsilon",
+                             "--positive-threshold"],
+    "simulate": LAW_FLAGS + ["--kappa", "--seed", "--horizon", "--samples", "--node-cap",
+                             "--jobs"],
+    "sweep": LAW_FLAGS + ["--kappa", "--tol", "--max-iter", "--draw-epsilon", "--cluster-radius",
+                          "--count-fixed-points", "--jobs", "--what", "--grid-p0", "--grid-p1",
+                          "--grid-param"],
 }
 
 
-def test_subcommands_keep_their_option_strings():
+def subcommand_parsers():
     import argparse
 
     from percgame.cli import _build_parser
-    subparsers = next(action for action in _build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    assert sorted(subparsers.choices) == sorted(SUBCOMMAND_FLAGS)
+    return next(action for action in _build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def test_subcommands_keep_their_option_strings():
+    parsers = subcommand_parsers()
+    assert sorted(parsers) == sorted(SUBCOMMAND_FLAGS)
     for command, extra in SUBCOMMAND_FLAGS.items():
-        flags = [flag for action in subparsers.choices[command]._actions
-                 for flag in action.option_strings]
+        flags = [flag for action in parsers[command]._actions for flag in action.option_strings]
         assert sorted(flags) == sorted(COMMON_FLAGS + extra), command
+
+
+FAMILY_FLAGS = [("dirac", "--m", "2"), ("uniform", "--m", "3"),
+                ("binomial", "--n", "4", "--pi", "0.5"), ("poisson", "--lam", "2"),
+                ("negbinomial", "--r", "2", "--pi", "0.5"), ("geometric", "--pi", "0.5"),
+                ("twopoint", "--pi", "0.5", "--d", "3"), ("explicit", "--pmf", "0.2,0.3,0.5")]
+
+
+def test_every_flag_of_a_command_is_read(capsys, monkeypatch):
+    # each command reads every setting its parser offers, over all eight families
+    from percgame import cli, criteria
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    resolve = cli._resolve_config
+    monkeypatch.setattr(cli, "_resolve_config", lambda args: Recording(resolve(args)))
+    extra = {"solve": ["--kappa", "3"], "fixed-points": ["--kappa", "3"], "check-kappa2": [],
+             "check-kappa3": ["--count-fixed-points"], "duration": ["--kappa", "3"],
+             "simulate": ["--kappa", "3", "--horizon", "2", "--samples", "10"]}
+    ratio = criteria.ratio_law(0.1)
+    runs = [("check-special", ["--alpha", "0.1", "--family", "dirac", "--m", "2",
+                               "--p0", repr(ratio.p_0), "--p1", repr(ratio.p_1)])]
+    runs += [(command, ["--family", family, *params, "--p0", "0.4", "--p1", "0.3", *flags])
+             for command, flags in extra.items() for family, *params in FAMILY_FLAGS]
+    reads = {}
+    for command, argv in runs:
+        code = main([command, *argv])
+        err = capsys.readouterr().err
+        # check-kappa2 has no closed form for dirac, uniform and explicit; it stops after the law
+        assert code == 0 or err.startswith("error: no closed-form capital-2 test"), (argv, err)
+        reads[command] = reads.get(command, set()) | read
+        read.clear()
+    for command, parser in subcommand_parsers().items():
+        dests = {action.dest for action in parser._actions} - {"help", "config"}
+        if command != "sweep":      # sweep reads the union of its three targets' settings
+            assert reads[command] == dests, command
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

@@ -39,10 +39,10 @@ GOLDEN = [
     ("check-kappa3 --family binomial --n 10 --pi 0.6 --p0 0.4 --p1 0.3 --format csv",
      0, "9b8e7797f6bcd7979bad065e808e6e6e6a0fc58b04390ad101f3c379ea187648"),
     ("check-kappa3 --family binomial --n 10 --pi 0.6 --p0 0.4 --p1 0.3 "
-     "--count-fixed-points --kappa 5 --format json",
+     "--count-fixed-points --format json",
      0, "aee0f4d4b851fc9434e6e91ebd3f26f5a251f0be2458022e1b309a49730ca5b2"),
     ("check-kappa3 --family binomial --n 10 --pi 0.6 --p0 0.4 --p1 0.3 "
-     "--count-fixed-points --kappa 5 --format csv",
+     "--count-fixed-points --format csv",
      0, "19b7eae982ad992bb1977ec524df859c356a4c5ad17b49b1bc9dfdd25caffefd"),
     ("check-special --alpha 0.1 --format json",
      0, "556f076e5784407b628cbfecc486859628381b5c4cd6f6baa8710e403c7b9f1d"),

@@ -373,9 +373,9 @@ def assert_duration_matches_reference(spec):
         expected = reference_duration_criterion(spec, r)
     except InternalInconsistencyError as exc:
         with pytest.raises(InternalInconsistencyError, match=str(exc)):
-            duration_criterion(spec, r)
+            duration_criterion(r)
         return None
-    got = duration_criterion(spec, r)
+    got = duration_criterion(r)
     assert np.array_equal(got.alpha, expected.alpha)
     assert np.array_equal(got.beta, expected.beta)
     assert list(got.row_sums.items()) == list(expected.row_sums.items())
@@ -401,18 +401,18 @@ def test_duration_requires_positive_law_and_convergence():
     spec = GameSpec(3, Dirac(2), EdgeWeightLaw(0.4, 0.0, 0.6))
     r = solve(spec)
     with pytest.raises(ValueError):
-        duration_criterion(spec, r)
+        duration_criterion(r)
     spec = GameSpec(3, Dirac(2), EdgeWeightLaw.from_p0_p1(0.9, 0.05))
     r = solve(spec, max_iter=3)
     with pytest.raises(ValueError):
-        duration_criterion(spec, r)
+        duration_criterion(r)
 
 
 def test_duration_zero_draw_case():
     for kappa in (3, 4, 5):
         spec = GameSpec(kappa, Dirac(2), EdgeWeightLaw.from_p0_p1(0.8, 0.15))
         r = solve(spec, tol=1e-13)
-        report = duration_criterion(spec, r)
+        report = duration_criterion(r)
         assert report.draws_zero
         # draws vanish, so the certificate reduces to the row-sum test; here a
         # row exceeds 1 so the certificate does not apply (recorded oracle value)
@@ -443,12 +443,12 @@ def test_duration_accepts_gaps_the_zero_verdict_accepted():
     # while alpha and beta differ by up to the gap (seen at Binomial(10, 0.6),
     # kappa=100, p0=0.6, p1=0.2: max |gap| 4.45e-9 after 1,024 iterations)
     spec = GameSpec(3, Dirac(2), law(0.8, 0.15))
-    report = duration_criterion(spec, _gap_result(spec, 5e-9))
+    report = duration_criterion(_gap_result(spec, 5e-9))
     assert report.draws_zero
     assert 1e-9 < float(np.max(np.abs(report.alpha - report.beta))) <= 5e-9 + 1e-15
     # a gap the ZERO verdict could not have accepted is still reported
     with pytest.raises(InternalInconsistencyError):
-        duration_criterion(spec, _gap_result(spec, 5e-8))
+        duration_criterion(_gap_result(spec, 5e-8))
 
 
 def test_duration_uses_the_positive_threshold():
@@ -461,8 +461,8 @@ def test_duration_uses_the_positive_threshold():
     result = SolveResult(spec=spec, L=gapped.L, W=gapped.W, D=D, gap=D, iterations=1,
                          residual=0.0, converged=True, tol=1e-12, draw_epsilon=1e-8)
     with pytest.raises(InternalInconsistencyError):
-        duration_criterion(spec, result)
-    report = duration_criterion(spec, result, positive_threshold=1.0)
+        duration_criterion(result)
+    report = duration_criterion(result, positive_threshold=1.0)
     assert not report.draws_zero
     assert not report.criterion_holds
 
@@ -470,7 +470,7 @@ def test_duration_uses_the_positive_threshold():
 def test_duration_positive_draws_disable_certificate():
     spec = GameSpec(3, Dirac(2), EdgeWeightLaw.from_p0_p1(0.9, 0.05))
     r = solve(spec)
-    report = duration_criterion(spec, r)
+    report = duration_criterion(r)
     assert not report.draws_zero
     assert not report.criterion_holds
     assert report.row_sums  # diagnostics still present
@@ -480,7 +480,7 @@ def test_duration_certificate_holds_somewhere():
     # a strongly contracting point: all draws zero and all row sums below 1
     spec = GameSpec(3, Poisson(25.0), EdgeWeightLaw(0.35, 0.3, 0.35))
     r = solve(spec, tol=1e-13)
-    report = duration_criterion(spec, r)
+    report = duration_criterion(r)
     assert report.draws_zero
     assert report.criterion_holds
     assert all(v < 1 for v in report.row_sums.values())
@@ -489,7 +489,7 @@ def test_duration_certificate_holds_somewhere():
 def test_duration_kappa2_reduction():
     spec = GameSpec(2, Poisson(2.0), EdgeWeightLaw.from_p0_p1(0.8, 0.1))
     r = solve(spec, tol=1e-13)
-    report = duration_criterion(spec, r)
+    report = duration_criterion(r)
     assert report.draws_zero
     Gp = spec.dist.pgf_derivative
     beta11 = float(report.beta[0, 0])
@@ -500,6 +500,6 @@ def test_duration_kappa2_reduction():
 def test_duration_report_serialization():
     spec = GameSpec(3, Dirac(2), EdgeWeightLaw.from_p0_p1(0.8, 0.15))
     r = solve(spec, tol=1e-13)
-    obj = duration_criterion(spec, r).to_json_dict()
+    obj = duration_criterion(r).to_json_dict()
     assert set(obj) == {"alpha", "beta", "row_sums", "criterion_holds", "draws_zero"}
     assert "2,2" in obj["row_sums"]

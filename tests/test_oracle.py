@@ -233,13 +233,6 @@ def test_estimate_abort_and_resample():
                        node_cap=20)
 
 
-def test_estimate_rejects_nonpositive_chunk_size():
-    spec = GameSpec(2, Dirac(2), LAW)
-    for chunk_size in (0, -5):
-        with pytest.raises(ValueError, match="chunk_size"):
-            estimate_probs(spec, horizon=2, samples=10, chunk_size=chunk_size)
-
-
 def test_map_in_processes_keeps_task_order_and_rejects_jobs_below_one():
     assert map_in_processes(pow, 1, [2, 3, 4], [3, 2, 1]) == [8, 9, 4]
     assert map_in_processes(pow, 4, [], []) == []
