@@ -129,13 +129,11 @@ def _ij_rows(n, **columns):
 
 
 def _solve(spec: GameSpec, config):
-    return fixpoint.solve(spec, tol=config["tol"], max_iter=config["max_iter"],
-                          draw_epsilon=config["draw_epsilon"])
+    return fixpoint.solve(spec, tol=config["tol"], max_iter=config["max_iter"])
 
 
 def _fixed_points(spec: GameSpec, config) -> list:
-    return fixpoint.find_fixed_points(spec, tol=config["tol"], max_iter=config["max_iter"],
-                                      cluster_radius=config["cluster_radius"])
+    return fixpoint.find_fixed_points(spec, tol=config["tol"], max_iter=config["max_iter"])
 
 
 def _status(result) -> int:
@@ -174,8 +172,7 @@ def _cmd_solve(config) -> int:
     result = _solve(spec, config)
     verdicts = None
     if result.converged:
-        verdicts = [[v.value for v in row] for row in
-                    fixpoint.classify_draw(result, positive_threshold=config["positive_threshold"])]
+        verdicts = [[v.value for v in row] for row in fixpoint.classify_draw(result)]
     payload = {"spec": spec.to_json(), "result": result.to_json_dict(), "verdicts": verdicts}
     rows = _ij_rows(spec.size, ell=result.L, w=result.W, d=result.D,
                     verdict="" if verdicts is None else verdicts)
@@ -220,6 +217,8 @@ def _cmd_check_special(config) -> int:
     alpha = config["alpha"]
     if alpha is None:
         raise CliError("alpha: required for check-special")
+    if config["m"] not in (None, 2):
+        raise CliError("m: the ratio certificate applies to the binary tree, m=2")
     if config["family"] is not None and (config["family"] != "dirac" or config["m"] != 2):
         raise CliError("family: the ratio certificate applies to the dirac family with m=2")
     if config["p0"] is not None or config["p1"] is not None:
@@ -242,7 +241,7 @@ def _cmd_duration(config) -> int:
     if not result.converged:
         sys.stderr.write("duration: fixed-point iteration did not converge\n")
         return EXIT_NONCONVERGENCE
-    report = criteria.duration_criterion(result, positive_threshold=config["positive_threshold"])
+    report = criteria.duration_criterion(result)
     payload = {"spec": spec.to_json(), "report": report.to_json_dict()}
     n = spec.size
     rows = _ij_rows(n, alpha=report.alpha, beta=report.beta,
@@ -394,8 +393,6 @@ _EVERY = frozenset(_COMMANDS)
 _LAW = _EVERY - {"check-special"}                  # the ratio certificate reads family and m only
 _KAPPA = _LAW - {"check-kappa2", "check-kappa3"}   # the checks fix the target capital
 _ITERATE = {"solve", "fixed-points", "check-kappa3", "duration", "sweep"}   # tol and max_iter
-_SOLVE = {"solve", "duration", "sweep"}
-_CLUSTER = {"fixed-points", "check-kappa3", "sweep"}
 
 
 class _Option(NamedTuple):
@@ -415,9 +412,6 @@ _OPTIONS = {
     "p1": _Option(_REAL, None, _EVERY, "probability of edge weight +1"),
     "tol": _Option(_REAL, fixpoint.DEFAULT_TOL, _ITERATE),
     "max_iter": _Option(_INT, fixpoint.DEFAULT_MAX_ITER, _ITERATE),
-    "draw_epsilon": _Option(_REAL, fixpoint.DEFAULT_DRAW_EPSILON, _SOLVE),
-    "positive_threshold": _Option(_REAL, fixpoint.DEFAULT_POSITIVE_THRESHOLD, _SOLVE - {"sweep"}),
-    "cluster_radius": _Option(_REAL, fixpoint.DEFAULT_CLUSTER_RADIUS, _CLUSTER),
     "seed": _Option(_INT, 0, {"simulate"}),
     "output": _Option(_TEXT, None, _EVERY, "output path; '-' for stdout"),
     "format": _Option(_choice("json", "csv"), "json", _EVERY),
@@ -472,8 +466,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if key not in config:
             raise CliError(f"config: unknown field {key!r}")
         config[key] = value
-    config.update((key, value) for key, value in vars(args).items()
-                  if key not in ("command", "config") and value is not None)
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "config") and value is not None}
+    config.update(flags)
     if (getattr(args, "seed", None) is None and "seed" not in file_conf
             and os.environ.get("PERCGAME_SEED")):
         try:
@@ -484,12 +479,14 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if config[name] is not None or option.default is not None:
             config[name] = option.kind.check(config, name)
     # checked before any work, also where a run never reaches the reader; the library checks again
-    fixpoint._check_nonnegative(**{name: config[name] for name in
-                                   ("tol", "max_iter", "draw_epsilon", "positive_threshold")})
-    if not config["cluster_radius"] > 0:
-        raise CliError(f"cluster_radius must be positive, got {config['cluster_radius']!r}")
+    fixpoint._check_nonnegative(tol=config["tol"], max_iter=config["max_iter"])
     if config["jobs"] < 1:
         raise CliError(f"jobs must be >= 1, got {config['jobs']!r}")
+    if args.command == "sweep":   # a flag that only other --what targets read is an error
+        for name in flags:
+            commands = _OPTIONS[name].commands
+            if config["what"] not in commands and not _SWEEP_ROWS.keys().isdisjoint(commands):
+                raise CliError(f"{name}: sweep --what {config['what']} does not read it")
     return config
 
 

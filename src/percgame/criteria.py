@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixpoint import (DEFAULT_POSITIVE_THRESHOLD, EdgeWeightLaw, InternalInconsistencyError,
+from .fixpoint import (DEFAULT_DRAW_EPSILON, EdgeWeightLaw, InternalInconsistencyError,
                        SolveResult, Verdict, _edge_mix, classify_draw)
 from .offspring import Binomial, NegBinomial, OffspringDistribution, Poisson, TwoPoint
 
@@ -235,21 +235,20 @@ class DurationReport:
         }
 
 
-def duration_criterion(result: SolveResult,
-                       positive_threshold: float = DEFAULT_POSITIVE_THRESHOLD) -> DurationReport:
+def duration_criterion(result: SolveResult) -> DurationReport:
     """Evaluate the finite-expected-duration certificate of the solved game result.spec.
 
     Requires a strictly positive edge-weight law and a converged solve.  The
-    draw verdicts are `classify_draw(result, positive_threshold)`.  When any
-    verdict is not ZERO the report still carries alpha, beta and the row sums
-    as diagnostics with criterion_holds False.
+    draw verdicts are `classify_draw(result)`.  When any verdict is not ZERO
+    the report still carries alpha, beta and the row sums as diagnostics with
+    criterion_holds False.
 
     alpha = _edge_mix(W) and beta = _edge_mix(1 - L) use the operator's stencil
     (fixpoint._edge_mix), so beta - alpha mixes entries of the raw gap
     1 - W - L (the padded boundary columns contribute 0) and is bounded by the
-    largest |gap|.  An all-ZERO verdict already accepted every
-    |gap| up to max(draw_epsilon, 10 * tol) of the solve; alpha and beta are
-    held to that same slack, plus 1e-15 of rounding.
+    largest |gap|.  An all-ZERO verdict already accepted every |gap| up to
+    max(DEFAULT_DRAW_EPSILON, 10 * tol) of the solve; alpha and beta are held
+    to that same slack, plus 1e-15 of rounding.
     """
     spec = result.spec
     if not spec.law.strictly_positive:
@@ -263,9 +262,9 @@ def duration_criterion(result: SolveResult,
     alpha = _edge_mix(result.W, p1, p0, pm1)
     beta = _edge_mix(1.0 - result.L, p1, p0, pm1)
 
-    verdicts = classify_draw(result, positive_threshold=positive_threshold)
+    verdicts = classify_draw(result)
     draws_zero = bool(np.all(verdicts == Verdict.ZERO))
-    slack = max(result.draw_epsilon, 10 * result.tol) + 1e-15
+    slack = max(DEFAULT_DRAW_EPSILON, 10 * result.tol) + 1e-15
     if draws_zero and float(np.max(np.abs(alpha - beta))) > slack:
         raise InternalInconsistencyError(
             "alpha and beta disagree beyond tolerance although all draws are zero")

@@ -35,6 +35,9 @@ MAX_KAPPA = 1024
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10**6
+# fixed thresholds, not settings: the |gap| solve clamps to a zero draw, the
+# draw above which classify_draw says POSITIVE, and the max-norm distance
+# within which find_fixed_points merges two limits
 DEFAULT_DRAW_EPSILON = 1e-8
 DEFAULT_POSITIVE_THRESHOLD = 1e-6
 DEFAULT_CLUSTER_RADIUS = 1e-6
@@ -309,7 +312,6 @@ class SolveResult:
     residual: float
     converged: bool
     tol: float = DEFAULT_TOL
-    draw_epsilon: float = DEFAULT_DRAW_EPSILON
 
     def to_json_dict(self) -> dict:
         return {
@@ -322,29 +324,27 @@ class SolveResult:
         }
 
 
-def solve(spec: GameSpec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-          draw_epsilon: float = DEFAULT_DRAW_EPSILON) -> SolveResult:
+def solve(spec: GameSpec, tol: float = DEFAULT_TOL,
+          max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
     """Compute L, W and the draw matrix D = J - W - L.
 
-    Entries of the raw gap no larger than draw_epsilon are clamped to zero:
-    they are indistinguishable from iteration residue.  After convergence the
-    extremes are verified to be fixed points of the full operator within
-    10 * tol.
+    Entries of the raw gap no larger than DEFAULT_DRAW_EPSILON are clamped to
+    zero: they are indistinguishable from iteration residue.  After
+    convergence the extremes are verified to be fixed points of the full
+    operator within 10 * tol.
     """
-    _check_nonnegative(draw_epsilon=draw_epsilon)
     run = iterate_from_below(spec, tol=tol, max_iter=max_iter)
     L, W = run.ell, run.w
     gap = 1.0 - W - L
     if np.any(gap < -max(10 * tol, 1e-15)):
         raise InternalInconsistencyError("draw matrix has a significantly negative entry")
-    D = np.where(np.abs(gap) <= draw_epsilon, 0.0, np.maximum(gap, 0.0))
+    D = np.where(np.abs(gap) <= DEFAULT_DRAW_EPSILON, 0.0, np.maximum(gap, 0.0))
     ybar = 1.0 - W
     residual = max(float(np.max(np.abs(apply_h(spec, L) - L))),
                    float(np.max(np.abs(apply_h(spec, ybar) - ybar))))
     converged = run.converged and residual <= 10 * tol
     return SolveResult(spec=spec, L=L, W=W, D=D, gap=gap, iterations=run.iterations,
-                       residual=residual, converged=converged, tol=tol,
-                       draw_epsilon=draw_epsilon)
+                       residual=residual, converged=converged, tol=tol)
 
 
 def default_seed_matrices(kappa: int, n_random: int = DEFAULT_SEED_GRID_RANDOM) -> list:
@@ -358,18 +358,15 @@ def default_seed_matrices(kappa: int, n_random: int = DEFAULT_SEED_GRID_RANDOM) 
 
 
 def find_fixed_points(spec: GameSpec, seeds: Optional[Sequence] = None,
-                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                      cluster_radius: float = DEFAULT_CLUSTER_RADIUS) -> list:
+                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> list:
     """Locate fixed points of h by iterating from many starting matrices.
 
-    Limits closer than cluster_radius in max-norm are merged.  Seeds whose
-    orbit fails to settle within max_iter are dropped with a warning.  The
-    distinct limits are returned sorted lexicographically by their entries,
-    an order that extends the entrywise partial order.
+    Limits closer than DEFAULT_CLUSTER_RADIUS in max-norm are merged.  Seeds
+    whose orbit fails to settle within max_iter are dropped with a warning.
+    The distinct limits are returned sorted lexicographically by their
+    entries, an order that extends the entrywise partial order.
     """
     _check_nonnegative(tol=tol, max_iter=max_iter)
-    if not cluster_radius > 0:
-        raise ValueError(f"cluster_radius must be positive, got {cluster_radius!r}")
     if seeds is None:
         seeds = default_seed_matrices(spec.kappa)
     if len(seeds) == 0:
@@ -389,7 +386,7 @@ def find_fixed_points(spec: GameSpec, seeds: Optional[Sequence] = None,
     dropped = active.size
     found = []
     for F in np.delete(X, active, axis=0):
-        if not any(np.max(np.abs(F - G)) < cluster_radius for G in found):
+        if not any(np.max(np.abs(F - G)) < DEFAULT_CLUSTER_RADIUS for G in found):
             found.append(F)
     if dropped:
         logger.warning("find_fixed_points: dropped %d non-converging seed(s)", dropped)
@@ -397,24 +394,22 @@ def find_fixed_points(spec: GameSpec, seeds: Optional[Sequence] = None,
     return found
 
 
-def classify_draw(result: SolveResult,
-                  positive_threshold: float = DEFAULT_POSITIVE_THRESHOLD) -> np.ndarray:
+def classify_draw(result: SolveResult) -> np.ndarray:
     """Per-entry draw verdicts from a converged solve.
 
-    An entry is ZERO below 10 * tol, POSITIVE above positive_threshold and
-    INCONCLUSIVE in between.  When all three edge-weight probabilities are
+    An entry is ZERO below 10 * tol, POSITIVE above DEFAULT_POSITIVE_THRESHOLD
+    and INCONCLUSIVE in between.  When all three edge-weight probabilities are
     strictly positive the draw probabilities vanish jointly or are jointly
     positive, so one POSITIVE entry promotes every entry; a simultaneous
     ZERO and POSITIVE in that regime is reported as an internal error.
     """
     if not result.converged:
         raise ValueError("classify_draw requires a converged solve result")
-    _check_nonnegative(positive_threshold=positive_threshold)
     D = result.D
     verdicts = np.empty(D.shape, dtype=object)
     verdicts[...] = Verdict.INCONCLUSIVE
     verdicts[D < 10 * result.tol] = Verdict.ZERO
-    verdicts[D > positive_threshold] = Verdict.POSITIVE
+    verdicts[D > DEFAULT_POSITIVE_THRESHOLD] = Verdict.POSITIVE
     if result.spec.law.strictly_positive:
         has_pos = bool(np.any(verdicts == Verdict.POSITIVE))
         has_zero = bool(np.any(verdicts == Verdict.ZERO))

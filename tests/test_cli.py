@@ -76,7 +76,7 @@ def test_check_kappa3_command(capsys):
     assert obj["max_E"] < 1e-3
 
 
-def test_check_special_command_and_law_validation(capsys):
+def test_check_special_command_and_law_validation(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check-special", "--alpha", "0.1")
     assert code == 0
     assert json.loads(out)["certified_draws_zero"] is True
@@ -84,6 +84,17 @@ def test_check_special_command_and_law_validation(capsys):
                            "--p0", "0.5", "--p1", "0.2")
     assert code == 2
     assert "ratio" in err
+    # the certificate is for the binary tree: m other than 2 is refused with or without a family
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"m": 3}), encoding="utf-8")
+    for argv in (["--m", "3"], ["--config", str(conf)], ["--family", "dirac", "--m", "3"]):
+        code, out, err = run_cli(capsys, "check-special", "--alpha", "0.1", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: m: "), err
+    for argv in (["--family", "dirac"], ["--family", "poisson", "--m", "2"]):
+        code, out, err = run_cli(capsys, "check-special", "--alpha", "0.1", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: family: "), err
 
 
 def test_simulate_all_zero_and_deterministic(capsys):
@@ -196,25 +207,16 @@ SOLVE_POINT = (*LAW_POINT, "--kappa", "3")
 
 @pytest.mark.parametrize("argv, field", [
     (("solve", *SOLVE_POINT, "--max-iter", "-1"), "max_iter"),
-    (("solve", *SOLVE_POINT, "--draw-epsilon", "-1"), "draw_epsilon"),
-    (("solve", *SOLVE_POINT, "--positive-threshold", "-1"), "positive_threshold"),
-    (("duration", *SOLVE_POINT, "--positive-threshold", "-1"), "positive_threshold"),
-    (("check-kappa3", *LAW_POINT, "--count-fixed-points", "--cluster-radius", "-1"),
-     "cluster_radius"),
-    (("check-kappa3", *LAW_POINT, "--count-fixed-points", "--cluster-radius", "0"),
-     "cluster_radius"),
     (("fixed-points", "--family", "dirac", "--m", "2", "--kappa", "3", "--p0", "0.875",
       "--p1", "0.025", "--tol", "-1", "--max-iter", "2000"), "tol"),
     (("fixed-points", *SOLVE_POINT, "--max-iter", "-1"), "max_iter"),
     (("simulate", *SOLVE_POINT, "--samples", "10", "--jobs", "0"), "jobs"),
     (("simulate", *SOLVE_POINT, "--samples", "10", "--jobs", "-3"), "jobs"),
-    (("sweep", "--what", "check-kappa2", *SOLVE_POINT, "--jobs", "0"), "jobs"),
-    # a setting is checked before any work, not only once a run reaches its reader: the
-    # check-kappa2 cells never solve, and an unconverged solve never classifies
+    (("sweep", "--what", "check-kappa2", *LAW_POINT, "--jobs", "0"), "jobs"),
+    # a setting is checked before any work, not only once a run reaches its reader:
+    # the check-kappa2 cells never solve
     (("sweep", "--what", "check-kappa2", "--family", "poisson", "--lam", "5", "--grid-p0", "0.8",
-      "--grid-p1", "0.1", "--draw-epsilon", "-5", "--tol", "-1", "--format", "csv"), "tol"),
-    (("solve", *SOLVE_POINT, "--positive-threshold", "-1", "--max-iter", "3", "--format", "csv"),
-     "positive_threshold"),
+      "--grid-p1", "0.1", "--tol", "-1", "--format", "csv"), "tol"),
 ], ids=lambda v: "_".join(v[:1] + v[-2:]) if isinstance(v, tuple) else v)
 def test_out_of_range_solver_values_exit_2(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)
@@ -228,8 +230,8 @@ def test_out_of_range_config_values_exit_2_for_every_command(capsys, tmp_path):
     for command, (field, value) in zip(
             ("solve", "fixed-points", "check-kappa2", "check-kappa3", "check-special", "duration",
              "simulate", "sweep"),
-            (("tol", -1), ("max_iter", -1), ("draw_epsilon", -1), ("positive_threshold", -1),
-             ("cluster_radius", 0), ("cluster_radius", -1), ("jobs", 0), ("jobs", -3))):
+            (("tol", -1), ("max_iter", -1), ("tol", -1e-9), ("max_iter", -7),
+             ("tol", -1), ("max_iter", -1), ("jobs", 0), ("jobs", -3))):
         conf.write_text(json.dumps({field: value}), encoding="utf-8")
         code, out, err = run_cli(capsys, command, "--config", str(conf))
         assert (code, out) == (2, ""), command
@@ -240,12 +242,48 @@ def test_out_of_range_config_values_exit_2_for_every_command(capsys, tmp_path):
     ("check-kappa3", "--kappa", "5"), ("check-kappa2", "--kappa", "2"),
     ("simulate", "--tol", "1e-9"), ("solve", "--seed", "1"), ("check-special", "--lam", "2"),
     ("fixed-points", "--draw-epsilon", "1e-8"), ("sweep", "--positive-threshold", "1e-6"),
+    ("solve", "--draw-epsilon", "1e-8"), ("duration", "--positive-threshold", "1e-6"),
+    ("check-kappa3", "--cluster-radius", "1e-6"),
 ], ids=" ".join)
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_config_file_unknown_field_exits_2(capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"draw_epsilon": 1e-8}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", *SOLVE_POINT, "--config", str(conf))
+    assert (code, out, err) == (2, "", "error: config: unknown field 'draw_epsilon'\n")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("--what", "check-kappa3", "--family", "binomial", "--n", "10", "--pi", "0.6",
+      "--count-fixed-points", "--kappa", "5"), "kappa"),
+    (("--what", "solve", *SOLVE_POINT, "--count-fixed-points"), "count_fixed_points"),
+    (("--what", "check-kappa2", *LAW_POINT, "--tol", "5", "--max-iter", "3", "--kappa", "7"),
+     "kappa"),
+    (("--what", "check-kappa2", *LAW_POINT, "--max-iter", "3"), "max_iter"),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, tuple) else v)
+def test_sweep_flags_its_target_does_not_read_exit_2(capsys, argv, field):
+    code, out, err = run_cli(capsys, "sweep", *argv, "--grid-p0", "0.8", "--grid-p1", "0.05")
+    assert (code, out) == (2, "")
+    assert err == f"error: {field}: sweep --what {argv[1]} does not read it\n"
+
+
+def test_sweep_takes_its_target_flags_and_any_config_field(capsys, tmp_path):
+    # check-kappa3 reads tol only with --count-fixed-points, and is still offered it
+    sweep = ["sweep", "--what", "check-kappa3", *LAW_POINT, "--grid-p0", "0.8",
+             "--grid-p1", "0.05", "--format", "csv"]
+    code, out, _ = run_cli(capsys, *sweep, "--tol", "1e-10", "--jobs", "1")
+    assert (code, out) == run_cli(capsys, *sweep)[:2]
+    assert code == 0
+    # a config file may name a field the target never reads
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"kappa": 5, "count_fixed_points": False}), encoding="utf-8")
+    assert run_cli(capsys, *sweep, "--config", str(conf))[:2] == (0, out)
 
 
 def test_sweep_rejects_invalid_grid(capsys):
@@ -294,8 +332,8 @@ def test_validation_errors_name_the_field(capsys, tmp_path):
     conf = tmp_path / "conf.json"
     for field, value in (("kappa", 3.7), ("horizon", 2.5), ("max_iter", 10.5), ("samples", "x"),
                          ("seed", True), ("node_cap", None), ("jobs", 1.5), ("p0", "0.5"),
-                         ("tol", "x"), ("draw_epsilon", None), ("positive_threshold", False),
-                         ("cluster_radius", [1]), ("alpha", "1"), ("lam", "x"),
+                         ("tol", "x"), ("tol", None), ("max_iter", False),
+                         ("horizon", [1]), ("alpha", "1"), ("lam", "x"),
                          ("format", "xml"), ("output", 2), ("count_fixed_points", "no"),
                          ("what", "x"), ("family", "weibull"), ("grid_param", {"lam": 2}),
                          ("grid_param", "lam=2"), ("grid_p0", "0.5,x"), ("pmf", {"a": 1}),
@@ -340,20 +378,16 @@ COMMON_FLAGS = ["--config", "--family", "--format", "--help", "--m", "--output",
                 "-h"]
 LAW_FLAGS = ["--d", "--lam", "--lambda", "--n", "--pi", "--pmf", "--r"]
 SUBCOMMAND_FLAGS = {
-    "solve": LAW_FLAGS + ["--kappa", "--tol", "--max-iter", "--draw-epsilon",
-                          "--positive-threshold"],
-    "fixed-points": LAW_FLAGS + ["--kappa", "--tol", "--max-iter", "--cluster-radius"],
+    "solve": LAW_FLAGS + ["--kappa", "--tol", "--max-iter"],
+    "fixed-points": LAW_FLAGS + ["--kappa", "--tol", "--max-iter"],
     "check-kappa2": LAW_FLAGS,
-    "check-kappa3": LAW_FLAGS + ["--count-fixed-points", "--tol", "--max-iter",
-                                 "--cluster-radius"],
+    "check-kappa3": LAW_FLAGS + ["--count-fixed-points", "--tol", "--max-iter"],
     "check-special": ["--alpha"],
-    "duration": LAW_FLAGS + ["--kappa", "--tol", "--max-iter", "--draw-epsilon",
-                             "--positive-threshold"],
+    "duration": LAW_FLAGS + ["--kappa", "--tol", "--max-iter"],
     "simulate": LAW_FLAGS + ["--kappa", "--seed", "--horizon", "--samples", "--node-cap",
                              "--jobs"],
-    "sweep": LAW_FLAGS + ["--kappa", "--tol", "--max-iter", "--draw-epsilon", "--cluster-radius",
-                          "--count-fixed-points", "--jobs", "--what", "--grid-p0", "--grid-p1",
-                          "--grid-param"],
+    "sweep": LAW_FLAGS + ["--kappa", "--tol", "--max-iter", "--count-fixed-points", "--jobs",
+                          "--what", "--grid-p0", "--grid-p1", "--grid-param"],
 }
 
 
@@ -409,7 +443,7 @@ def test_every_flag_of_a_command_is_read(capsys, monkeypatch):
         read.clear()
     for command, parser in subcommand_parsers().items():
         dests = {action.dest for action in parser._actions} - {"help", "config"}
-        if command != "sweep":      # sweep reads the union of its three targets' settings
+        if command != "sweep":      # sweep offers the union of its three targets' settings
             assert reads[command] == dests, command
 
 

@@ -76,10 +76,10 @@ GOLDEN = [
      "0.9,0.5 --grid-p1 0.05 --format csv",
      0, "3c26898318965895374c5a9e9bdfe4979f84e86dd21c7adcb656c838cae9fb41"),
     ("sweep --what check-kappa3 --family binomial --n 10 --pi 0.6 --count-fixed-points "
-     "--grid-p0 0.2,0.5,0.8 --grid-p1 0.01,0.05 --kappa 5 --format json",
+     "--grid-p0 0.2,0.5,0.8 --grid-p1 0.01,0.05 --format json",
      0, "b0dddfd79d0cf67d065399f64592fd6d0b368dfe9589787e44d3e9a4b40fa1b6"),
     ("sweep --what check-kappa3 --family binomial --n 10 --pi 0.6 --count-fixed-points "
-     "--grid-p0 0.2,0.5,0.8 --grid-p1 0.01,0.05 --kappa 5 --format csv",
+     "--grid-p0 0.2,0.5,0.8 --grid-p1 0.01,0.05 --format csv",
      0, "f8a76b23b12de0d8af254dc09f0a7593e65bb79a8fd8c9ee16b0ac1506e55d82"),
 ]
 

@@ -11,6 +11,7 @@ from percgame import (Binomial, Dirac, DurationReport, EdgeWeightLaw, Explicit, 
                       kappa2_draw_zero, kappa3_bounds, kappa3_contraction_holds,
                       kappa3_p0_zero_check, kappa3_special_ratio,
                       ratio_law, solve)
+from percgame.fixpoint import DEFAULT_DRAW_EPSILON
 
 
 def law(p0, p1):
@@ -342,7 +343,7 @@ def reference_duration_criterion(spec, result):
 
     verdicts = classify_draw(result)
     draws_zero = bool(np.all(verdicts == Verdict.ZERO))
-    slack = max(result.draw_epsilon, 10 * result.tol) + 1e-15
+    slack = max(DEFAULT_DRAW_EPSILON, 10 * result.tol) + 1e-15
     if draws_zero and float(np.max(np.abs(alpha - beta))) > slack:
         raise InternalInconsistencyError(
             "alpha and beta disagree beyond tolerance although all draws are zero")
@@ -435,11 +436,11 @@ def _gap_result(spec, gap):
     n = spec.size
     return SolveResult(spec=spec, L=r.L, W=1.0 - r.L - gap, D=np.zeros((n, n)),
                        gap=np.full((n, n), gap), iterations=r.iterations, residual=0.0,
-                       converged=True, tol=1e-12, draw_epsilon=1e-8)
+                       converged=True, tol=1e-12)
 
 
 def test_duration_accepts_gaps_the_zero_verdict_accepted():
-    # solve clamps |gap| <= draw_epsilon to D = 0, so all verdicts are ZERO
+    # solve clamps |gap| <= DEFAULT_DRAW_EPSILON to D = 0, so all verdicts are ZERO
     # while alpha and beta differ by up to the gap (seen at Binomial(10, 0.6),
     # kappa=100, p0=0.6, p1=0.2: max |gap| 4.45e-9 after 1,024 iterations)
     spec = GameSpec(3, Dirac(2), law(0.8, 0.15))
@@ -452,19 +453,16 @@ def test_duration_accepts_gaps_the_zero_verdict_accepted():
 
 
 def test_duration_uses_the_positive_threshold():
-    # one entry of 1e-5 is POSITIVE at the default 1e-6 threshold next to ZERO entries,
-    # which a strictly positive law cannot have; at threshold 1 it is INCONCLUSIVE
+    # one entry of 1e-5 is POSITIVE at the 1e-6 threshold next to ZERO entries,
+    # which a strictly positive law cannot have
     spec = GameSpec(3, Dirac(2), law(0.8, 0.15))
     gapped = _gap_result(spec, 0.0)
     D = np.zeros((2, 2))
     D[0, 0] = 1e-5
     result = SolveResult(spec=spec, L=gapped.L, W=gapped.W, D=D, gap=D, iterations=1,
-                         residual=0.0, converged=True, tol=1e-12, draw_epsilon=1e-8)
+                         residual=0.0, converged=True, tol=1e-12)
     with pytest.raises(InternalInconsistencyError):
         duration_criterion(result)
-    report = duration_criterion(result, positive_threshold=1.0)
-    assert not report.draws_zero
-    assert not report.criterion_holds
 
 
 def test_duration_positive_draws_disable_certificate():
