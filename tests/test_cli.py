@@ -252,11 +252,17 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
-def test_config_file_unknown_field_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("argv, field", [
+    (("solve", *SOLVE_POINT), "draw_epsilon"),
+    (("duration", *SOLVE_POINT), "positive_threshold"),
+    (("check-kappa3", *LAW_POINT, "--count-fixed-points"), "cluster_radius"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else v)
+def test_config_file_unknown_field_exits_2(capsys, tmp_path, argv, field):
+    # the three verdict thresholds are constants; a config naming one is refused
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"draw_epsilon": 1e-8}), encoding="utf-8")
-    code, out, err = run_cli(capsys, "solve", *SOLVE_POINT, "--config", str(conf))
-    assert (code, out, err) == (2, "", "error: config: unknown field 'draw_epsilon'\n")
+    conf.write_text(json.dumps({field: 1e-6}), encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--config", str(conf))
+    assert (code, out, err) == (2, "", f"error: config: unknown field '{field}'\n")
 
 
 @pytest.mark.parametrize("argv, field", [

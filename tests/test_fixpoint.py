@@ -7,8 +7,9 @@ import pytest
 from percgame import (Binomial, Dirac, EdgeWeightLaw, Explicit, GameSpec,
                       InternalInconsistencyError, NegBinomial, Poisson, SolveResult,
                       TwoPoint, UniformRange, Verdict, apply_f, apply_g, apply_h,
-                      classify_draw, default_seed_matrices, find_fixed_points, geometric,
-                      horizon_iterates, iterate_from_below, solve, weight_matrix)
+                      classify_draw, default_seed_matrices, duration_criterion,
+                      find_fixed_points, geometric, horizon_iterates, iterate_from_below,
+                      solve, weight_matrix)
 from percgame.fixpoint import IterationRun, _g_fast, ensure_prob_matrix
 from percgame.offspring import OffspringDistribution
 
@@ -247,6 +248,19 @@ def test_iterate_rejects_nan_and_negative_tol():
 ])
 def test_out_of_range_solver_values_rejected(call, field):
     with pytest.raises(ValueError, match=field):
+        call(spec_d2(0.875, 0.025))
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: solve(spec, draw_epsilon=1e-8),
+    lambda spec: classify_draw(solve(spec), positive_threshold=1e-6),
+    lambda spec: duration_criterion(solve(spec), positive_threshold=1e-6),
+    lambda spec: find_fixed_points(spec, cluster_radius=1e-6),
+], ids=["draw_epsilon", "classify_positive_threshold", "duration_positive_threshold",
+        "cluster_radius"])
+def test_verdict_thresholds_are_not_keywords(call):
+    # the draw clamp, POSITIVE threshold and merge radius are fixed constants
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
         call(spec_d2(0.875, 0.025))
 
 
