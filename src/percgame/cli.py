@@ -128,43 +128,55 @@ def _ij_rows(n, **columns):
         yield dict(zip(names, ij + row))
 
 
-def _solve(spec: GameSpec, config):
+def _solve(spec, config):
     return fixpoint.solve(spec, tol=config["tol"], max_iter=config["max_iter"])
 
 
-def _fixed_points(spec: GameSpec, config) -> list:
-    return fixpoint.find_fixed_points(spec, tol=config["tol"], max_iter=config["max_iter"])
+def _fixed_points(specs: list, config) -> list:
+    # the seed grid is passed, not defaulted, so that a wrapper counting seeds
+    # (perfbench/spans.py) can count them for a spec list, which has no kappa
+    seeds = fixpoint.default_seed_matrices(specs[0].kappa)
+    return fixpoint.find_fixed_points(specs, seeds, tol=config["tol"], max_iter=config["max_iter"])
 
 
 def _status(result) -> int:
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
-# A row function maps (spec, config) to (one table row, exit status, what else
-# its command prints); `sweep` runs it once per grid cell.
+# A row function maps (specs sharing kappa and offspring law, config) to one (table
+# row, exit status, what else its command prints) per spec.  A command passes its one
+# spec; `sweep` passes the grid cells that share a law, whose solves and fixed-point
+# searches then run as one stack.
 
-def _solve_row(spec: GameSpec, config):
-    result = _solve(spec, config)
-    row = _spec_row(spec)
-    sep = "_" if spec.size >= 10 else ""       # d1_11 and d11_1, not two d111
-    row.update((f"d{i + 1}{sep}{j + 1}", d) for (i, j), d in np.ndenumerate(result.D))
-    return row, _status(result), None
+def _solve_rows(specs: list, config) -> list:
+    out = []
+    for spec, result in zip(specs, _solve(specs, config)):
+        row = _spec_row(spec)
+        sep = "_" if spec.size >= 10 else ""       # d1_11 and d11_1, not two d111
+        row.update((f"d{i + 1}{sep}{j + 1}", d) for (i, j), d in np.ndenumerate(result.D))
+        out.append((row, _status(result), None))
+    return out
 
 
-def _kappa2_row(spec: GameSpec, config):
-    zero = criteria.kappa2_draw_zero(spec.dist, spec.law)
-    return {**_spec_row(spec), "draw_zero": zero}, EXIT_OK, None
+def _kappa2_rows(specs: list, config) -> list:
+    return [({**_spec_row(spec), "draw_zero": criteria.kappa2_draw_zero(spec.dist, spec.law)},
+             EXIT_OK, None) for spec in specs]
 
 
-def _kappa3_row(spec: GameSpec, config):
-    bounds = criteria.kappa3_bounds(spec.dist, spec.law)
-    row = {**_spec_row(spec), "E11": bounds.E[0, 0], "E12": bounds.E[0, 1],
-           "E21": bounds.E[1, 0], "E22": bounds.E[1, 1],
-           "max_E": float(np.max(bounds.E)),
-           "contraction_holds": criteria.kappa3_contraction_holds(bounds)}
-    if config["count_fixed_points"]:
-        row["fixed_point_count"] = len(_fixed_points(spec, config))
-    return row, EXIT_OK, bounds
+def _kappa3_rows(specs: list, config) -> list:
+    counts = ([len(points) for points in _fixed_points(specs, config)]
+              if config["count_fixed_points"] else [None] * len(specs))
+    out = []
+    for spec, count in zip(specs, counts):
+        bounds = criteria.kappa3_bounds(spec.dist, spec.law)
+        row = {**_spec_row(spec), "E11": bounds.E[0, 0], "E12": bounds.E[0, 1],
+               "E21": bounds.E[1, 0], "E22": bounds.E[1, 1],
+               "max_E": float(np.max(bounds.E)),
+               "contraction_holds": criteria.kappa3_contraction_holds(bounds)}
+        if count is not None:
+            row["fixed_point_count"] = count
+        out.append((row, EXIT_OK, bounds))
+    return out
 
 
 def _cmd_solve(config) -> int:
@@ -182,7 +194,7 @@ def _cmd_solve(config) -> int:
 
 def _cmd_fixed_points(config) -> int:
     spec = _build_spec(config)
-    points = _fixed_points(spec, config)
+    points, = _fixed_points([spec], config)
     payload = {"spec": spec.to_json(), "count": len(points),
                "fixed_points": [p.tolist() for p in points]}
     rows = (row for idx, p in enumerate(points) for row in _ij_rows(spec.size, index=idx, value=p))
@@ -192,7 +204,7 @@ def _cmd_fixed_points(config) -> int:
 
 def _cmd_check_kappa2(config) -> int:
     spec = _build_spec(config, kappa=2)
-    row, _, _ = _kappa2_row(spec, config)
+    (row, _, _), = _kappa2_rows([spec], config)
     payload = {"family": spec.dist.to_json(), "p0": row["p0"], "p1": row["p1"],
                "draw_zero": row["draw_zero"]}
     _emit(payload, [row], ["distribution", "p0", "p1", "draw_zero"], config)
@@ -201,7 +213,7 @@ def _cmd_check_kappa2(config) -> int:
 
 def _cmd_check_kappa3(config) -> int:
     spec = _build_spec(config, kappa=3)
-    row, _, bounds = _kappa3_row(spec, config)
+    (row, _, bounds), = _kappa3_rows([spec], config)
     payload = {"spec": spec.to_json(), "A": bounds.A.tolist(), "B": bounds.B.tolist(),
                "E": bounds.E.tolist(), "max_E": row["max_E"],
                "contraction_holds": row["contraction_holds"]}
@@ -269,11 +281,7 @@ def _sweep_tasks(config):
     grid_p1 = config["grid_p1"] or [config["p1"]]
     if None in grid_p0 or None in grid_p1:
         raise CliError("grid-p0/grid-p1: a grid or fixed p0/p1 values are required")
-    grids = config["grid_param"] or []
-    takes = _family_params(config)
-    for name, _ in grids:
-        if name not in takes or name == "pmf":
-            raise CliError(f"grid-param: family {config['family']} takes no parameter {name!r}")
+    grids = config["grid_param"] or []     # names checked by _resolve_config
     names = [name for name, _ in grids]
     tasks = []
     for *values, p0, p1 in itertools.product(*(values for _, values in grids), grid_p0, grid_p1):
@@ -283,22 +291,34 @@ def _sweep_tasks(config):
     return tasks
 
 
-_SWEEP_ROWS = {"solve": (_solve_row, None), "check-kappa2": (_kappa2_row, 2),
-               "check-kappa3": (_kappa3_row, 3)}
+_SWEEP_ROWS = {"solve": (_solve_rows, None), "check-kappa2": (_kappa2_rows, 2),
+               "check-kappa3": (_kappa3_rows, 3)}
 
 
-def _sweep_cell(config, task):
-    """Row and exit status of one grid cell, at the target capital the sweep target forces."""
-    overrides, p0, p1 = task
-    row_fn, kappa = _SWEEP_ROWS[config["what"]]
-    spec = _build_spec({**config, **overrides, "p0": p0, "p1": p1}, kappa)
-    row, status, _ = row_fn(spec, config)
-    return row, status
+def _sweep_cells(config, tasks) -> list:
+    """(row, exit status) per grid cell, at the target capital the sweep target forces;
+    the cells that share an offspring law go to one row-function call."""
+    rows_fn, kappa = _SWEEP_ROWS[config["what"]]
+    specs = [_build_spec({**config, **overrides, "p0": p0, "p1": p1}, kappa)
+             for overrides, p0, p1 in tasks]
+    by_law = {}
+    for idx, spec in enumerate(specs):
+        by_law.setdefault(spec.dist, []).append(idx)
+    cells = [None] * len(specs)
+    for idxs in by_law.values():
+        for idx, (row, status, _) in zip(idxs, rows_fn([specs[i] for i in idxs], config)):
+            cells[idx] = row, status
+    return cells
 
 
 def _cmd_sweep(config) -> int:
     tasks = _sweep_tasks(config)
-    cells = oracle.map_in_processes(functools.partial(_sweep_cell, config), config["jobs"], tasks)
+    # --jobs k: at most k contiguous chunks of cells, one per worker process
+    k = min(config["jobs"], len(tasks))
+    bounds = [len(tasks) * part // k for part in range(k + 1)]
+    chunks = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    parts = oracle.map_in_processes(functools.partial(_sweep_cells, config), k, chunks)
+    cells = [cell for part in parts for cell in part]
     rows = [row for row, _ in cells]
     _emit({"rows": rows}, rows, list(rows[0]), config)
     return max(status for _, status in cells)
@@ -416,7 +436,8 @@ _OPTIONS = {
     "output": _Option(_TEXT, None, _EVERY, "output path; '-' for stdout"),
     "format": _Option(_choice("json", "csv"), "json", _EVERY),
     "count_fixed_points": _Option(_SWITCH, False, {"check-kappa3", "sweep"},
-                                  "also report max E and the number of fixed points found"),
+                                  "also report max E and the number of attracting fixed points "
+                                  "found from the 75-matrix seed grid"),
     "alpha": _Option(_REAL, None, {"check-special"}),
     "horizon": _Option(_INT, 6, {"simulate"}),
     "samples": _Option(_INT, 10000, {"simulate"}),
@@ -430,6 +451,7 @@ _OPTIONS = {
 _ALIASES = {"lam": ("--lambda",)}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="percgame",
                                      description="Percolation games on edge-weighted branching trees")
@@ -487,6 +509,14 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             commands = _OPTIONS[name].commands
             if config["what"] not in commands and not _SWEEP_ROWS.keys().isdisjoint(commands):
                 raise CliError(f"{name}: sweep --what {config['what']} does not read it")
+        replaced = {name: f"grid-{name}" for name in ("p0", "p1") if config[f"grid_{name}"]}
+        for name, _ in config["grid_param"] or []:
+            if name not in _family_params(config) or name == "pmf":
+                raise CliError(f"grid-param: family {config['family']} takes no parameter {name!r}")
+            replaced[name] = f"grid-param {name}"
+        for name, grid in replaced.items():     # nor a flag that a grid replaces
+            if name in flags:
+                raise CliError(f"{name}: sweep --{grid} replaces it in every cell")
     return config
 
 

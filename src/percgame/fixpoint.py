@@ -43,6 +43,10 @@ DEFAULT_POSITIVE_THRESHOLD = 1e-6
 DEFAULT_CLUSTER_RADIUS = 1e-6
 DEFAULT_SEED_GRID_RANDOM = 64
 SEED_GRID_RNG_SEED = 20240817
+# the most matrix entries one stack of specs holds (the rest run in further stacks), so
+# memory stays flat at large kappa; a stack pays at small kappa, where a step costs
+# mostly numpy call overhead
+MAX_STACK_ENTRIES = 2**16
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -237,9 +241,45 @@ class IterationRun:
     w_iterates: Optional[list] = None
 
 
-def iterate_from_below(spec: GameSpec, tol: float = DEFAULT_TOL,
-                       max_iter: int = DEFAULT_MAX_ITER,
-                       keep_iterates: bool = False) -> IterationRun:
+def _spec_stack(spec) -> tuple:
+    """(specs, batched) for one GameSpec or a list of GameSpecs that share kappa and
+    offspring law; a list of other specs is refused with a ValueError."""
+    if isinstance(spec, GameSpec):
+        return [spec], False
+    specs = list(spec)
+    if any(s.kappa != specs[0].kappa or s.dist != specs[0].dist for s in specs):
+        raise ValueError("a list of specs must share kappa and the offspring law")
+    return specs, True
+
+
+def _stacks(specs: list, copies: int):
+    """Consecutive runs of specs, each taking `copies` n x n matrices of a stack, such
+    that a stack holds at most MAX_STACK_ENTRIES entries (and at least one spec)."""
+    per_stack = max(1, MAX_STACK_ENTRIES // (copies * specs[0].size ** 2)) if specs else 1
+    return (specs[lo:lo + per_stack] for lo in range(0, len(specs), per_stack))
+
+
+def _law_columns(specs: list, ndim: int, repeat: int = 1) -> tuple:
+    """p_1, p_0 and p_m1 per stack row, each spec's value `repeat` times, as arrays of
+    shape (rows, 1, ..., 1) that broadcast over an ndim-dimensional stack; a value
+    every spec shares stays a float, the cheaper operand of a ufunc."""
+    columns = []
+    for name in ("p_1", "p_0", "p_minus1"):
+        values = [getattr(s.law, name) for s in specs]
+        if values.count(values[0]) == len(values):
+            columns.append(values[0])
+        else:
+            columns.append(np.repeat(values, repeat).reshape((-1,) + (1,) * (ndim - 1)))
+    return tuple(columns)
+
+
+def _rows(columns: tuple, keep: np.ndarray) -> tuple:
+    """The law columns of the stack rows where keep is True."""
+    return tuple(c if isinstance(c, float) else c[keep] for c in columns)
+
+
+def iterate_from_below(spec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                       keep_iterates: bool = False):
     """Run the alternating loss/win recurrences from the all-zero start.
 
     Each step applies
@@ -254,41 +294,76 @@ def iterate_from_below(spec: GameSpec, tol: float = DEFAULT_TOL,
 
     The pair advances as one stack Z = (ybar, ell), ybar = 1 - w: since
     g(ybar) = ell' and g(ell) = ybar', one operator call gives Z' = g(Z)[::-1].
+    A list of specs sharing kappa and offspring law advances as one stack of
+    such pairs and gives a list of runs; each spec leaves the stack at its own
+    first step below tol, so its run equals the one it gets alone.
     """
     _check_nonnegative(tol=tol, max_iter=max_iter)
-    n = spec.size
-    p1, p0, pm1 = spec.law.p_1, spec.law.p_0, spec.law.p_minus1
-    pgf = spec.dist.pgf
-    Z = np.stack([np.ones((n, n)), np.zeros((n, n))])
-    buffers = _stencil_buffers(Z.shape)
-    step = np.empty(Z.shape)
-    ells = [Z[1].copy()] if keep_iterates else None
-    ws = [np.zeros((n, n))] if keep_iterates else None
-    delta = np.inf
-    converged = False
+    specs, batched = _spec_stack(spec)
+    runs = []
+    for stack in _stacks(specs, 2):
+        runs += _iterate_stack(stack, tol, max_iter, keep_iterates)
+    return runs if batched else runs[0]
+
+
+def _iterate_stack(specs: list, tol: float, max_iter: int, keep_iterates: bool) -> list:
+    """iterate_from_below for one stack of specs, Z of shape (specs, 2, n, n)."""
+    n = specs[0].size
+    pgf = specs[0].dist.pgf
+    laws = _law_columns(specs, 4)
+    Z = np.empty((len(specs), 2, n, n))
+    Z[:, 0] = 1.0
+    Z[:, 1] = 0.0
+    cells = list(range(len(specs)))     # the spec of each stack row
+    runs = [None] * len(specs)
+    ells = [[np.zeros((n, n))] for _ in specs] if keep_iterates else [None] * len(specs)
+    ws = [[np.zeros((n, n))] for _ in specs] if keep_iterates else [None] * len(specs)
+    delta = np.zeros(len(specs))        # what a run that takes no step reports
+
+    def finish(row: int, converged: bool) -> None:
+        cell = cells[row]
+        runs[cell] = IterationRun(ell=Z[row, 1], w=1.0 - Z[row, 0], iterations=it,
+                                  delta=float(delta[row]), converged=converged,
+                                  ell_iterates=ells[cell], w_iterates=ws[cell])
+
     it = 0
-    for it in range(1, max_iter + 1):
-        Z_next = _g_fast(pgf, p1, p0, pm1, Z, buffers)[::-1]
-        np.subtract(Z_next, Z, out=step)
-        step[0] *= -1.0               # both halves now hold increases: of w and of ell
-        low = step.min()
-        if low < -1e-12:
-            raise InternalInconsistencyError("monotone iteration moved backwards")
-        delta = max(step.max(), -low)  # the max-norm change of both
-        Z = Z_next
-        if keep_iterates:
-            ells.append(Z[1].copy())
-            ws.append(1.0 - Z[0])
-        if delta < tol:
-            converged = True
+    while cells:
+        buffers = _stencil_buffers(Z.shape)
+        step = np.empty(Z.shape)
+        w_half, flat = step[:, 0], step.reshape(len(Z), -1)
+        first = it + 1
+        for it in range(first, max_iter + 1):
+            Z_next = _g_fast(pgf, *laws, Z, buffers)[:, ::-1]
+            np.subtract(Z_next, Z, out=step)
+            w_half *= -1.0            # both halves now hold increases: of w and of ell
+            if np.minimum.reduce(flat, None) < -1e-12:
+                raise InternalInconsistencyError("monotone iteration moved backwards")
+            Z = Z_next
+            if keep_iterates:
+                for row, cell in enumerate(cells):
+                    ells[cell].append(Z[row, 1].copy())
+                    ws[cell].append(1.0 - Z[row, 0])
+            # the largest increase bounds a spec's max-norm change from below, so only
+            # a spec whose increases all stay below tol can stop at this step
+            if np.minimum.reduce(np.maximum.reduce(flat, 1)) < tol:
+                delta = np.maximum.reduce(np.abs(flat), 1)   # max-norm change per spec
+                if np.minimum.reduce(delta) < tol:
+                    break
+        else:                           # max_iter steps taken
+            if it >= first:             # report the change of this stack's last step
+                delta = np.maximum.reduce(np.abs(flat), 1)
             break
-    else:
-        if max_iter == 0:
-            converged = True  # degenerate request: the start is the answer
-    if tol == 0.0:
-        converged = True      # fixed-step run, e.g. horizon iterates
-    return IterationRun(ell=Z[1], w=1.0 - Z[0], iterations=it, delta=float(delta) if delta != np.inf else 0.0,
-                        converged=converged, ell_iterates=ells, w_iterates=ws)
+        done = delta < tol
+        for row in np.flatnonzero(done):
+            finish(row, True)
+        keep = ~done
+        Z, delta, laws = Z[keep], delta[keep], _rows(laws, keep)
+        cells = [cell for cell, kept in zip(cells, keep) if kept]
+    for row in range(len(cells)):
+        # a degenerate request (max_iter 0: the start is the answer) and a fixed-step
+        # run (tol 0, e.g. horizon iterates) count as converged
+        finish(row, max_iter == 0 or tol == 0.0)
+    return runs
 
 
 def horizon_iterates(spec: GameSpec, horizon: int):
@@ -324,16 +399,38 @@ class SolveResult:
         }
 
 
-def solve(spec: GameSpec, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
+class SolveResults(list):
+    """The SolveResults of a list-`solve`, in spec order.  `converged` and `iterations`
+    read the list as one result's fields read one spec (every spec converged; the steps
+    of all specs), so a caller that counts results, such as the benchmark's span
+    counter in perfbench/spans.py, reads a list-solve too."""
+
+    @property
+    def converged(self) -> bool:
+        return all(result.converged for result in self)
+
+    @property
+    def iterations(self) -> int:
+        return sum(result.iterations for result in self)
+
+
+def solve(spec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """Compute L, W and the draw matrix D = J - W - L.
 
     Entries of the raw gap no larger than DEFAULT_DRAW_EPSILON are clamped to
     zero: they are indistinguishable from iteration residue.  After
     convergence the extremes are verified to be fixed points of the full
-    operator within 10 * tol.
+    operator within 10 * tol.  A list of specs sharing kappa and offspring law
+    iterates as one stack (iterate_from_below) and gives the list of the
+    results each spec gets alone.
     """
-    run = iterate_from_below(spec, tol=tol, max_iter=max_iter)
+    specs, batched = _spec_stack(spec)
+    runs = iterate_from_below(specs, tol=tol, max_iter=max_iter)
+    results = SolveResults(_solve_result(s, run, tol) for s, run in zip(specs, runs))
+    return results if batched else results[0]
+
+
+def _solve_result(spec: GameSpec, run: IterationRun, tol: float) -> SolveResult:
     L, W = run.ell, run.w
     gap = 1.0 - W - L
     if np.any(gap < -max(10 * tol, 1e-15)):
@@ -357,41 +454,75 @@ def default_seed_matrices(kappa: int, n_random: int = DEFAULT_SEED_GRID_RANDOM) 
     return seeds
 
 
-def find_fixed_points(spec: GameSpec, seeds: Optional[Sequence] = None,
+def find_fixed_points(spec, seeds: Optional[Sequence] = None,
                       tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> list:
     """Locate fixed points of h by iterating from many starting matrices.
 
     Limits closer than DEFAULT_CLUSTER_RADIUS in max-norm are merged.  Seeds
     whose orbit fails to settle within max_iter are dropped with a warning.
     The distinct limits are returned sorted lexicographically by their
-    entries, an order that extends the entrywise partial order.
+    entries, an order that extends the entrywise partial order.  A list of
+    specs sharing kappa and offspring law starts every spec from the same seeds
+    in one stack and gives the list of the points each spec gets alone.
     """
     _check_nonnegative(tol=tol, max_iter=max_iter)
-    if seeds is None:
-        seeds = default_seed_matrices(spec.kappa)
-    if len(seeds) == 0:
-        return []
-    p1, p0, pm1 = spec.law.p_1, spec.law.p_0, spec.law.p_minus1
-    pgf = spec.dist.pgf
-    # one stack of all seeds; a seed freezes at its first h-step changing less than tol
-    X = np.stack([ensure_prob_matrix(seed_matrix, spec.size) for seed_matrix in seeds])
-    active = np.arange(len(X))
+    specs, batched = _spec_stack(spec)
+    if seeds is None and specs:
+        seeds = default_seed_matrices(specs[0].kappa)
+    found = [[] for _ in specs]
+    if specs and len(seeds):
+        starts = np.stack([ensure_prob_matrix(seed_matrix, specs[0].size) for seed_matrix in seeds])
+        found = [points for stack in _stacks(specs, len(starts))
+                 for points in _multi_start(stack, starts, tol, max_iter)]
+    return found if batched else found[0]
+
+
+def _multi_start(specs: list, starts: np.ndarray, tol: float, max_iter: int) -> list:
+    """find_fixed_points for one stack: every spec from every start, a row per pair."""
+    pgf = specs[0].dist.pgf
+    n_seeds = len(starts)
+    laws = _law_columns(specs, 3, repeat=n_seeds)
+    X = np.concatenate([starts] * len(specs))     # spec-major, then seed order
+    settled = np.zeros(len(X), dtype=bool)
+    rows = np.arange(len(X))                      # the row of X each live orbit belongs to
+    live = X
+    buffers = _stencil_buffers(live.shape)
+    # a seed freezes at its first h-step changing less than tol
     for _ in range(max_iter):
-        Xn = _g_fast(pgf, p1, p0, pm1, _g_fast(pgf, p1, p0, pm1, X[active]))
-        moving = ~(np.max(np.abs(Xn - X[active]), axis=(1, 2)) < tol)
-        X[active] = Xn
-        active = active[moving]
-        if not active.size:
+        nxt = _g_fast(pgf, *laws, _g_fast(pgf, *laws, live, buffers), buffers)
+        moving = ~(np.max(np.abs(nxt - live), axis=(1, 2)) < tol)
+        live = nxt
+        if moving.all():
+            continue
+        frozen = rows[~moving]
+        X[frozen] = live[~moving]
+        settled[frozen] = True
+        rows, live, laws = rows[moving], live[moving], _rows(laws, moving)
+        if not rows.size:
             break
-    dropped = active.size
+        buffers = _stencil_buffers(live.shape)
     found = []
-    for F in np.delete(X, active, axis=0):
-        if not any(np.max(np.abs(F - G)) < DEFAULT_CLUSTER_RADIUS for G in found):
-            found.append(F)
-    if dropped:
-        logger.warning("find_fixed_points: dropped %d non-converging seed(s)", dropped)
-    found.sort(key=lambda F: tuple(F.ravel()))
+    for limits, ok in zip(X.reshape((len(specs),) + starts.shape),
+                          settled.reshape(len(specs), n_seeds)):
+        dropped = n_seeds - np.count_nonzero(ok)
+        if dropped:
+            logger.warning("find_fixed_points: dropped %d non-converging seed(s)", dropped)
+        found.append(_merge(limits[ok]))
     return found
+
+
+def _merge(limits: np.ndarray) -> list:
+    """The limits sorted, less each one within DEFAULT_CLUSTER_RADIUS of an earlier
+    kept limit: the greedy merge in seed order, comparing each kept limit with all
+    later ones in one array operation."""
+    kept = []
+    rest = np.arange(len(limits))
+    while rest.size:
+        F = limits[rest[0]]
+        kept.append(F)
+        rest = rest[~(np.max(np.abs(limits[rest] - F), axis=(1, 2)) < DEFAULT_CLUSTER_RADIUS)]
+    kept.sort(key=lambda F: tuple(F.ravel()))
+    return kept
 
 
 def classify_draw(result: SolveResult) -> np.ndarray:

@@ -36,9 +36,11 @@ def _check_unit_interval(x: ArrayLike) -> ArrayLike:
     augmented assignments on the result serve every kind of argument.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.size and not (arr.min() >= -_PGF_DOMAIN_SLACK and arr.max() <= 1.0 + _PGF_DOMAIN_SLACK):
+    # the ufunc reductions and the clip method, not their np.* wrappers: this runs every step
+    if arr.size and not (np.minimum.reduce(arr, None) >= -_PGF_DOMAIN_SLACK
+                         and np.maximum.reduce(arr, None) <= 1.0 + _PGF_DOMAIN_SLACK):
         raise DistributionError(f"pgf argument outside [0, 1]: {x!r}")
-    clipped = np.clip(arr, 0.0, 1.0)
+    clipped = arr.clip(0.0, 1.0)
     return clipped if isinstance(x, np.ndarray) else float(clipped)
 
 

@@ -279,9 +279,43 @@ def test_sweep_flags_its_target_does_not_read_exit_2(capsys, argv, field):
     assert err == f"error: {field}: sweep --what {argv[1]} does not read it\n"
 
 
+@pytest.mark.parametrize("grid, flags, field, replaced_by", [
+    (("--grid-p0", "0.8", "--grid-p1", "0.1"), ("--p0", "0.3", "--p1", "0.6"), "p0", "grid-p0"),
+    (("--grid-p0", "0.8", "--grid-p1", "0.1"), ("--p1", "0.6"), "p1", "grid-p1"),
+    (("--p0", "0.8", "--p1", "0.1", "--grid-param", "lam=2"), ("--lam", "9"), "lam",
+     "grid-param lam"),
+    (("--p0", "0.8", "--p1", "0.1", "--grid-param", "lam=2"), ("--lambda", "9"), "lam",
+     "grid-param lam"),
+], ids=["p0 and p1", "p1", "lam", "lambda"])
+def test_sweep_flag_a_grid_replaces_exits_2(capsys, tmp_path, grid, flags, field, replaced_by):
+    # these pairs once printed the grid's bytes and exited 0, the flag ignored
+    sweep = ["sweep", "--what", "check-kappa2", "--family", "poisson", "--format", "csv", *grid]
+    if "--grid-param" not in grid:
+        sweep += ["--lam", "5"]
+    code, out, _ = run_cli(capsys, *sweep)
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, *sweep, *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: {field}: sweep --{replaced_by} replaces it in every cell\n"
+    # a config-file value that a grid replaces stays accepted, like any config field
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({field: 0.3 if field != "lam" else 9}), encoding="utf-8")
+    assert run_cli(capsys, *sweep, "--config", str(conf))[0] == 0
+
+
+def test_parser_built_once_and_parses_afresh(capsys):
+    from percgame.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    argv = ["check-kappa2", "--family", "poisson", "--lam", "2", "--p0", "0.95", "--p1", "0.03"]
+    first = _build_parser().parse_args(argv)
+    second = _build_parser().parse_args(argv[:5] + ["--p0", "0.5", "--p1", "0.03"])
+    assert first is not second and (first.p0, second.p0) == (0.95, 0.5)
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
+
+
 def test_sweep_takes_its_target_flags_and_any_config_field(capsys, tmp_path):
     # check-kappa3 reads tol only with --count-fixed-points, and is still offered it
-    sweep = ["sweep", "--what", "check-kappa3", *LAW_POINT, "--grid-p0", "0.8",
+    sweep = ["sweep", "--what", "check-kappa3", *LAW_POINT[:4], "--grid-p0", "0.8",
              "--grid-p1", "0.05", "--format", "csv"]
     code, out, _ = run_cli(capsys, *sweep, "--tol", "1e-10", "--jobs", "1")
     assert (code, out) == run_cli(capsys, *sweep)[:2]

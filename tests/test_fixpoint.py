@@ -10,6 +10,7 @@ from percgame import (Binomial, Dirac, EdgeWeightLaw, Explicit, GameSpec,
                       classify_draw, default_seed_matrices, duration_criterion,
                       find_fixed_points, geometric, horizon_iterates, iterate_from_below,
                       solve, weight_matrix)
+from percgame import fixpoint
 from percgame.fixpoint import IterationRun, _g_fast, ensure_prob_matrix
 from percgame.offspring import OffspringDistribution
 
@@ -440,6 +441,109 @@ def test_find_fixed_points_edge_cases(caplog):
     by_position, by_keyword = find_fixed_points(spec, seeds), find_fixed_points(spec, seeds=seeds)
     assert len(by_position) == len(by_keyword) > 0
     assert all(map(np.array_equal, by_position, by_keyword))
+
+
+def reference_merge(limits):
+    """The merge as a Python loop over pairs: keep a limit unless a kept one is within
+    the radius, then sort."""
+    found = []
+    for F in limits:
+        if not any(np.max(np.abs(F - G)) < fixpoint.DEFAULT_CLUSTER_RADIUS for G in found):
+            found.append(F)
+    found.sort(key=lambda F: tuple(F.ravel()))
+    return found
+
+
+def test_merge_equals_pairwise_reference():
+    radius = fixpoint.DEFAULT_CLUSTER_RADIUS
+    # a chain 0.6 radius apart: the greedy order keeps 0, 1.2, 2.4, ... and not 0.6, 1.8, ...
+    chain = np.arange(8)[:, None, None] * 0.6 * radius + np.zeros((1, 2, 2))
+    rng = np.random.default_rng(3)
+    clusters = (rng.integers(0, 4, 200)[:, None, None] * 0.3
+                + rng.uniform(-1.5, 1.5, (200, 2, 2)) * radius)
+    for limits in (chain, chain[::-1], clusters, chain[:0]):
+        got, expected = fixpoint._merge(limits), reference_merge(limits)
+        assert len(got) == len(expected)
+        assert all(map(np.array_equal, got, expected))
+    assert len(fixpoint._merge(chain)) == 4
+
+
+def grid_specs(kappa, dist, p0s=(0.3, 0.6, 0.75, 0.9), p1s=(0.02, 0.05, 0.1)):
+    return [GameSpec(kappa, dist, EdgeWeightLaw.from_p0_p1(p0, p1)) for p0 in p0s for p1 in p1s]
+
+
+SOLVE_FIELDS = ("L", "W", "D", "gap", "iterations", "residual", "converged", "tol", "spec")
+
+
+def assert_same_results(got, expected):
+    assert len(got) == len(expected)
+    for mine, theirs in zip(got, expected):
+        for field in SOLVE_FIELDS:
+            a, b = getattr(mine, field), getattr(theirs, field)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field
+
+
+@pytest.mark.parametrize("kappa", (2, 3, 5))
+@pytest.mark.parametrize("dist", FAMILIES.values(), ids=FAMILIES.keys())
+def test_list_solve_equals_per_spec_solve(dist, kappa):
+    specs = grid_specs(kappa, dist)
+    for kwargs in ({}, {"max_iter": 5}, {"max_iter": 0}, {"tol": 1e-6}):
+        got = solve(specs, **kwargs)
+        assert_same_results(got, [solve(spec, **kwargs) for spec in specs])
+        assert got.converged == all(r.converged for r in got)
+        assert got.iterations == sum(r.iterations for r in got)
+    assert solve([]) == []
+
+
+def test_list_iteration_keeps_each_specs_iterates():
+    specs = grid_specs(4, Poisson(5.0))
+    for kwargs in ({"tol": 0.0, "max_iter": 9, "keep_iterates": True},
+                   {"max_iter": 40, "keep_iterates": True}, {"max_iter": 4000}):
+        for got, spec in zip(iterate_from_below(specs, **kwargs), specs, strict=True):
+            assert_same_run(got, iterate_from_below(spec, **kwargs))
+
+
+def test_list_solve_splits_at_the_stack_cap(monkeypatch):
+    specs = grid_specs(3, Binomial(10, 0.6))
+    expected = solve(specs)
+    monkeypatch.setattr(fixpoint, "MAX_STACK_ENTRIES", 3 * 2 * 4)   # three kappa=3 specs
+    assert_same_results(solve(specs), expected)
+    monkeypatch.setattr(fixpoint, "MAX_STACK_ENTRIES", 1)           # at least one spec each
+    assert_same_results(solve(specs), expected)
+
+
+@pytest.mark.parametrize("specs", [
+    [spec_d2(0.9, 0.05), spec_d2(0.9, 0.05, kappa=4)],
+    [spec_d2(0.9, 0.05), GameSpec(3, Dirac(3), EdgeWeightLaw.from_p0_p1(0.9, 0.05))],
+    [spec_d2(0.9, 0.05), GameSpec(3, Poisson(2.0), EdgeWeightLaw.from_p0_p1(0.9, 0.05))],
+], ids=["mixed kappa", "mixed m", "mixed family"])
+def test_list_of_mixed_specs_is_refused(specs):
+    for call in (solve, find_fixed_points, iterate_from_below):
+        with pytest.raises(ValueError, match="share kappa and the offspring law"):
+            call(specs)
+
+
+@pytest.mark.parametrize("dist", [Poisson(5.0), Dirac(2), Binomial(10, 0.6)], ids=repr)
+def test_list_find_fixed_points_equals_per_spec(dist, caplog, monkeypatch):
+    specs = grid_specs(3, dist, p0s=(0.3, 0.75, 0.875, 0.9), p1s=(0.025, 0.05))
+    for kwargs in ({}, {"max_iter": 40}):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="percgame.fixpoint"):
+            expected = [find_fixed_points(spec, **kwargs) for spec in specs]
+            warnings = dropped_counts(caplog)
+            caplog.clear()
+            got = find_fixed_points(specs, **kwargs)
+        assert dropped_counts(caplog) == warnings      # one warning per spec that dropped seeds
+        for mine, theirs in zip(got, expected, strict=True):
+            assert len(mine) == len(theirs)
+            assert all(map(np.array_equal, mine, theirs))
+        monkeypatch.setattr(fixpoint, "MAX_STACK_ENTRIES", 2 * 75 * 4)   # two specs a stack
+        split = find_fixed_points(specs, **kwargs)
+        monkeypatch.undo()
+        for mine, theirs in zip(split, expected, strict=True):
+            assert len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
+    assert any(len(points) > 1 for points in expected)
+    assert find_fixed_points([]) == [] and find_fixed_points(specs, []) == [[]] * len(specs)
 
 
 def test_dropped_seed_warning_format(caplog):
