@@ -11,7 +11,7 @@ from .offspring import (Binomial, Dirac, DistributionError, Explicit, NegBinomia
                         OffspringDistribution, Poisson, TwoPoint, UniformRange,
                         distribution_from_json, geometric)
 from .fixpoint import (EdgeWeightLaw, GameSpec, InternalInconsistencyError,
-                       IterationRun, SolveResult, Verdict, apply_f, apply_g, apply_h,
+                       IterationRun, SolveResult, Verdict, apply_g, apply_h,
                        classify_draw, default_seed_matrices, find_fixed_points,
                        horizon_iterates, iterate_from_below, solve, weight_matrix)
 from .criteria import (DurationReport, Kappa3Bounds, UnsupportedFamilyError,
@@ -27,7 +27,7 @@ __all__ = [
     "OffspringDistribution", "Poisson", "TwoPoint", "UniformRange",
     "distribution_from_json", "geometric",
     "EdgeWeightLaw", "GameSpec", "InternalInconsistencyError", "IterationRun",
-    "SolveResult", "Verdict", "apply_f", "apply_g", "apply_h", "classify_draw",
+    "SolveResult", "Verdict", "apply_g", "apply_h", "classify_draw",
     "default_seed_matrices", "find_fixed_points", "horizon_iterates",
     "iterate_from_below", "solve", "weight_matrix",
     "DurationReport", "Kappa3Bounds", "UnsupportedFamilyError", "duration_criterion",

@@ -175,7 +175,8 @@ def _kappa3_rows(specs: list, config) -> list:
                "contraction_holds": criteria.kappa3_contraction_holds(bounds)}
         if count is not None:
             row["fixed_point_count"] = count
-        out.append((row, EXIT_OK, bounds))
+        # h always has the fixed point L, so a search that finds none did not converge
+        out.append((row, EXIT_NONCONVERGENCE if count == 0 else EXIT_OK, bounds))
     return out
 
 
@@ -199,7 +200,7 @@ def _cmd_fixed_points(config) -> int:
                "fixed_points": [p.tolist() for p in points]}
     rows = (row for idx, p in enumerate(points) for row in _ij_rows(spec.size, index=idx, value=p))
     _emit(payload, rows, ["index", "i", "j", "value"], config)
-    return EXIT_OK
+    return EXIT_OK if points else EXIT_NONCONVERGENCE   # as in _kappa3_rows
 
 
 def _cmd_check_kappa2(config) -> int:
@@ -213,7 +214,7 @@ def _cmd_check_kappa2(config) -> int:
 
 def _cmd_check_kappa3(config) -> int:
     spec = _build_spec(config, kappa=3)
-    (row, _, bounds), = _kappa3_rows([spec], config)
+    (row, status, bounds), = _kappa3_rows([spec], config)
     payload = {"spec": spec.to_json(), "A": bounds.A.tolist(), "B": bounds.B.tolist(),
                "E": bounds.E.tolist(), "max_E": row["max_E"],
                "contraction_holds": row["contraction_holds"]}
@@ -222,7 +223,7 @@ def _cmd_check_kappa3(config) -> int:
         payload["fixed_point_count"] = row["fixed_point_count"]
         header = header[:-1] + ["max_E", "fixed_point_count", "contraction_holds"]
     _emit(payload, [row], header, config)
-    return EXIT_OK
+    return status
 
 
 def _cmd_check_special(config) -> int:
@@ -255,9 +256,7 @@ def _cmd_duration(config) -> int:
         return EXIT_NONCONVERGENCE
     report = criteria.duration_criterion(result)
     payload = {"spec": spec.to_json(), "report": report.to_json_dict()}
-    n = spec.size
-    rows = _ij_rows(n, alpha=report.alpha, beta=report.beta,
-                    row_sum=np.reshape(list(report.row_sums.values()), (n, n)),
+    rows = _ij_rows(spec.size, alpha=report.alpha, beta=report.beta, row_sum=report.row_sums,
                     draws_zero=report.draws_zero, criterion_holds=report.criterion_holds)
     _emit(payload, rows, ["i", "j", "alpha", "beta", "row_sum", "draws_zero", "criterion_holds"], config)
     return EXIT_OK
@@ -277,7 +276,7 @@ def _cmd_simulate(config) -> int:
 
 def _sweep_tasks(config):
     """(parameter overrides, p0, p1) per grid cell; the first grid parameter varies slowest."""
-    grid_p0 = config["grid_p0"] or [config["p0"]]
+    grid_p0 = config["grid_p0"] or [config["p0"]]    # an empty grid was refused by _resolve_config
     grid_p1 = config["grid_p1"] or [config["p1"]]
     if None in grid_p0 or None in grid_p1:
         raise CliError("grid-p0/grid-p1: a grid or fixed p0/p1 values are required")
@@ -509,12 +508,14 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             commands = _OPTIONS[name].commands
             if config["what"] not in commands and not _SWEEP_ROWS.keys().isdisjoint(commands):
                 raise CliError(f"{name}: sweep --what {config['what']} does not read it")
-        replaced = {name: f"grid-{name}" for name in ("p0", "p1") if config[f"grid_{name}"]}
+        replaced = {name: f"grid-{name}" for name in ("p0", "p1") if config[f"grid_{name}"] is not None}
         for name, _ in config["grid_param"] or []:
             if name not in _family_params(config) or name == "pmf":
                 raise CliError(f"grid-param: family {config['family']} takes no parameter {name!r}")
             replaced[name] = f"grid-param {name}"
-        for name, grid in replaced.items():     # nor a flag that a grid replaces
+        for name, grid in replaced.items():     # nor a flag that a grid replaces, nor an empty grid
+            if config.get(f"grid_{name}") == []:
+                raise CliError(f"{grid}: at least one value expected")
             if name in flags:
                 raise CliError(f"{name}: sweep --{grid} replaces it in every cell")
     return config

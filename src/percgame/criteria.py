@@ -16,7 +16,6 @@ Four groups of tests:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -221,7 +220,7 @@ class DurationReport:
 
     alpha: np.ndarray
     beta: np.ndarray
-    row_sums: dict
+    row_sums: np.ndarray
     criterion_holds: bool
     draws_zero: bool
 
@@ -229,7 +228,7 @@ class DurationReport:
         return {
             "alpha": self.alpha.tolist(),
             "beta": self.beta.tolist(),
-            "row_sums": {f"{i},{j}": v for (i, j), v in sorted(self.row_sums.items())},
+            "row_sums": {f"{i + 1},{j + 1}": float(v) for (i, j), v in np.ndenumerate(self.row_sums)},
             "criterion_holds": self.criterion_holds,
             "draws_zero": self.draws_zero,
         }
@@ -274,9 +273,8 @@ def duration_criterion(result: SolveResult) -> DurationReport:
     Gp_beta = np.pad(Gp(beta), 1)
     Gp_alpha_T = np.pad(Gp(alpha).T, ((0, 0), (1, 1)))
     weights = (p1, p0, pm1)
-    sums = sum(Gp_beta[a:a + n, b:b + n] * Gp_alpha_T[:, b:b + n] * weights[a] * weights[b]
-               for a in range(3) for b in range(3))
-    row_sums = dict(zip(itertools.product(range(1, n + 1), repeat=2), sums.ravel().tolist()))
-    criterion_holds = draws_zero and bool(np.all(sums < 1.0))
+    row_sums = sum(Gp_beta[a:a + n, b:b + n] * Gp_alpha_T[:, b:b + n] * weights[a] * weights[b]
+                   for a in range(3) for b in range(3))
+    criterion_holds = draws_zero and bool(np.all(row_sums < 1.0))
     return DurationReport(alpha=alpha, beta=beta, row_sums=row_sums,
                           criterion_holds=criterion_holds, draws_zero=draws_zero)

@@ -152,14 +152,6 @@ def weight_matrix(spec: GameSpec) -> np.ndarray:
     return P
 
 
-def apply_f(dist: OffspringDistribution, A) -> np.ndarray:
-    """Apply the generating function entrywise."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return np.asarray(dist.pgf(np.clip(A, 0.0, 1.0)))
-
-
 def _stencil_buffers(shape: tuple) -> tuple:
     """Working arrays of _edge_mix for inputs of `shape` (..., n, n): views of one
     padded array whose boundary columns already hold 1 and 0 (columns 0..n-1,
@@ -224,8 +216,8 @@ def apply_h(spec: GameSpec, X) -> np.ndarray:
     e1_col = np.zeros((n, n))
     e1_col[:, 0] = 1.0   # 1 e1^T
     pm1 = spec.law.p_minus1
-    inner = apply_f(spec.dist, pm1 * e1_col + (J - X) @ P.T)
-    return apply_f(spec.dist, pm1 * e1_row + P @ (J - inner))
+    inner = spec.dist.pgf(pm1 * e1_col + (J - X) @ P.T)
+    return spec.dist.pgf(pm1 * e1_row + P @ (J - inner))
 
 
 @dataclass
@@ -237,8 +229,6 @@ class IterationRun:
     iterations: int
     delta: float
     converged: bool
-    ell_iterates: Optional[list] = None
-    w_iterates: Optional[list] = None
 
 
 def _spec_stack(spec) -> tuple:
@@ -278,8 +268,7 @@ def _rows(columns: tuple, keep: np.ndarray) -> tuple:
     return tuple(c if isinstance(c, float) else c[keep] for c in columns)
 
 
-def iterate_from_below(spec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                       keep_iterates: bool = False):
+def iterate_from_below(spec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """Run the alternating loss/win recurrences from the all-zero start.
 
     Each step applies
@@ -302,11 +291,11 @@ def iterate_from_below(spec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     specs, batched = _spec_stack(spec)
     runs = []
     for stack in _stacks(specs, 2):
-        runs += _iterate_stack(stack, tol, max_iter, keep_iterates)
+        runs += _iterate_stack(stack, tol, max_iter)
     return runs if batched else runs[0]
 
 
-def _iterate_stack(specs: list, tol: float, max_iter: int, keep_iterates: bool) -> list:
+def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
     """iterate_from_below for one stack of specs, Z of shape (specs, 2, n, n)."""
     n = specs[0].size
     pgf = specs[0].dist.pgf
@@ -316,15 +305,11 @@ def _iterate_stack(specs: list, tol: float, max_iter: int, keep_iterates: bool) 
     Z[:, 1] = 0.0
     cells = list(range(len(specs)))     # the spec of each stack row
     runs = [None] * len(specs)
-    ells = [[np.zeros((n, n))] for _ in specs] if keep_iterates else [None] * len(specs)
-    ws = [[np.zeros((n, n))] for _ in specs] if keep_iterates else [None] * len(specs)
     delta = np.zeros(len(specs))        # what a run that takes no step reports
 
     def finish(row: int, converged: bool) -> None:
-        cell = cells[row]
-        runs[cell] = IterationRun(ell=Z[row, 1], w=1.0 - Z[row, 0], iterations=it,
-                                  delta=float(delta[row]), converged=converged,
-                                  ell_iterates=ells[cell], w_iterates=ws[cell])
+        runs[cells[row]] = IterationRun(ell=Z[row, 1], w=1.0 - Z[row, 0], iterations=it,
+                                        delta=float(delta[row]), converged=converged)
 
     it = 0
     while cells:
@@ -339,10 +324,6 @@ def _iterate_stack(specs: list, tol: float, max_iter: int, keep_iterates: bool) 
             if np.minimum.reduce(flat, None) < -1e-12:
                 raise InternalInconsistencyError("monotone iteration moved backwards")
             Z = Z_next
-            if keep_iterates:
-                for row, cell in enumerate(cells):
-                    ells[cell].append(Z[row, 1].copy())
-                    ws[cell].append(1.0 - Z[row, 0])
             # the largest increase bounds a spec's max-norm change from below, so only
             # a spec whose increases all stay below tol can stop at this step
             if np.minimum.reduce(np.maximum.reduce(flat, 1)) < tol:
@@ -367,11 +348,11 @@ def _iterate_stack(specs: list, tol: float, max_iter: int, keep_iterates: bool) 
 
 
 def horizon_iterates(spec: GameSpec, horizon: int):
-    """Exact finite-horizon probabilities ell^(n), w^(n) for n = 0..horizon."""
+    """Exact finite-horizon ell^(n), w^(n), n = 0..horizon: iterate_from_below's n-step runs."""
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    run = iterate_from_below(spec, tol=0.0, max_iter=horizon, keep_iterates=True)
-    return run.ell_iterates, run.w_iterates
+    runs = [iterate_from_below(spec, tol=0.0, max_iter=n) for n in range(horizon + 1)]
+    return [run.ell for run in runs], [run.w for run in runs]
 
 
 @dataclass
@@ -444,13 +425,13 @@ def _solve_result(spec: GameSpec, run: IterationRun, tol: float) -> SolveResult:
                        residual=residual, converged=converged, tol=tol)
 
 
-def default_seed_matrices(kappa: int, n_random: int = DEFAULT_SEED_GRID_RANDOM) -> list:
+def default_seed_matrices(kappa: int) -> list:
     """Multi-start grid: all-zeros, all-ones, constant levels, random matrices."""
     n = kappa - 1
     seeds = [np.zeros((n, n)), np.ones((n, n))]
     seeds += [np.full((n, n), c) for c in np.arange(0.1, 0.95, 0.1)]
     rng = np.random.default_rng(SEED_GRID_RNG_SEED)
-    seeds += [rng.random((n, n)) for _ in range(n_random)]
+    seeds += [rng.random((n, n)) for _ in range(DEFAULT_SEED_GRID_RANDOM)]
     return seeds
 
 

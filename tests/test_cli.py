@@ -326,11 +326,25 @@ def test_sweep_takes_its_target_flags_and_any_config_field(capsys, tmp_path):
     assert run_cli(capsys, *sweep, "--config", str(conf))[:2] == (0, out)
 
 
-def test_sweep_rejects_invalid_grid(capsys):
+def test_sweep_rejects_invalid_grid(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sweep", "--what", "solve", "--family", "dirac",
                            "--m", "2", "--grid-p0", "0.9", "--grid-p1", "0.2")
     assert code == 2
     assert "grid" in err
+    # an empty p0 or p1 grid, from a flag or a config file, is not a fixed p0 or p1
+    point = ["sweep", "--what", "check-kappa2", "--family", "poisson", "--lam", "5"]
+    for argv, field in ((["--p0", "0.5", "--p1", "0.1", "--grid-p0", ","], "grid-p0"),
+                        (["--p0", "0.5", "--p1", "0.1", "--grid-p1", ""], "grid-p1"),
+                        (["--grid-p0", "0.5", "--grid-p1", ","], "grid-p1")):
+        code, out, err = run_cli(capsys, *point, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {field}: at least one value expected\n"
+    for grids, field in (({"grid_p0": []}, "grid-p0"), ({"grid_p1": [], "grid_p0": [0.5]}, "grid-p1")):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"p0": 0.5, "p1": 0.1, **grids}), encoding="utf-8")
+        code, out, err = run_cli(capsys, *point, "--config", str(conf))
+        assert (code, out) == (2, ""), grids
+        assert err == f"error: {field}: at least one value expected\n"
 
 
 def test_validation_errors_name_the_field(capsys, tmp_path):
@@ -545,6 +559,20 @@ def test_nonconvergence_exit_code(capsys):
     assert len(rows) == 4
     assert all(sorted(row) == ["d11", "d12", "d21", "d22", "distribution", "p0", "p1"]
                for row in rows)
+    # h always has the fixed point L, so a search that finds none did not converge;
+    # the table still prints its zero count
+    search = ["--family", "poisson", "--lam", "5", "--p0", "0.8", "--p1", "0.1", "--max-iter", "5"]
+    code, out, _ = run_cli(capsys, "fixed-points", *search, "--kappa", "3")
+    assert code == 3
+    assert (json.loads(out)["count"], json.loads(out)["fixed_points"]) == (0, [])
+    code, out, _ = run_cli(capsys, "check-kappa3", *search, "--count-fixed-points")
+    assert code == 3
+    assert json.loads(out)["fixed_point_count"] == 0
+    code, out, _ = run_cli(capsys, "sweep", "--what", "check-kappa3", *search[:4],
+                           "--grid-p0", "0.8", "--grid-p1", "0.1", "--max-iter", "5",
+                           "--count-fixed-points")
+    assert code == 3
+    assert json.loads(out)["rows"][0]["fixed_point_count"] == 0
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):

@@ -91,9 +91,13 @@ def test_cli_stdout_is_byte_identical(capsys, argv, status, digest):
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (status, digest)
 
 
-def test_kappa12_sweep_keeps_every_draw_column(capsys):
-    assert main(KAPPA12_SWEEP.split()) == 0
+@pytest.mark.parametrize("kappa", (10, 11, 12))
+def test_solve_sweep_keeps_every_draw_column(capsys, kappa):
+    # the columns are d{i}_{j} once a capital has two digits, from kappa = 11 on
+    assert main(KAPPA12_SWEEP.replace("--kappa 12", f"--kappa {kappa}").split()) == 0
     header = capsys.readouterr().out.split("\r\n")[0].split(",")
-    assert len(header) == len(set(header)) == 3 + 11 ** 2
-    assert header[:4] == ["distribution", "p0", "p1", "d1_1"]
-    assert {"d1_11", "d11_1", "d11_11"} <= set(header)
+    n = kappa - 1
+    sep = "_" if kappa >= 11 else ""
+    assert len(header) == len(set(header)) == 3 + n ** 2
+    assert header[:4] == ["distribution", "p0", "p1", f"d1{sep}1"]
+    assert {f"d1{sep}{n}", f"d{n}{sep}1", f"d{n}{sep}{n}"} <= set(header)

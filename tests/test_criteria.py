@@ -299,7 +299,7 @@ def _independent_duration(spec, result):
     def beta(i, j):
         return pm1 * (1 - lv(j, i - 1)) + p0 * (1 - lv(j, i)) + p1 * (1 - lv(j, i + 1))
 
-    sums = {}
+    sums = np.empty((k - 1, k - 1))
     for ip in range(1, k):
         for jp in range(1, k):
             total = 0.0
@@ -308,7 +308,7 @@ def _independent_duration(spec, result):
                     if abs(ip - s) <= 1 and abs(jp - t) <= 1:
                         total += (Gp(beta(s, t)) * Gp(alpha(t, ip))
                                   * prob[ip - s] * prob[jp - t])
-            sums[(ip, jp)] = total
+            sums[ip - 1, jp - 1] = total
     idx = range(1, k)
     return (np.array([[alpha(i, j) for j in idx] for i in idx]),
             np.array([[beta(i, j) for j in idx] for i in idx]), sums)
@@ -351,7 +351,7 @@ def reference_duration_criterion(spec, result):
     probs = {-1: pm1, 0: p0, 1: p1}
     Gp_beta = Gp(beta)
     Gp_alpha = Gp(alpha)
-    row_sums = {}
+    row_sums = np.empty((n, n))
     for ip in range(1, k):
         for jp in range(1, k):
             total = 0.0
@@ -359,14 +359,14 @@ def reference_duration_criterion(spec, result):
                 for t in range(max(1, jp - 1), min(k - 1, jp + 1) + 1):
                     total += (Gp_beta[s - 1, t - 1] * Gp_alpha[t - 1, ip - 1]
                               * probs[ip - s] * probs[jp - t])
-            row_sums[(ip, jp)] = float(total)
-    criterion_holds = draws_zero and all(v < 1.0 for v in row_sums.values())
+            row_sums[ip - 1, jp - 1] = total
+    criterion_holds = draws_zero and bool(np.all(row_sums < 1.0))
     return DurationReport(alpha=alpha, beta=beta, row_sums=row_sums,
                           criterion_holds=criterion_holds, draws_zero=draws_zero)
 
 
 def assert_duration_matches_reference(spec):
-    """Same report as the reference, float for float and key for key, or the
+    """Same report as the reference, float for float and entry for entry, or the
     same InternalInconsistencyError; returns (draws_zero, criterion_holds)."""
     r = solve(spec)
     assert r.converged
@@ -379,7 +379,7 @@ def assert_duration_matches_reference(spec):
     got = duration_criterion(r)
     assert np.array_equal(got.alpha, expected.alpha)
     assert np.array_equal(got.beta, expected.beta)
-    assert list(got.row_sums.items()) == list(expected.row_sums.items())
+    assert np.array_equal(got.row_sums, expected.row_sums)
     assert got.draws_zero == expected.draws_zero
     assert got.criterion_holds == expected.criterion_holds
     return got.draws_zero, got.criterion_holds
@@ -422,12 +422,11 @@ def test_duration_zero_draw_case():
         alpha, beta, expected = _independent_duration(spec, r)
         assert np.array_equal(report.alpha, alpha)
         assert np.array_equal(report.beta, beta)
-        assert list(report.row_sums) == list(expected)
-        for key, value in expected.items():
-            assert report.row_sums[key] == pytest.approx(value, rel=1e-9)
+        assert report.row_sums.shape == expected.shape
+        assert report.row_sums == pytest.approx(expected, rel=1e-9)
         if kappa == 3:
-            assert report.row_sums[(2, 2)] > 1.0
-            assert report.row_sums[(1, 2)] < 1.0
+            assert report.row_sums[1, 1] > 1.0
+            assert report.row_sums[0, 1] < 1.0
 
 
 def _gap_result(spec, gap):
@@ -471,7 +470,7 @@ def test_duration_positive_draws_disable_certificate():
     report = duration_criterion(r)
     assert not report.draws_zero
     assert not report.criterion_holds
-    assert report.row_sums  # diagnostics still present
+    assert report.row_sums.shape == (2, 2)  # diagnostics still present
 
 
 def test_duration_certificate_holds_somewhere():
@@ -481,7 +480,7 @@ def test_duration_certificate_holds_somewhere():
     report = duration_criterion(r)
     assert report.draws_zero
     assert report.criterion_holds
-    assert all(v < 1 for v in report.row_sums.values())
+    assert np.all(report.row_sums < 1)
 
 
 def test_duration_kappa2_reduction():
@@ -491,13 +490,17 @@ def test_duration_kappa2_reduction():
     assert report.draws_zero
     Gp = spec.dist.pgf_derivative
     beta11 = float(report.beta[0, 0])
-    assert report.row_sums[(1, 1)] == pytest.approx(
+    assert report.row_sums[0, 0] == pytest.approx(
         Gp(beta11) ** 2 * spec.law.p_0 ** 2, rel=1e-9)
 
 
 def test_duration_report_serialization():
     spec = GameSpec(3, Dirac(2), EdgeWeightLaw.from_p0_p1(0.8, 0.15))
     r = solve(spec, tol=1e-13)
-    obj = duration_criterion(r).to_json_dict()
+    report = duration_criterion(r)
+    obj = report.to_json_dict()
     assert set(obj) == {"alpha", "beta", "row_sums", "criterion_holds", "draws_zero"}
     assert "2,2" in obj["row_sums"]
+    # the "i,j" keys of the 1-based capital pairs, in row-major order
+    assert list(obj["row_sums"]) == ["1,1", "1,2", "2,1", "2,2"]
+    assert list(obj["row_sums"].values()) == report.row_sums.ravel().tolist()

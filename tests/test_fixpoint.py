@@ -1,12 +1,14 @@
+import dataclasses
 import inspect
 import logging
 
 import numpy as np
 import pytest
 
+import percgame
 from percgame import (Binomial, Dirac, EdgeWeightLaw, Explicit, GameSpec,
                       InternalInconsistencyError, NegBinomial, Poisson, SolveResult,
-                      TwoPoint, UniformRange, Verdict, apply_f, apply_g, apply_h,
+                      TwoPoint, UniformRange, Verdict, apply_g, apply_h,
                       classify_draw, default_seed_matrices, duration_criterion,
                       find_fixed_points, geometric, horizon_iterates, iterate_from_below,
                       solve, weight_matrix)
@@ -79,16 +81,16 @@ def test_weight_matrix_layout():
     np.testing.assert_allclose(P, expected)
 
 
-def test_apply_f_basics():
+def test_pgf_on_matrices_basics():
     zeros = np.zeros((2, 2))
     ones = np.ones((2, 2))
-    np.testing.assert_allclose(apply_f(Dirac(2), zeros), zeros)
+    np.testing.assert_allclose(Dirac(2).pgf(zeros), zeros)
     for dist in (Dirac(2), Poisson(5.0), geometric(0.5)):
-        np.testing.assert_allclose(apply_f(dist, ones), ones, atol=1e-12)
-    out = apply_f(Poisson(5.0), np.full((2, 2), 0.35))
+        np.testing.assert_allclose(dist.pgf(ones), ones, atol=1e-12)
+    out = Poisson(5.0).pgf(np.full((2, 2), 0.35))
     np.testing.assert_allclose(out, np.exp(5 * (0.35 - 1)), rtol=1e-12)
     with pytest.raises(ValueError):
-        apply_f(Dirac(2), np.zeros((2, 3)))
+        apply_h(spec_d2(0.8, 0.1), np.zeros((2, 3)))
 
 
 def test_apply_g_kappa2_scalar_form():
@@ -156,8 +158,9 @@ def test_h_monotone_on_ordered_pairs(spec):
         assert np.all(h2 <= h1 + 1e-14)
 
 
-def reference_iterate_from_below(spec, tol=1e-12, max_iter=10**6, keep_iterates=False):
-    """iterate_from_below with two operator calls per step, one on ybar and one on ell."""
+def reference_iterate_from_below(spec, tol=1e-12, max_iter=10**6):
+    """iterate_from_below with two operator calls per step, one on ybar and one on ell;
+    gives the run and the lists of its iterates ell_n and w_n, n = 0..iterations."""
     if tol < 0:
         raise ValueError("tol must be non-negative")
     n = spec.size
@@ -165,8 +168,8 @@ def reference_iterate_from_below(spec, tol=1e-12, max_iter=10**6, keep_iterates=
     pgf = spec.dist.pgf
     ell = np.zeros((n, n))
     ybar = np.ones((n, n))          # ybar = 1 - w
-    ells = [ell.copy()] if keep_iterates else None
-    ws = [np.zeros((n, n))] if keep_iterates else None
+    ells = [ell.copy()]
+    ws = [np.zeros((n, n))]
     delta = np.inf
     converged = False
     it = 0
@@ -178,9 +181,8 @@ def reference_iterate_from_below(spec, tol=1e-12, max_iter=10**6, keep_iterates=
         delta = max(float(np.max(np.abs(ell_next - ell))),
                     float(np.max(np.abs(ybar_next - ybar))))
         ell, ybar = ell_next, ybar_next
-        if keep_iterates:
-            ells.append(ell.copy())
-            ws.append(1.0 - ybar)
+        ells.append(ell.copy())
+        ws.append(1.0 - ybar)
         if delta < tol:
             converged = True
             break
@@ -189,8 +191,9 @@ def reference_iterate_from_below(spec, tol=1e-12, max_iter=10**6, keep_iterates=
             converged = True  # degenerate request: the start is the answer
     if tol == 0.0:
         converged = True      # fixed-step run, e.g. horizon iterates
-    return IterationRun(ell=ell, w=1.0 - ybar, iterations=it, delta=float(delta) if delta != np.inf else 0.0,
-                        converged=converged, ell_iterates=ells, w_iterates=ws)
+    run = IterationRun(ell=ell, w=1.0 - ybar, iterations=it,
+                       delta=float(delta) if delta != np.inf else 0.0, converged=converged)
+    return run, ells, ws
 
 
 def assert_same_run(got, expected):
@@ -198,12 +201,14 @@ def assert_same_run(got, expected):
     assert np.array_equal(got.w, expected.w)
     assert (got.iterations, got.delta, got.converged) == (
         expected.iterations, expected.delta, expected.converged)
-    for mine, theirs in ((got.ell_iterates, expected.ell_iterates),
-                         (got.w_iterates, expected.w_iterates)):
-        assert (mine is None) == (theirs is None)
-        if mine is not None:
-            assert len(mine) == len(theirs)
-            assert all(map(np.array_equal, mine, theirs))
+
+
+def assert_same_horizon_iterates(spec, horizon):
+    """horizon_iterates equals the iterates the reference keeps in a fixed-step run."""
+    _, ells, ws = reference_iterate_from_below(spec, tol=0.0, max_iter=horizon)
+    for mine, theirs in zip(horizon_iterates(spec, horizon), (ells, ws), strict=True):
+        assert len(mine) == len(theirs) == horizon + 1
+        assert all(map(np.array_equal, mine, theirs))
 
 
 @pytest.mark.parametrize("kappa", (2, 3, 4, 6, 40))
@@ -211,11 +216,12 @@ def assert_same_run(got, expected):
 def test_stacked_iteration_equals_two_call_reference(dist, kappa):
     spec = GameSpec(kappa, dist, EdgeWeightLaw.from_p0_p1(0.8, 0.05))
     # at kappa = 40 the dirac, uniform and poisson runs stop unconverged at the cap
-    for kwargs in ({"max_iter": 4000}, {"max_iter": 0},
-                   {"tol": 0.0, "max_iter": 25, "keep_iterates": True},
-                   {"max_iter": 7, "keep_iterates": True}, {"tol": 1e-6, "max_iter": 4000}):
+    for kwargs in ({"max_iter": 4000}, {"max_iter": 0}, {"tol": 0.0, "max_iter": 25},
+                   {"max_iter": 7}, {"tol": 1e-6, "max_iter": 4000}):
         assert_same_run(iterate_from_below(spec, **kwargs),
-                        reference_iterate_from_below(spec, **kwargs))
+                        reference_iterate_from_below(spec, **kwargs)[0])
+    for horizon in (25, 7):
+        assert_same_horizon_iterates(spec, horizon)
 
 
 class _Decreasing(OffspringDistribution):
@@ -263,6 +269,19 @@ def test_verdict_thresholds_are_not_keywords(call):
     # the draw clamp, POSITIVE threshold and merge radius are fixed constants
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         call(spec_d2(0.875, 0.025))
+
+
+def test_removed_keywords_and_names_stay_removed():
+    # the iterate history, the random seed count and the entrywise pgf wrapper are gone
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        iterate_from_below(spec_d2(0.875, 0.025), keep_iterates=True)
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        default_seed_matrices(3, n_random=8)
+    assert len(default_seed_matrices(3)) == 11 + fixpoint.DEFAULT_SEED_GRID_RANDOM
+    assert not hasattr(percgame, "apply_f") and not hasattr(fixpoint, "apply_f")
+    assert "apply_f" not in percgame.__all__
+    assert [f.name for f in dataclasses.fields(IterationRun)] == [
+        "ell", "w", "iterations", "delta", "converged"]
 
 
 def test_iterate_all_zero_weights_never_ends():
@@ -402,7 +421,7 @@ def test_g_fast_batch_equals_per_slice(dist):
 @pytest.mark.parametrize("dist", FAMILIES.values(), ids=FAMILIES.keys())
 def test_find_fixed_points_batch_equals_per_seed(dist, kappa, caplog):
     spec = GameSpec(kappa, dist, EdgeWeightLaw.from_p0_p1(0.8, 0.05))
-    assert_same_as_reference(spec, default_seed_matrices(kappa, n_random=8), caplog)
+    assert_same_as_reference(spec, default_seed_matrices(kappa)[:19], caplog)   # 8 random
 
 
 def test_find_fixed_points_batch_equals_per_seed_six_points(caplog):
@@ -437,7 +456,7 @@ def test_find_fixed_points_edge_cases(caplog):
         ensure_prob_matrix(np.array([[0.5, np.nan], [0.0, 1.0]]), 2)
     # the traced benchmark reads seeds positionally (args[1]) or by keyword
     assert list(inspect.signature(find_fixed_points).parameters)[:2] == ["spec", "seeds"]
-    seeds = default_seed_matrices(3, n_random=2)
+    seeds = default_seed_matrices(3)[:13]   # 2 random
     by_position, by_keyword = find_fixed_points(spec, seeds), find_fixed_points(spec, seeds=seeds)
     assert len(by_position) == len(by_keyword) > 0
     assert all(map(np.array_equal, by_position, by_keyword))
@@ -497,10 +516,15 @@ def test_list_solve_equals_per_spec_solve(dist, kappa):
 
 def test_list_iteration_keeps_each_specs_iterates():
     specs = grid_specs(4, Poisson(5.0))
-    for kwargs in ({"tol": 0.0, "max_iter": 9, "keep_iterates": True},
-                   {"max_iter": 40, "keep_iterates": True}, {"max_iter": 4000}):
+    for kwargs in ({"tol": 0.0, "max_iter": 9}, {"max_iter": 40}, {"max_iter": 4000}):
         for got, spec in zip(iterate_from_below(specs, **kwargs), specs, strict=True):
             assert_same_run(got, iterate_from_below(spec, **kwargs))
+    # the n-step run of the list gives each spec's n-th horizon iterate
+    horizons = [horizon_iterates(spec, 40) for spec in specs]
+    for n in range(41):
+        runs = iterate_from_below(specs, tol=0.0, max_iter=n)
+        for got, (ells, ws) in zip(runs, horizons, strict=True):
+            assert np.array_equal(got.ell, ells[n]) and np.array_equal(got.w, ws[n])
 
 
 def test_list_solve_splits_at_the_stack_cap(monkeypatch):
