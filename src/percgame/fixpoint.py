@@ -153,14 +153,14 @@ def weight_matrix(spec: GameSpec) -> np.ndarray:
 
 
 def _stencil_buffers(shape: tuple) -> tuple:
-    """Working arrays of _edge_mix for inputs of `shape` (..., n, n): views of one
-    padded array whose boundary columns already hold 1 and 0 (columns 0..n-1,
-    the interior 1..n and 2..n+1), then the mix and a work array for one term."""
+    """Working arrays of _edge_mix for inputs of `shape` (..., n, n): the row blocks
+    0..n-1, 1..n (the interior) and 2..n+1 of one array whose padding rows, above and
+    below, already hold 1 and 0, then the mix and a work array for one term."""
     n = shape[-1]
-    padded = np.empty(shape[:-1] + (n + 2,))
-    padded[..., 0] = 1.0
-    padded[..., n + 1] = 0.0
-    return (padded[..., 0:n], padded[..., 1:n + 1], padded[..., 2:n + 2],
+    padded = np.empty(shape[:-2] + (n + 2, n))
+    padded[..., 0, :] = 1.0
+    padded[..., n + 1, :] = 0.0
+    return (padded[..., 0:n, :], padded[..., 1:n + 1, :], padded[..., 2:n + 2, :],
             np.empty(shape), np.empty(shape))
 
 
@@ -170,28 +170,30 @@ def _edge_mix(C: np.ndarray, p1: float, p0: float, pm1: float,
     for i, j = 1..kappa-1, where c is C (columns 1..kappa-1) padded with the
     boundary values c[j, 0] = 1 and c[j, kappa] = 0; leading axes are batch axes.
 
-    The result is a view of the mix buffer.  A loop passes its own
-    _stencil_buffers so nothing is allocated, and may have written C into
-    their interior already.
+    C is transposed once, into the interior rows, so each term is one contiguous
+    row block.  The result is the mix buffer itself.  A loop passes its own
+    _stencil_buffers so nothing is allocated, and may pass their interior as C
+    once it holds C transposed.
     """
     buffers = _stencil_buffers(C.shape) if _buffers is None else _buffers
     left, interior, right, mix, term = buffers
     if C is not interior:
-        interior[...] = C
+        interior[...] = C.swapaxes(-1, -2)
     np.multiply(left, pm1, out=mix)
     np.multiply(interior, p0, out=term)
     mix += term
     np.multiply(right, p1, out=term)
     mix += term
-    return mix.swapaxes(-1, -2)
+    return mix
 
 
 def _g_fast(dist_pgf, p1: float, p0: float, pm1: float, X: np.ndarray,
             _buffers: tuple = None) -> np.ndarray:
-    """g(X) = G(_edge_mix(1 - X)); leading axes of X are batch axes.  A loop
-    passes its own _stencil_buffers for X's shape."""
+    """g(X) = G(_edge_mix(1 - X)); leading axes of X are batch axes.  1 - X goes
+    transposed straight into the stencil's interior, and G reads the mix buffer.
+    A loop passes its own _stencil_buffers for X's shape."""
     buffers = _stencil_buffers(X.shape) if _buffers is None else _buffers
-    np.subtract(1.0, X, out=buffers[1])
+    np.subtract(1.0, X.swapaxes(-1, -2), out=buffers[1])
     return np.asarray(dist_pgf(_edge_mix(buffers[1], p1, p0, pm1, buffers)))
 
 
