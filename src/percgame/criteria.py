@@ -47,18 +47,18 @@ def kappa2_draw_zero(dist: OffspringDistribution, law: EdgeWeightLaw) -> bool:
     """
     p0, p1, pm1 = law.p_0, law.p_1, law.p_minus1
     if isinstance(dist, Binomial):
-        d, pi = dist.n, dist.pi
+        d, pi = int(dist.n), dist.pi
         if d < 2:
             raise UnsupportedFamilyError("binomial test requires n >= 2")
-        return p0 * pi * (1.0 - pi * p1) ** (d - 1) <= (d + 1) ** (d - 1) * d ** (-d)
+        return p0 * pi * (1.0 - pi * p1) ** (d - 1) <= (d + 1) ** (d - 1) / d**d
     if isinstance(dist, Poisson):
         return p0 * dist.lam * math.exp(-dist.lam * p1) <= math.e
     if isinstance(dist, NegBinomial):
-        r, pi = dist.r, dist.pi
-        return ((r - 1) ** (r + 1) * (1.0 - pi) * p0 * pi**r
-                <= (p1 + pi - p1 * pi) ** (r + 1) * r**r)
+        r, pi = int(dist.r), dist.pi
+        q = p1 + pi - p1 * pi   # both sides over r^r q^r: pi^r and q^(r+1) would underflow together
+        return (r - 1) ** (r + 1) / r**r * (1.0 - pi) * p0 * (pi / q) ** r <= q
     if isinstance(dist, TwoPoint):
-        d, pi = dist.d, dist.pi
+        d, pi = int(dist.d), dist.pi
         return (p0 * pi * (pi * (1.0 - p1) + pm1 * (1.0 - pi)) ** (d - 1)
                 <= (d + 1) ** (d - 1) / d**d)
     raise UnsupportedFamilyError(f"no closed-form capital-2 test for family {dist.family!r}")

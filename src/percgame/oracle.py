@@ -1,13 +1,13 @@
 """Monte-Carlo ground truth: exact game solving on sampled trees.
 
 Trees are drawn in batches (a `Forest`), generation by generation, from the
-offspring law, edges get independent weights in {-1, 0, +1}, and every
-realized game of the batch is solved exactly by one vectorised backward
-induction over (vertex, mover capital, opponent capital) states with a
-bounded round horizon.  The empirical frequencies of the root being a
-horizon-n loss or win are unbiased estimates of the analytic horizon-n
-probabilities, because a horizon-n verdict only reads the first n
-generations.
+offspring law, edges get independent weights in {-1, 0, +1}, a batch keeps
+only each node's child count and each edge's weight, and every realized
+game of the batch is solved exactly by one vectorised backward induction
+over (vertex, mover capital, opponent capital) states with a bounded round
+horizon.  The empirical frequencies of the root being a horizon-n loss or
+win are unbiased estimates of the analytic horizon-n probabilities, because
+a horizon-n verdict only reads the first n generations.
 
 Terminal rules follow the recurrences: a move that empties the mover's
 capital loses immediately and one that reaches the target capital wins
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -54,15 +54,15 @@ class NodeCapExceeded(RuntimeError):
 
 @dataclass
 class Forest:
-    """Columnar batch of sampled trees, grouped by generation."""
+    """Columnar batch of sampled trees by generation, siblings contiguous.  Generation g+1's
+    parents are `np.repeat(np.arange(sizes[g]), children[g])`; its sample ids, g's ids alike."""
 
     n_samples: int
     depth: int
-    sizes: List[int]                       # nodes per generation
-    parents: List[Optional[np.ndarray]]    # index into previous generation, non-decreasing
-    weights: List[Optional[np.ndarray]]
-    sample_id: List[np.ndarray]
-    aborted: np.ndarray                    # bool per sample: exceeded node cap
+    sizes: List[int]                  # nodes per generation 0..depth
+    children: List[np.ndarray]        # int64 child count per node of generation 0..depth-1
+    weights: List[np.ndarray]         # int8 weight per edge from generation g to g+1
+    aborted: np.ndarray               # bool per sample: exceeded node cap
 
 
 def sample_forest(dist: OffspringDistribution, law: EdgeWeightLaw, depth: int,
@@ -75,27 +75,24 @@ def sample_forest(dist: OffspringDistribution, law: EdgeWeightLaw, depth: int,
     """
     p1, p0 = law.p_1, law.p_0
     sizes = [n_samples]
-    parents: List[Optional[np.ndarray]] = [None]
-    weights: List[Optional[np.ndarray]] = [None]
-    sample_id = [np.arange(n_samples, dtype=np.int64)]
+    children: List[np.ndarray] = []
+    weights: List[np.ndarray] = []
+    sid = np.arange(n_samples, dtype=np.int64)
     cum = np.ones(n_samples, dtype=np.int64)
     aborted = np.zeros(n_samples, dtype=bool)
-    for g in range(1, depth + 1):
-        prev_n = sizes[g - 1]
-        counts = dist.sample(rng, size=prev_n)
-        counts[aborted[sample_id[g - 1]]] = 0
-        parent = np.repeat(np.arange(prev_n, dtype=np.int64), counts)
-        sid = sample_id[g - 1][parent]
-        u = rng.random(parent.size)
-        w = np.where(u < p1, 1, np.where(u < p1 + p0, 0, -1)).astype(np.int8)
-        sizes.append(int(parent.size))
-        parents.append(parent)
+    for _ in range(depth):
+        counts = dist.sample(rng, size=sizes[-1])
+        counts[aborted[sid]] = 0
+        sid = np.repeat(sid, counts)
+        u = rng.random(sid.size)
+        w = (u < p1).view(np.int8) - (u >= p1 + p0).view(np.int8)
+        sizes.append(int(sid.size))
+        children.append(counts)
         weights.append(w)
-        sample_id.append(sid)
         cum += np.bincount(sid, minlength=n_samples)
         aborted |= cum > node_cap
-    return Forest(n_samples=n_samples, depth=depth, sizes=sizes, parents=parents,
-                  weights=weights, sample_id=sample_id, aborted=aborted)
+    return Forest(n_samples=n_samples, depth=depth, sizes=sizes, children=children,
+                  weights=weights, aborted=aborted)
 
 
 def _row_dtype(bits: int) -> np.dtype:
@@ -143,8 +140,8 @@ def _forest_root_counts(forest: Forest, kappa: int, horizon: int):
     ones, zeros = np.full((1, n), mask, dtype=dt), np.zeros((1, n), dtype=dt)
     plan = []
     for g in range(H):
-        nch = np.bincount(forest.parents[g + 1], minlength=forest.sizes[g])
-        w = forest.weights[g + 1]
+        nch = forest.children[g]
+        w = forest.weights[g]
         if g % 2 == 0:      # child rows are per opponent capital: pick rows i + w
             read = (np.arange(1, w.size * (kappa + 1), kappa + 1) + w)[:, None] + np.arange(n)
         else:               # child rows are per mover capital: shift out bits i + w
@@ -232,10 +229,15 @@ class OracleEstimate:
     seed: int
 
     def loss_at(self, n: int) -> np.ndarray:
-        return self.loss_hat[n - 1]
+        return self.loss_hat[self._index(n)]
 
     def win_at(self, n: int) -> np.ndarray:
-        return self.win_hat[n - 1]
+        return self.win_hat[self._index(n)]
+
+    def _index(self, n: int) -> int:
+        if not 1 <= n <= self.horizon:
+            raise ValueError(f"horizon n must be in 1..{self.horizon}, got {n!r}")
+        return n - 1
 
     def to_json_dict(self) -> dict:
         return {

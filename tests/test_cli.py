@@ -65,6 +65,15 @@ def test_check_kappa2_command(capsys):
                            "--p0", "0.95", "--p1", "0.03")
     assert code == 0
     assert json.loads(out)["draw_zero"] is True
+    # k^k past the float range
+    law = ["--p0", "0.8", "--p1", "0.1"]
+    for argv in (["check-kappa2", "--family", "binomial", "--n", "144", "--pi", "0.5", *law],
+                 ["check-kappa2", "--family", "negbinomial", "--r", "143", "--pi", "0.5", *law],
+                 ["sweep", "--what", "check-kappa2", "--family", "binomial", "--pi", "0.5",
+                  "--grid-param", "n=143,144,500", "--grid-p0", "0.8", "--grid-p1", "0.1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)
 
 
 def test_check_kappa3_command(capsys):

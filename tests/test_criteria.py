@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,35 @@ def test_kappa2_matches_literal_inequalities():
         pi, d = 0.5, 3
         lhs = p0 * pi * (pi * (1 - p1) + lw.p_minus1 * (1 - pi)) ** (d - 1)
         assert kappa2_draw_zero(TwoPoint(pi, d), lw) == (lhs <= (d + 1) ** (d - 1) / d**d)
+
+
+def exact_kappa2_draw_zero(dist, lw):
+    """The binomial, negative binomial and two-point capital-2 inequalities in exact rationals."""
+    p0, p1, pm1, pi = (Fraction(x) for x in (lw.p_0, lw.p_1, lw.p_minus1, dist.pi))
+    if isinstance(dist, Binomial):
+        d = int(dist.n)
+        return p0 * pi * (1 - pi * p1) ** (d - 1) <= Fraction((d + 1) ** (d - 1), d**d)
+    if isinstance(dist, TwoPoint):
+        d = int(dist.d)
+        return (p0 * pi * (pi * (1 - p1) + pm1 * (1 - pi)) ** (d - 1)
+                <= Fraction((d + 1) ** (d - 1), d**d))
+    r = int(dist.r)
+    return (r - 1) ** (r + 1) * (1 - pi) * p0 * pi**r <= (p1 + pi - p1 * pi) ** (r + 1) * r**r
+
+
+@pytest.mark.parametrize("k", [144, 500, np.int64(144)], ids=["144", "500", "int64-144"])
+def test_kappa2_large_laws_equal_exact_reference(k):
+    # k^k no longer fits a float from k = 144 on, nor an int64; pi^500 underflows below pi = 0.24
+    seen = set()
+    for pi in np.linspace(0.01, 0.99, 15).tolist():
+        for p0 in np.linspace(0.0, 1.0, 6).tolist():
+            for p1 in np.linspace(0.0, 1.0 - p0, 4).tolist():
+                lw = law(p0, p1)
+                for dist in (Binomial(k, pi), NegBinomial(k, pi), TwoPoint(pi, k)):
+                    verdict = kappa2_draw_zero(dist, lw)
+                    assert verdict == exact_kappa2_draw_zero(dist, lw), (dist, p0, p1)
+                    seen.add((dist.family, verdict))
+    assert len(seen) == 6
 
 
 def test_kappa2_unsupported_family():

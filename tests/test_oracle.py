@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -14,13 +15,12 @@ LAW = EdgeWeightLaw.from_p0_p1(0.8, 0.1)
 def build_forest(n_roots, *generations):
     """Forest from one (parent indices, edge weights) pair per generation, siblings contiguous."""
     parents = [np.asarray(p, dtype=np.int64) for p, _ in generations]
-    sample_id = [np.arange(n_roots, dtype=np.int64)]
-    for p in parents:
-        sample_id.append(sample_id[-1][p])
-    return Forest(n_samples=n_roots, depth=len(generations),
-                  sizes=[n_roots] + [p.size for p in parents], parents=[None] + parents,
-                  weights=[None] + [np.asarray(w, dtype=np.int8) for _, w in generations],
-                  sample_id=sample_id, aborted=np.zeros(n_roots, dtype=bool))
+    assert all(np.all(np.diff(p) >= 0) for p in parents)
+    sizes = [n_roots] + [p.size for p in parents]
+    return Forest(n_samples=n_roots, depth=len(generations), sizes=sizes,
+                  children=[np.bincount(p, minlength=n) for p, n in zip(parents, sizes)],
+                  weights=[np.asarray(w, dtype=np.int8) for _, w in generations],
+                  aborted=np.zeros(n_roots, dtype=bool))
 
 
 def chain_forest(weights, depth=None):
@@ -37,9 +37,10 @@ def reference_root_counts(forest, kappa, horizon):
     no winning move loses when every move loses (so a childless mover loses).
     """
     kids = [[[] for _ in range(size)] for size in forest.sizes]
-    for g in range(1, forest.depth + 1):
-        for c, (p, w) in enumerate(zip(forest.parents[g], forest.weights[g])):
-            kids[g - 1][p].append((c, int(w)))
+    for g in range(forest.depth):
+        parents = np.repeat(np.arange(forest.sizes[g]), forest.children[g])
+        for c, (p, w) in enumerate(zip(parents, forest.weights[g])):
+            kids[g][p].append((c, int(w)))
 
     @functools.lru_cache(maxsize=None)
     def value(g, u, i, j, m):
@@ -73,11 +74,25 @@ def test_sample_forest_dirac_complete():
     forest = sample_forest(Dirac(2), LAW, 3, n, np.random.default_rng(0))
     assert forest.sizes == [n, 2 * n, 4 * n, 8 * n]
     assert not forest.aborted.any()
-    for g in range(1, 4):
-        np.testing.assert_array_equal(np.bincount(forest.parents[g]), 2)
-        np.testing.assert_array_equal(forest.sample_id[g],
-                                      forest.sample_id[g - 1][forest.parents[g]])
+    for g in range(3):
+        np.testing.assert_array_equal(forest.children[g], 2)
+        assert forest.children[g].size == forest.sizes[g]
+        assert forest.weights[g].size == forest.sizes[g + 1] == forest.children[g].sum()
         assert np.all(np.isin(forest.weights[g], [-1, 0, 1]))
+
+
+def test_forest_stores_child_counts_and_edge_weights_only():
+    assert [f.name for f in dataclasses.fields(Forest)] == [
+        "n_samples", "depth", "sizes", "children", "weights", "aborted"]
+    for dist, cap in ((Poisson(2.0), 10**7), (Poisson(2.0), 30), (Dirac(3), 100)):
+        forest = sample_forest(dist, LAW, 6, 50, np.random.default_rng(8), node_cap=cap)
+        arrays = []
+        for f in dataclasses.fields(forest):
+            value = getattr(forest, f.name)
+            arrays += value if isinstance(value, list) else [value]
+        nbytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        sizes = forest.sizes
+        assert nbytes == 8 * sum(sizes[:-1]) + sum(sizes[1:]) + forest.aborted.nbytes
 
 
 def test_sample_forest_node_cap():
@@ -92,9 +107,10 @@ def test_sample_forest_mean_node_count():
     rng = np.random.default_rng(123)
     n = 10000
     forest = sample_forest(Poisson(2.0), LAW, 5, n, rng)
-    counts = np.zeros(n)
-    for g in range(forest.depth + 1):
-        sid = forest.sample_id[g]
+    counts = np.ones(n)
+    sid = np.arange(n)
+    for g in range(forest.depth):
+        sid = np.repeat(sid, forest.children[g])
         counts += np.bincount(sid, minlength=n)
     se = counts.std(ddof=1) / np.sqrt(n)
     assert abs(counts.mean() - 63.0) < 3 * se
@@ -219,6 +235,17 @@ def test_estimates_match_analytic_iterates():
             total += hat.size
             ok += int(np.sum(np.abs(hat - ana) <= 3 * np.maximum(se, 1e-12)))
     assert ok >= 10  # 12 cells, allow the odd 3-sigma event
+
+
+def test_estimate_horizon_index_out_of_range_raises():
+    est = estimate_probs(GameSpec(2, Dirac(2), LAW), horizon=3, samples=10, seed=1)
+    np.testing.assert_array_equal(est.loss_at(1), est.loss_hat[0])
+    np.testing.assert_array_equal(est.win_at(3), est.win_hat[2])
+    for n in (0, -1, 4):
+        with pytest.raises(ValueError, match="horizon"):
+            est.loss_at(n)
+        with pytest.raises(ValueError, match="horizon"):
+            est.win_at(n)
 
 
 def test_estimate_abort_and_resample():

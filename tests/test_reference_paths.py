@@ -5,6 +5,7 @@ import concurrent.futures
 import functools
 import io
 from contextlib import redirect_stdout
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from percgame import (Binomial, Dirac, EdgeWeightLaw, Explicit, NegBinomial, Poisson, TwoPoint,
                       UniformRange, cli, criteria, fixpoint, oracle, sample_forest)
 from percgame.offspring import _PGF_DOMAIN_SLACK, DistributionError, _check_unit_interval
-from percgame.oracle import DEFAULT_NODE_CAP, Forest
+from percgame.oracle import DEFAULT_NODE_CAP
 
 from test_cli import InlinePool
 from test_offspring import ALL_DISTS
@@ -155,8 +156,22 @@ def test_pgf_equals_two_path_reference(dist, method):
     assert new(zero_d) == old(zero_d)
 
 
+@dataclass
+class Forest:
+    """The former Forest layout, with a parent index and a sample id per node."""
+
+    n_samples: int
+    depth: int
+    sizes: List[int]
+    parents: List[Optional[np.ndarray]]
+    weights: List[Optional[np.ndarray]]
+    sample_id: List[np.ndarray]
+    aborted: np.ndarray
+
+
 def reference_sample_forest(dist, law, depth, n_samples, rng, node_cap=DEFAULT_NODE_CAP):
-    """sample_forest as it was with its separate branch for an empty generation."""
+    """sample_forest as it was, with its separate branch for an empty generation and the
+    former Forest layout."""
     p1, p0 = law.p_1, law.p_0
     sizes = [n_samples]
     parents: List[Optional[np.ndarray]] = [None]
@@ -188,6 +203,22 @@ def reference_sample_forest(dist, law, depth, n_samples, rng, node_cap=DEFAULT_N
                   weights=weights, sample_id=sample_id, aborted=aborted)
 
 
+def assert_forest_equals_reference(new, old):
+    """`new` holds exactly what the former layout `old` holds, in child counts and edge weights."""
+    assert (new.n_samples, new.depth, new.sizes) == (old.n_samples, old.depth, old.sizes)
+    assert len(new.children) == len(new.weights) == new.depth
+    sample_id = np.arange(new.n_samples, dtype=np.int64)
+    for g in range(new.depth):
+        np.testing.assert_array_equal(
+            new.children[g], np.bincount(old.parents[g + 1], minlength=old.sizes[g]), strict=True)
+        np.testing.assert_array_equal(new.weights[g], old.weights[g + 1], strict=True)
+        sample_id = np.repeat(sample_id, new.children[g])
+        np.testing.assert_array_equal(sample_id, old.sample_id[g + 1], strict=True)
+        np.testing.assert_array_equal(
+            np.repeat(np.arange(new.sizes[g]), new.children[g]), old.parents[g + 1], strict=True)
+    np.testing.assert_array_equal(new.aborted, old.aborted, strict=True)
+
+
 @pytest.mark.parametrize("dist", [TwoPoint(0.3, 2), Explicit([0.6, 0.2, 0.2])], ids=repr)
 @pytest.mark.parametrize("seed", range(6))
 def test_sample_forest_equals_reference_through_empty_generations(dist, seed):
@@ -196,13 +227,35 @@ def test_sample_forest_equals_reference_through_empty_generations(dist, seed):
     new = sample_forest(dist, law, 10, 3, rng_new, node_cap=12)
     old = reference_sample_forest(dist, law, 10, 3, rng_old, node_cap=12)
     assert 0 in old.sizes                      # whole generations die out
-    assert (new.n_samples, new.depth, new.sizes) == (old.n_samples, old.depth, old.sizes)
-    for field in ("parents", "weights", "sample_id"):
-        for a, b in zip(getattr(new, field)[1:], getattr(old, field)[1:], strict=True):
-            np.testing.assert_array_equal(a, b, strict=True)
-    np.testing.assert_array_equal(new.aborted, old.aborted, strict=True)
+    assert_forest_equals_reference(new, old)
     # the next forest of a resampling round starts from the same generator state
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+class BoundaryUniforms:
+    """Stands in for the generator: `random` cycles through the given uniforms."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values)
+
+    def random(self, size):
+        return np.resize(self.values, size)
+
+
+@pytest.mark.parametrize("p0, p1", [(0.5, 0.3), (0.0, 0.4), (0.6, 0.0)])
+def test_sample_forest_weights_equal_reference_at_their_boundaries(p0, p1):
+    law = EdgeWeightLaw.from_p0_p1(p0, p1)
+    # every u at which a weight changes, and the float just below it; Dirac draws no uniforms
+    cut = law.p_1 + law.p_0
+    uniforms = [0.0, np.nextafter(law.p_1, 0), law.p_1, np.nextafter(cut, 0), cut,
+                np.nextafter(1.0, 0)]
+    new = sample_forest(Dirac(3), law, 2, 2, BoundaryUniforms(uniforms))
+    old = reference_sample_forest(Dirac(3), law, 2, 2, BoundaryUniforms(uniforms))
+    assert_forest_equals_reference(new, old)
+    expected = [1 if u < law.p_1 else 0 if u < cut else -1 for u in uniforms]
+    np.testing.assert_array_equal(new.weights[0], expected)
+    probs = {1: law.p_1, 0: law.p_0, -1: law.p_minus1}
+    assert set(expected) == {w for w, p in probs.items() if p > 0}
 
 
 def reference_check_unit_interval(x):
