@@ -43,25 +43,60 @@ def kappa2_draw_zero(dist: OffspringDistribution, law: EdgeWeightLaw) -> bool:
     """Exact draw-probability dichotomy at target capital 2.
 
     Returns True when the draw probability d_{1,1} is zero, which holds iff
-    the family-specific inequality below is satisfied.
+    the family-specific inequality below is satisfied.  The ratios of powers
+    (d + 1)^(d - 1) / d^d and (r - 1)^(r + 1) / r^r enter as their nearest
+    floats, found from a float form unless the verdict lies within
+    RATIO_MARGIN of it (_at_power_ratio).
     """
     p0, p1, pm1 = law.p_0, law.p_1, law.p_minus1
     if isinstance(dist, Binomial):
         d, pi = int(dist.n), dist.pi
         if d < 2:
             raise UnsupportedFamilyError("binomial test requires n >= 2")
-        return p0 * pi * (1.0 - pi * p1) ** (d - 1) <= (d + 1) ** (d - 1) / d**d
+        lhs = p0 * pi * (1.0 - pi * p1) ** (d - 1)
+        return _at_power_ratio(lambda c: lhs <= c, _binomial_ratio(d), (d + 1, d - 1, d, d))
     if isinstance(dist, Poisson):
         return p0 * dist.lam * math.exp(-dist.lam * p1) <= math.e
     if isinstance(dist, NegBinomial):
         r, pi = int(dist.r), dist.pi
         q = p1 + pi - p1 * pi   # both sides over r^r q^r: pi^r and q^(r+1) would underflow together
-        return (r - 1) ** (r + 1) / r**r * (1.0 - pi) * p0 * (pi / q) ** r <= q
+        tail = (pi / q) ** r
+        return _at_power_ratio(lambda c: c * (1.0 - pi) * p0 * tail <= q, _negbin_ratio(r),
+                               (r - 1, r + 1, r, r))
     if isinstance(dist, TwoPoint):
         d, pi = int(dist.d), dist.pi
-        return (p0 * pi * (pi * (1.0 - p1) + pm1 * (1.0 - pi)) ** (d - 1)
-                <= (d + 1) ** (d - 1) / d**d)
+        lhs = p0 * pi * (pi * (1.0 - p1) + pm1 * (1.0 - pi)) ** (d - 1)
+        return _at_power_ratio(lambda c: lhs <= c, _binomial_ratio(d), (d + 1, d - 1, d, d))
     raise UnsupportedFamilyError(f"no closed-form capital-2 test for family {dist.family!r}")
+
+
+# The float forms below round a handful of terms of order 1 (1/d, log1p, one
+# product, exp, one product or quotient, each within an ulp or two of 2^-53), so
+# they lie within 1e-14 of their ratio, relatively, and so does the ratio's
+# nearest float: both sit well inside this margin around the float form.
+RATIO_MARGIN = 1e-12
+
+
+def _binomial_ratio(d: int) -> float:
+    """(d + 1)^(d - 1) / d^d = (1 + 1/d)^(d - 1) / d, from its logarithm."""
+    return math.exp((d - 1) * math.log1p(1 / d)) / d
+
+
+def _negbin_ratio(r: int) -> float:
+    """(r - 1)^(r + 1) / r^r = (r - 1) (1 - 1/r)^r, from its logarithm."""
+    return (r - 1) * math.exp(r * math.log1p(-1 / r)) if r > 1 else 0.0
+
+
+def _at_power_ratio(holds, approx: float, powers: tuple) -> bool:
+    """holds(c) for c the float nearest a^m / b^k, powers = (a, m, b, k), where holds
+    is monotone in c and approx is the ratio's float form.  When holds agrees at both
+    ends of approx's RATIO_MARGIN, that is the verdict; only between them are the
+    exact big-int powers formed, whose cost grows faster than m and k."""
+    ends = {holds(approx * (1.0 - RATIO_MARGIN)), holds(approx * (1.0 + RATIO_MARGIN))}
+    if len(ends) == 1:
+        return ends.pop()
+    a, m, b, k = powers
+    return holds(a**m / b**k)
 
 
 # ---------------------------------------------------------------------------

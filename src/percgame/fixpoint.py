@@ -21,6 +21,7 @@ draw matrix D; D = 0 exactly when h has a unique fixed point.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -47,6 +48,12 @@ SEED_GRID_RNG_SEED = 20240817
 # memory stays flat at large kappa; a stack pays at small kappa, where a step costs
 # mostly numpy call overhead
 MAX_STACK_ENTRIES = 2**16
+# iterate_from_below runs its stop tests once per block of BLOCK_ENTRIES // (stack
+# entries) steps, at most MAX_BLOCK_STEPS: at small kappa a test costs numpy call
+# overhead like a step, while a stack of half BLOCK_ENTRIES or more (one spec from
+# kappa 66 on) tests every step, where a longer block only spills the cache
+BLOCK_ENTRIES = 2**14
+MAX_BLOCK_STEPS = 32
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -155,28 +162,28 @@ def weight_matrix(spec: GameSpec) -> np.ndarray:
 def _stencil_buffers(shape: tuple) -> tuple:
     """Working arrays of _edge_mix for inputs of `shape` (..., n, n): the row blocks
     0..n-1, 1..n (the interior) and 2..n+1 of one array whose padding rows, above and
-    below, already hold 1 and 0, then the mix and a work array for one term."""
+    below, already hold 1 and 0, then a work array for one term."""
     n = shape[-1]
     padded = np.empty(shape[:-2] + (n + 2, n))
     padded[..., 0, :] = 1.0
     padded[..., n + 1, :] = 0.0
     return (padded[..., 0:n, :], padded[..., 1:n + 1, :], padded[..., 2:n + 2, :],
-            np.empty(shape), np.empty(shape))
+            np.empty(shape))
 
 
 def _edge_mix(C: np.ndarray, p1: float, p0: float, pm1: float,
-              _buffers: tuple = None) -> np.ndarray:
+              _buffers: tuple = None, out: np.ndarray = None) -> np.ndarray:
     """The edge-weight stencil out[i, j] = pm1 c[j, i-1] + p0 c[j, i] + p1 c[j, i+1]
     for i, j = 1..kappa-1, where c is C (columns 1..kappa-1) padded with the
     boundary values c[j, 0] = 1 and c[j, kappa] = 0; leading axes are batch axes.
 
     C is transposed once, into the interior rows, so each term is one contiguous
-    row block.  The result is the mix buffer itself.  A loop passes its own
-    _stencil_buffers so nothing is allocated, and may pass their interior as C
-    once it holds C transposed.
+    row block.  The result is `out`, a fresh array by default.  A loop passes its
+    own _stencil_buffers and out so nothing is allocated, and may pass their
+    interior as C once it holds C transposed.
     """
-    buffers = _stencil_buffers(C.shape) if _buffers is None else _buffers
-    left, interior, right, mix, term = buffers
+    left, interior, right, term = _stencil_buffers(C.shape) if _buffers is None else _buffers
+    mix = np.empty(C.shape) if out is None else out
     if C is not interior:
         interior[...] = C.swapaxes(-1, -2)
     np.multiply(left, pm1, out=mix)
@@ -187,20 +194,31 @@ def _edge_mix(C: np.ndarray, p1: float, p0: float, pm1: float,
     return mix
 
 
-def _g_fast(dist_pgf, p1: float, p0: float, pm1: float, X: np.ndarray,
-            _buffers: tuple = None) -> np.ndarray:
+def _g_fast(G, p1: float, p0: float, pm1: float, X: np.ndarray,
+            _buffers: tuple = None, out: np.ndarray = None) -> np.ndarray:
     """g(X) = G(_edge_mix(1 - X)); leading axes of X are batch axes.  1 - X goes
-    transposed straight into the stencil's interior, and G reads the mix buffer.
-    A loop passes its own _stencil_buffers for X's shape."""
+    transposed straight into the stencil's interior, the mix into `out` (a fresh
+    array by default), and G runs on it there: a family's _pgf_inplace overwrites
+    it, while a public pgf returns a fresh array.  A loop passes its own
+    _stencil_buffers for X's shape and its own out, so a step allocates nothing.
+
+    The mix is not range-checked.  For X in [0, 1] it is a convex combination of
+    entries of 1 - X and the boundary values 1 and 0, with weights that sum to
+    1 within 1e-12 (EdgeWeightLaw), so it lies in [0, 1] up to rounding: all a
+    pgf's _check_unit_interval would do to it is this clip, and it gives the
+    same bits.  Every X comes from a validated matrix or from G itself.
+    """
     buffers = _stencil_buffers(X.shape) if _buffers is None else _buffers
     np.subtract(1.0, X.swapaxes(-1, -2), out=buffers[1])
-    return np.asarray(dist_pgf(_edge_mix(buffers[1], p1, p0, pm1, buffers)))
+    mix = _edge_mix(buffers[1], p1, p0, pm1, buffers, out)
+    mix.clip(0.0, 1.0, out=mix)
+    return G(mix)
 
 
 def apply_g(spec: GameSpec, X) -> np.ndarray:
     """One half-step of the fixed-point operator: g(X) = f[p_m1 e1 1^T + P(J - X^T)]."""
     X = ensure_prob_matrix(X, spec.size)
-    return _g_fast(spec.dist.pgf, spec.law.p_1, spec.law.p_0, spec.law.p_minus1, X)
+    return _g_fast(spec.dist._pgf_inplace, spec.law.p_1, spec.law.p_0, spec.law.p_minus1, X)
 
 
 def apply_h(spec: GameSpec, X) -> np.ndarray:
@@ -280,16 +298,20 @@ def iterate_from_below(spec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
 
     with the constant boundary values w[j, 0] = 1, w[j, kappa] = 0,
     ell[j, 0] = 0, ell[j, kappa] = 1.  Both sequences increase monotonically
-    to the loss matrix L and the win matrix W.  Stops once the max-norm
-    change of both falls below tol.
+    to the loss matrix L and the win matrix W.  Stops at the first step whose
+    max-norm change of both falls below tol, and raises
+    InternalInconsistencyError if a step up to that one moved backwards.
 
     The pair advances as one stack Z = (ybar, ell), ybar = 1 - w: since
     g(ybar) = ell' and g(ell) = ybar', one operator call gives Z' = g(Z)[::-1].
     A list of specs sharing kappa and offspring law advances as one stack of
     such pairs and gives a list of runs; each spec leaves the stack at its own
-    first step below tol, so its run equals the one it gets alone.
+    first step below tol, so its run equals the one it gets alone.  The stop
+    and monotonicity tests run once per block of steps (_block_steps), which
+    changes no result: they take the block's steps in order.
     """
     _check_nonnegative(tol=tol, max_iter=max_iter)
+    max_iter = operator.index(max_iter)
     specs, batched = _spec_stack(spec)
     runs = []
     for stack in _stacks(specs, 2):
@@ -297,56 +319,87 @@ def iterate_from_below(spec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     return runs if batched else runs[0]
 
 
+def _block_steps(entries: int) -> int:
+    """Steps of a block of _iterate_stack for a stack of `entries` matrix entries."""
+    return max(1, min(MAX_BLOCK_STEPS, BLOCK_ENTRIES // entries))
+
+
 def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
-    """iterate_from_below for one stack of specs, Z of shape (specs, 2, n, n)."""
+    """iterate_from_below for one stack of specs, Z of shape (specs, 2, n, n).
+
+    g acts alike on both halves, so g^k(Z_0) is Z_k with its halves swapped at odd
+    k, and the loop iterates g alone.  A block of K steps writes its iterates into
+    a ring of K + 1 stacks, which the blocks walk forwards and backwards in turn,
+    so that each block starts from the slot where the last one ended.  The tests
+    then run over the block's K changes at once.  A spec that stops inside the
+    block leaves with its iterate of that step; the later steps of the other specs
+    stand, and they go on from the block's last iterate in a new, smaller ring.
+    """
     n = specs[0].size
-    pgf = specs[0].dist.pgf
+    G = specs[0].dist._pgf_inplace
     laws = _law_columns(specs, 4)
-    Z = np.empty((len(specs), 2, n, n))
-    Z[:, 0] = 1.0
-    Z[:, 1] = 0.0
+    B = np.empty((len(specs), 2, n, n))   # g^it(Z_0)
+    B[:, 0] = 1.0
+    B[:, 1] = 0.0
     cells = list(range(len(specs)))     # the spec of each stack row
     runs = [None] * len(specs)
     delta = np.zeros(len(specs))        # what a run that takes no step reports
-
-    def finish(row: int, converged: bool) -> None:
-        runs[cells[row]] = IterationRun(ell=Z[row, 1], w=1.0 - Z[row, 0], iterations=it,
-                                        delta=float(delta[row]), converged=converged)
-
     it = 0
-    while cells:
-        buffers = _stencil_buffers(Z.shape)
-        step = np.empty(Z.shape)
-        w_half, flat = step[:, 0], step.reshape(len(Z), -1)
-        first = it + 1
-        for it in range(first, max_iter + 1):
-            Z_next = _g_fast(pgf, *laws, Z, buffers)[:, ::-1]
-            np.subtract(Z_next, Z, out=step)
-            w_half *= -1.0            # both halves now hold increases: of w and of ell
-            if np.minimum.reduce(flat, None) < -1e-12:
-                raise InternalInconsistencyError("monotone iteration moved backwards")
-            Z = Z_next
+    while cells and it < max_iter:
+        K = _block_steps(B.size)
+        path = np.empty((K + 1,) + B.shape)    # the ring, walked one way per block
+        path[0] = B
+        change = np.empty((K,) + B.shape)
+        buffers = _stencil_buffers(B.shape)
+        while True:
+            steps = min(K, max_iter - it)
+            for k in range(steps):
+                _g_fast(G, *laws, path[k], buffers, out=path[k + 1])
+            np.subtract(path[1:steps + 1], path[:steps, :, ::-1], out=change[:steps])
+            # Z_k - Z_(k-1) in B_k's half order, where ybar is half 0 at even k and half
+            # 1 at odd k; negating its change leaves the increases of w and of ell
+            change[(it + 1) % 2:steps:2, :, 0] *= -1.0
+            change[it % 2:steps:2, :, 1] *= -1.0
+            flat = change[:steps].reshape(steps, len(B), -1)
+            least = np.minimum.reduce(flat, 2)          # per step and spec
+            stops = None                                # each spec's stop step, if any
             # the largest increase bounds a spec's max-norm change from below, so only
-            # a spec whose increases all stay below tol can stop at this step
-            if np.minimum.reduce(np.maximum.reduce(flat, 1)) < tol:
-                delta = np.maximum.reduce(np.abs(flat), 1)   # max-norm change per spec
-                if np.minimum.reduce(delta) < tol:
-                    break
-        else:                           # max_iter steps taken
-            if it >= first:             # report the change of this stack's last step
-                delta = np.maximum.reduce(np.abs(flat), 1)
-            break
-        done = delta < tol
+            # a spec whose increases all stay below tol can stop in this block
+            if np.minimum.reduce(np.maximum.reduce(flat, 2), None) < tol:
+                deltas = np.maximum.reduce(np.abs(flat, out=flat), 2)   # max-norm changes
+                below = deltas < tol
+                if below.any():
+                    stops = np.where(below.any(0), below.argmax(0), steps)
+            # a spec counts up to its stop step, which it reaches moving forwards
+            if np.minimum.reduce(least, None) < -1e-12 and np.any(
+                    (least < -1e-12) & (np.arange(steps)[:, None] <= (
+                        steps if stops is None else stops))):
+                raise InternalInconsistencyError("monotone iteration moved backwards")
+            it += steps
+            if it == max_iter:              # report the change of the last step
+                delta = np.maximum.reduce(np.abs(flat[steps - 1]), 1)
+            if stops is not None or it == max_iter:
+                break
+            path = path[::-1]
+        done = np.zeros(len(B), dtype=bool) if stops is None else stops < steps
         for row in np.flatnonzero(done):
-            finish(row, True)
+            k = int(stops[row])
+            runs[cells[row]] = _run(path[k + 1, row], it - steps + k + 1, deltas[k, row], True)
         keep = ~done
-        Z, delta, laws = Z[keep], delta[keep], _rows(laws, keep)
+        B, delta, laws = path[steps][keep], delta[keep], _rows(laws, keep)
         cells = [cell for cell, kept in zip(cells, keep) if kept]
-    for row in range(len(cells)):
+    for row, cell in enumerate(cells):
         # a degenerate request (max_iter 0: the start is the answer) and a fixed-step
         # run (tol 0, e.g. horizon iterates) count as converged
-        finish(row, max_iter == 0 or tol == 0.0)
+        runs[cell] = _run(B[row], it, delta[row], max_iter == 0 or tol == 0.0)
     return runs
+
+
+def _run(iterate: np.ndarray, step: int, delta, converged: bool) -> IterationRun:
+    """The run of one spec whose g^step(Z_0) is `iterate`."""
+    ybar, ell = iterate[::-1] if step % 2 else iterate
+    return IterationRun(ell=ell.copy(), w=1.0 - ybar, iterations=step, delta=float(delta),
+                        converged=converged)
 
 
 def horizon_iterates(spec: GameSpec, horizon: int):
@@ -462,19 +515,21 @@ def find_fixed_points(spec, seeds: Optional[Sequence] = None,
 
 def _multi_start(specs: list, starts: np.ndarray, tol: float, max_iter: int) -> list:
     """find_fixed_points for one stack: every spec from every start, a row per pair."""
-    pgf = specs[0].dist.pgf
+    G = specs[0].dist._pgf_inplace
     n_seeds = len(starts)
     laws = _law_columns(specs, 3, repeat=n_seeds)
     X = np.concatenate([starts] * len(specs))     # spec-major, then seed order
     settled = np.zeros(len(X), dtype=bool)
     rows = np.arange(len(X))                      # the row of X each live orbit belongs to
-    live = X
+    live = X.copy()
     buffers = _stencil_buffers(live.shape)
+    half, spare = np.empty(live.shape), np.empty(live.shape)
     # a seed freezes at its first h-step changing less than tol
     for _ in range(max_iter):
-        nxt = _g_fast(pgf, *laws, _g_fast(pgf, *laws, live, buffers), buffers)
-        moving = ~(np.max(np.abs(nxt - live), axis=(1, 2)) < tol)
-        live = nxt
+        nxt = _g_fast(G, *laws, _g_fast(G, *laws, live, buffers, out=half), buffers, out=spare)
+        np.abs(np.subtract(nxt, live, out=half), out=half)
+        moving = ~(np.maximum.reduce(half.reshape(len(half), -1), 1) < tol)
+        live, spare = nxt, live
         if moving.all():
             continue
         frozen = rows[~moving]
@@ -484,6 +539,7 @@ def _multi_start(specs: list, starts: np.ndarray, tol: float, max_iter: int) -> 
         if not rows.size:
             break
         buffers = _stencil_buffers(live.shape)
+        half, spare = np.empty(live.shape), np.empty(live.shape)
     found = []
     for limits, ok in zip(X.reshape((len(specs),) + starts.shape),
                           settled.reshape(len(specs), n_seeds)):

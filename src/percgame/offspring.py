@@ -33,10 +33,11 @@ def _check_unit_interval(x: ArrayLike) -> ArrayLike:
 
     An array argument comes back as a fresh clipped copy that the caller may
     overwrite (a numpy scalar for a 0-d array), anything else as a float, so
-    augmented assignments on the result serve every kind of argument.
+    augmented assignments on the result serve every kind of argument.  It runs once
+    per public pgf call; the operator loops clip their own stencil mix instead
+    (fixpoint._g_fast).
     """
     arr = np.asarray(x, dtype=float)
-    # the ufunc reductions and the clip method, not their np.* wrappers: this runs every step
     if arr.size and not (np.minimum.reduce(arr, None) >= -_PGF_DOMAIN_SLACK
                          and np.maximum.reduce(arr, None) <= 1.0 + _PGF_DOMAIN_SLACK):
         raise DistributionError(f"pgf argument outside [0, 1]: {x!r}")
@@ -45,11 +46,14 @@ def _check_unit_interval(x: ArrayLike) -> ArrayLike:
 
 
 def _horner(coeffs, x: ArrayLike) -> ArrayLike:
-    """sum_k coeffs[k] x^k by Horner's rule; an array x gives a fresh array."""
+    """sum_k coeffs[k] x^k by Horner's rule, written over an array x and returned."""
     acc = 0.0 * x
     for c in reversed(coeffs):
         acc *= x
         acc += c
+    if isinstance(x, np.ndarray):
+        x[...] = acc
+        return x
     return acc
 
 
@@ -62,6 +66,14 @@ class OffspringDistribution:
         raise NotImplementedError
 
     def pgf(self, x: ArrayLike) -> ArrayLike:
+        """G(x): arguments up to 1e-9 outside [0, 1] are clipped, NaN and anything
+        further out raise DistributionError; an array gives a fresh array.  Each
+        family binds this in its own class, where the traced benchmark wraps it."""
+        return self._pgf_inplace(_check_unit_interval(x))
+
+    def _pgf_inplace(self, x: ArrayLike) -> ArrayLike:
+        """The family's one body of G for x already in [0, 1]: an array x is
+        overwritten with G(x) and returned, a float gives a float."""
         raise NotImplementedError
 
     def pgf_derivative(self, x: ArrayLike) -> ArrayLike:
@@ -92,8 +104,9 @@ class Dirac(OffspringDistribution):
     def pmf(self, m: int) -> float:
         return 1.0 if m == self.m else 0.0
 
-    def pgf(self, x):
-        x = _check_unit_interval(x)
+    pgf = OffspringDistribution.pgf
+
+    def _pgf_inplace(self, x):
         x **= self.m
         return x
 
@@ -122,8 +135,12 @@ class UniformRange(OffspringDistribution):
     def pmf(self, m: int) -> float:
         return 1.0 / self.m if 1 <= m <= self.m else 0.0
 
-    def pgf(self, x):
-        return _horner((0,) + (1,) * self.m, _check_unit_interval(x)) / self.m
+    pgf = OffspringDistribution.pgf
+
+    def _pgf_inplace(self, x):
+        x = _horner((0,) + (1,) * self.m, x)
+        x /= self.m
+        return x
 
     def pgf_derivative(self, x):
         return _horner(range(1, self.m + 1), _check_unit_interval(x)) / self.m
@@ -154,8 +171,9 @@ class Binomial(OffspringDistribution):
             return 0.0
         return math.comb(self.n, m) * self.pi**m * (1.0 - self.pi) ** (self.n - m)
 
-    def pgf(self, x):
-        x = _check_unit_interval(x)
+    pgf = OffspringDistribution.pgf
+
+    def _pgf_inplace(self, x):
         x *= self.pi
         x += 1.0 - self.pi
         x **= self.n
@@ -186,8 +204,9 @@ class Poisson(OffspringDistribution):
     def pmf(self, m: int) -> float:
         return math.exp(-self.lam + m * math.log(self.lam) - math.lgamma(m + 1)) if m >= 0 else 0.0
 
-    def pgf(self, x):
-        x = _check_unit_interval(x)
+    pgf = OffspringDistribution.pgf
+
+    def _pgf_inplace(self, x):
         x -= 1.0
         x *= self.lam
         return np.exp(x, out=x if isinstance(x, np.ndarray) else None)
@@ -225,8 +244,9 @@ class NegBinomial(OffspringDistribution):
             return 0.0
         return math.comb(m + self.r - 1, m) * self.pi**self.r * (1.0 - self.pi) ** m
 
-    def pgf(self, x):
-        x = _check_unit_interval(x)
+    pgf = OffspringDistribution.pgf
+
+    def _pgf_inplace(self, x):
         x *= self.pi - 1.0      # fl(pi - 1) = -fl(1 - pi): the same roundings as 1 - (1 - pi) x
         x += 1.0
         x **= -self.r
@@ -266,8 +286,9 @@ class TwoPoint(OffspringDistribution):
             return self.pi
         return 0.0
 
-    def pgf(self, x):
-        x = _check_unit_interval(x)
+    pgf = OffspringDistribution.pgf
+
+    def _pgf_inplace(self, x):
         x **= self.d
         x *= self.pi
         x += 1.0 - self.pi
@@ -306,8 +327,10 @@ class Explicit(OffspringDistribution):
     def pmf(self, m: int) -> float:
         return self.pmf_values[m] if 0 <= m < len(self.pmf_values) else 0.0
 
-    def pgf(self, x):
-        return _horner(self.pmf_values, _check_unit_interval(x))
+    pgf = OffspringDistribution.pgf
+
+    def _pgf_inplace(self, x):
+        return _horner(self.pmf_values, x)
 
     def pgf_derivative(self, x):
         coeffs = [m * p for m, p in enumerate(self.pmf_values)][1:]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from percgame import criteria
 from percgame import (Binomial, Dirac, DurationReport, EdgeWeightLaw, Explicit, GameSpec,
                       InternalInconsistencyError, Kappa3Bounds, NegBinomial, Poisson,
                       SolveResult, TwoPoint, UniformRange, Verdict, classify_draw,
@@ -98,6 +99,78 @@ def test_kappa2_large_laws_equal_exact_reference(k):
                     assert verdict == exact_kappa2_draw_zero(dist, lw), (dist, p0, p1)
                     seen.add((dist.family, verdict))
     assert len(seen) == 6
+
+
+def big_int_kappa2_draw_zero(dist, lw):
+    """kappa2_draw_zero as it was, forming the exact big-int ratios of powers for every
+    n, r and d: its verdicts are the float inequalities with the ratios' nearest floats."""
+    p0, p1, pm1 = lw.p_0, lw.p_1, lw.p_minus1
+    if isinstance(dist, Binomial):
+        d, pi = int(dist.n), dist.pi
+        return p0 * pi * (1.0 - pi * p1) ** (d - 1) <= (d + 1) ** (d - 1) / d**d
+    if isinstance(dist, NegBinomial):
+        r, pi = int(dist.r), dist.pi
+        q = p1 + pi - p1 * pi
+        return (r - 1) ** (r + 1) / r**r * (1.0 - pi) * p0 * (pi / q) ** r <= q
+    d, pi = int(dist.d), dist.pi
+    return (p0 * pi * (pi * (1.0 - p1) + pm1 * (1.0 - pi)) ** (d - 1)
+            <= (d + 1) ** (d - 1) / d**d)
+
+
+RATIO_GRID = list(range(1, 41)) + [99, 143, 144, 500, 1000, 4096, 10**4]
+
+
+def test_kappa2_ratio_float_forms_within_margin():
+    # the worst relative error on this grid is about 4e-16; the margin holds 1e-14 a
+    # hundred times over
+    assert 100 * 1e-14 <= criteria.RATIO_MARGIN
+    for k in RATIO_GRID:
+        forms = [(criteria._negbin_ratio(k), Fraction((k - 1) ** (k + 1), k**k))]
+        if k >= 2:
+            forms.append((criteria._binomial_ratio(k), Fraction((k + 1) ** (k - 1), k**k)))
+        for approx, exact in forms:
+            assert abs(Fraction(approx) - exact) <= Fraction(1e-14) * exact, k
+
+
+def _tie(verdict, p1):
+    """The adjacent floats p0 < p0' at which verdict(law(., p1)) turns from True to
+    False, found by bisection, or None when it holds on all of [0, 1 - p1]."""
+    lo, hi = 0.0, 1.0 - p1
+    if verdict(law(hi, p1)):
+        return None
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return lo, hi
+        lo, hi = (mid, hi) if verdict(law(mid, p1)) else (lo, mid)
+
+
+@pytest.mark.parametrize("k", [5, 12, 144, 1000, 10**4])
+def test_kappa2_verdicts_equal_big_int_form_at_ties(k, monkeypatch):
+    # at a tie the float form cannot decide and the exact powers are formed; a few
+    # floats away, and far from it, the float form decides alone
+    calls = []
+    decide = criteria._at_power_ratio
+
+    def counting(holds, approx, powers):
+        seen = []
+        verdict = decide(lambda c: seen.append(c) or holds(c), approx, powers)
+        calls.append(len(seen))
+        return verdict
+
+    monkeypatch.setattr(criteria, "_at_power_ratio", counting)
+    for dist in (Binomial(k, 0.6), NegBinomial(k, 0.3), TwoPoint(max(0.9, 1 - 1 / k), k)):
+        ties = [(p1, tie) for p1 in (0.5 / k, 2.0 / k, 0.05)
+                if (tie := _tie(lambda lw: big_int_kappa2_draw_zero(dist, lw), p1))]
+        assert ties, dist
+        for p1, (lo, hi) in ties:
+            for p0 in (lo, hi, lo * (1 - 1e-13), hi * (1 + 1e-13), lo * (1 - 1e-9),
+                       hi * (1 + 1e-9), lo / 2, hi * 1.5):
+                lw = law(min(p0, 1.0 - p1), p1)
+                assert kappa2_draw_zero(dist, lw) == big_int_kappa2_draw_zero(dist, lw), (
+                    dist, p0, p1)
+            assert kappa2_draw_zero(dist, law(lo, p1)) and not kappa2_draw_zero(dist, law(hi, p1))
+    assert {2, 3} <= set(calls)   # both the float verdicts and the exact fallback ran
 
 
 def test_kappa2_unsupported_family():

@@ -230,8 +230,8 @@ class _Decreasing(OffspringDistribution):
 
     family = "decreasing"
 
-    def pgf(self, x):
-        return 1.0 - np.asarray(x)
+    def _pgf_inplace(self, x):
+        return np.subtract(1.0, x, out=x if isinstance(x, np.ndarray) else None)
 
 
 def test_iteration_that_moves_backwards_raises():
@@ -239,6 +239,78 @@ def test_iteration_that_moves_backwards_raises():
     for iterate in (iterate_from_below, reference_iterate_from_below):
         with pytest.raises(InternalInconsistencyError, match="monotone iteration moved backwards"):
             iterate(spec)
+
+
+class _Relapsing(OffspringDistribution):
+    """Dirac(2)'s G for its first `calls` calls, then G = 0: the iteration of a single
+    spec, one operator call a step, moves backwards from step calls + 1 on."""
+
+    family = "relapsing"
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def _pgf_inplace(self, x):
+        self.calls -= 1
+        x **= 2
+        if self.calls < 0:
+            x *= 0.0
+        return x
+
+
+def test_backwards_move_after_the_stop_step_does_not_raise():
+    law = EdgeWeightLaw.from_p0_p1(0.5, 0.25)
+    expected = reference_iterate_from_below(GameSpec(2, Dirac(2), law), tol=1e-6)[0]
+    stop = expected.iterations
+    # the block goes on past the stop step, into the backwards steps
+    assert stop % fixpoint._block_steps(2) and stop < fixpoint._block_steps(2)
+    assert_same_run(iterate_from_below(GameSpec(2, _Relapsing(stop), law), tol=1e-6), expected)
+    with pytest.raises(InternalInconsistencyError, match="monotone iteration moved backwards"):
+        iterate_from_below(GameSpec(2, _Relapsing(stop - 1), law), tol=1e-6)
+
+
+# kappa 2 specs stopping after 25, 35, 41, 51, 43 and 83 steps at the default tol
+BLOCK_SPECS = [GameSpec(2, Poisson(5.0), EdgeWeightLaw.from_p0_p1(p0, p1))
+               for p0, p1 in ((0.3, 0.25), (0.5, 0.25), (0.6, 0.25), (0.75, 0.25), (0.3, 0.1),
+                              (0.5, 0.1))]
+BLOCK_SIZES = (1, 2, 5, 7, 32)
+
+
+def test_block_cases_cover_the_block_boundaries():
+    stops = [reference_iterate_from_below(spec)[0].iterations for spec in BLOCK_SPECS]
+    blocks = {K: [(stop - 1) // K for stop in stops] for K in BLOCK_SIZES}
+    assert any(len(set(b)) < len(b) for b in blocks.values())      # two stop in one block
+    assert any(len(set(b)) > 1 for b in blocks.values())           # others in different ones
+    assert any(stop % K == 0 for K in BLOCK_SIZES if K > 1 for stop in stops)   # at a block's end
+
+
+@pytest.mark.parametrize("K", BLOCK_SIZES)
+def test_block_boundaries_equal_reference(K, monkeypatch):
+    monkeypatch.setattr(fixpoint, "BLOCK_ENTRIES", 2**40)     # every stack takes K steps a block
+    monkeypatch.setattr(fixpoint, "MAX_BLOCK_STEPS", K)
+    for kwargs in ({}, {"tol": 1e-6}, {"tol": 0.0, "max_iter": 2 * K + 3}, {"max_iter": 0},
+                   {"max_iter": 1}, {"max_iter": K + K // 2 + 1}, {"max_iter": 3 * K},
+                   {"max_iter": 40}):
+        expected = [reference_iterate_from_below(spec, **kwargs)[0] for spec in BLOCK_SPECS]
+        for got, run in zip(iterate_from_below(BLOCK_SPECS, **kwargs), expected, strict=True):
+            assert_same_run(got, run)
+            assert type(got.iterations) is int and type(got.delta) is float
+        for spec, run in zip(BLOCK_SPECS, expected):
+            got = iterate_from_below(spec, **kwargs)
+            assert_same_run(got, run)
+            assert type(got.iterations) is int and type(got.delta) is float
+
+
+def test_default_block_sizes_equal_reference():
+    small, large = BLOCK_SPECS[1], GameSpec(100, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.2, 0.6))
+    assert fixpoint._block_steps(2 * small.size**2) == fixpoint.MAX_BLOCK_STEPS
+    assert fixpoint._block_steps(2 * large.size**2) == 1
+    for spec, kwargs in ((small, {}), (small, {"max_iter": 45}),
+                         (small, {"tol": 0.0, "max_iter": 70}), (large, {"max_iter": 7}),
+                         (large, {"tol": 1e-6, "max_iter": 300})):   # stops at step 288
+        got = iterate_from_below(spec, **kwargs)
+        assert_same_run(got, reference_iterate_from_below(spec, **kwargs)[0])
+        assert type(got.iterations) is int and type(got.delta) is float
 
 
 def test_iterate_rejects_nan_and_negative_tol():

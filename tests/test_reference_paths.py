@@ -156,6 +156,23 @@ def test_pgf_equals_two_path_reference(dist, method):
     assert new(zero_d) == old(zero_d)
 
 
+@pytest.mark.parametrize("dist", DISTS, ids=repr)
+def test_public_pgf_is_the_check_then_the_inplace_body(dist):
+    # the operator loops call _pgf_inplace on a mix they clip themselves; the public
+    # pgf keeps the range check and gives what the body gives on a clipped copy
+    for x in (ARRAY, ARRAY.T, np.array([[-1e-9, 1.0 + 1e-9, 0.5]]), np.empty((0, 2))):
+        body = dist._pgf_inplace(np.clip(x, 0.0, 1.0))
+        np.testing.assert_array_equal(dist.pgf(x), body, strict=True)
+    for x in GRID:
+        assert dist.pgf(x) == dist._pgf_inplace(min(1.0, max(0.0, x)))
+    buffer = ARRAY.copy()
+    assert dist._pgf_inplace(buffer) is buffer                # in place, nothing fresh
+    for x in (np.nan, -2e-9, 1.0 + 2e-9, np.array([0.5, np.nan]), np.array([[0.1, -0.5]]),
+              np.array([1.0, 1.0 + 2e-9]), np.array(-2e-9)):
+        with pytest.raises(DistributionError, match=r"pgf argument outside \[0, 1\]"):
+            dist.pgf(x)
+
+
 @dataclass
 class Forest:
     """The former Forest layout, with a parent index and a sample id per node."""
