@@ -35,19 +35,42 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 
-def _fmt(value):
-    """Round floats to 9 significant digits, recursively, for stable output."""
+_str = json.encoder.encode_basestring_ascii
+
+
+def _float(x) -> str:
+    """json's text of float(f"{x:.9g}"): x rounded to 9 significant digits, printed once."""
+    s = "%.9g" % x
+    # s is that float's repr less its ".0", except where %g takes an exponent and repr does
+    # not (1e9 to 1e16), where 9 digits do not survive (subnormals) and at nan and inf
+    if "e+" in s or "e-3" in s or "n" in s:
+        return json.dumps(float(s))
+    return s if "." in s or "e" in s else s + ".0"
+
+
+def _json(value, pad="") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, floats by `_float`."""
     if isinstance(value, (float, np.floating)):
-        return float(f"{float(value):.9g}")
-    if isinstance(value, (int, np.integer, bool, str)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
+        return _float(value)
+    if isinstance(value, str):
+        return _str(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, np.ndarray):
-        return _fmt(value.tolist())
-    return value
+        return _json(value.tolist(), pad)
+    inner = pad + "  "
+    if isinstance(value, dict):     # _str refuses a key that is not a str
+        parts, ends = (f"{_str(k)}: {_json(value[k], inner)}" for k in sorted(value)), "{}"
+    elif isinstance(value, (list, tuple)):
+        floats = set(map(type, value)) == {float}
+        parts, ends = map(_float, value) if floats else (_json(v, inner) for v in value), "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return ends
+    return ends[0] + "\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + ends[1]
 
 
 def _fmt_cell(value) -> str:
@@ -59,9 +82,10 @@ def _fmt_cell(value) -> str:
 
 
 def _emit(payload, rows, header, config) -> None:
-    """Write the command result as JSON (payload) or CSV (rows, iterated once, and header)."""
+    """Write the command result as JSON (payload, as `_json` writes it) or CSV (rows,
+    iterated once, and header)."""
     if config["format"] == "json":
-        text = json.dumps(_fmt(payload), indent=2, sort_keys=True) + "\n"
+        text = _json(payload) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")

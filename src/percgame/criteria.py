@@ -260,10 +260,12 @@ class DurationReport:
     draws_zero: bool
 
     def to_json_dict(self) -> dict:
+        rows, cols = self.row_sums.shape
         return {
             "alpha": self.alpha.tolist(),
             "beta": self.beta.tolist(),
-            "row_sums": {f"{i + 1},{j + 1}": float(v) for (i, j), v in np.ndenumerate(self.row_sums)},
+            "row_sums": dict(zip((f"{i},{j}" for i in range(1, rows + 1) for j in range(1, cols + 1)),
+                                 self.row_sums.ravel().tolist())),
             "criterion_holds": self.criterion_holds,
             "draws_zero": self.draws_zero,
         }

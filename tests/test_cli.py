@@ -1,9 +1,12 @@
 import concurrent.futures
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
+from percgame import cli
 from percgame.cli import main
 
 
@@ -614,3 +617,133 @@ def test_env_seed_fallback(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("PERCGAME_SEED")
     _, out_5, _ = run_cli(capsys, *argv, "--seed", "5")
     assert out_flag == out_5
+
+
+# ---------------------------------------------------------------------------
+# JSON layout: `cli._json` against the former output layer
+# ---------------------------------------------------------------------------
+
+def _fmt(value):
+    """Round floats to 9 significant digits, recursively (the former `cli._fmt`)."""
+    if isinstance(value, (float, np.floating)):
+        return float(f"{float(value):.9g}")
+    if isinstance(value, (int, np.integer, bool, str)) or value is None:
+        return value
+    if isinstance(value, dict):
+        return {k: _fmt(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_fmt(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _fmt(value.tolist())
+    return value
+
+
+def reference_json(value) -> str:
+    """The JSON text `_emit` wrote before it had its own emitter."""
+    return json.dumps(_fmt(value), indent=2, sort_keys=True) + "\n"
+
+
+def _around(x):
+    """x and its two neighbouring floats."""
+    return [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 1e-320, 1.23456789e-315, 2.2250738585072014e-308, 1e-300,
+    *_around(1e-5), *_around(1e-4), 9.99999999e-5, 9.999999995e-5, 1 / 3, 0.5, 1.0, 100.0,
+    123456789.0, 999999999.0, *_around(1e9), 9.9999999995e8, 1234567890123.0,
+    *_around(1e16), 9.9999999995e15, 1e17, 1.5e300, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+]
+EDGE_FLOATS += [-x for x in EDGE_FLOATS]
+
+
+def test_json_floats_equal_reference():
+    with np.errstate(over="ignore"):            # np.float32 of a large x is inf
+        for x in EDGE_FLOATS:
+            for value in (x, [x], [x, 1], np.float64(x), np.float32(x), np.array([x, x])):
+                assert cli._json(value) + "\n" == reference_json(value), value
+    assert cli._json(EDGE_FLOATS) + "\n" == reference_json(EDGE_FLOATS)
+    for value in (np.float32(0.1), np.array([[0.1, 2.0], [np.inf, -0.0]], dtype=np.float32),
+                  np.arange(6).reshape(2, 3), np.array(0.25), np.zeros((0, 3)), np.array([])):
+        assert cli._json(value) + "\n" == reference_json(value), value
+
+
+def test_json_random_floats_of_every_decade_equal_reference():
+    # random bit patterns, and random mantissas at every power of ten down to the subnormals
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2 ** 64, size=500_000, dtype=np.uint64).view(np.float64)
+    decades = rng.uniform(1, 10, 500_000) * 10.0 ** rng.integers(-323, 308, 500_000)
+    for floats in (bits, decades):
+        values = floats.tolist()
+        # the layout is checked above; here json's C encoder writes the reference floats
+        got = cli._json(values).replace("\n  ", "").replace("\n", "")
+        assert got.split(",") == json.dumps(_fmt(values), separators=(",", ":")).split(",")
+
+
+def test_json_containers_strings_and_mixed_rows_equal_reference():
+    cases = [
+        (), (1, 2.5, "a"), [], {}, [[]], [{}], {"a": {}}, {"a": []}, [[], [[]], {}], [(0.5,)],
+        {"1,10": 1.0, "1,2": 2.0, "10,1": 3.0, "2,1": 4.0, "": 0.0, "B": 1, "a": 2},
+        {"nested": {"z": [1, [2.0, [3, "x"]]], "a": None}},
+        ['say "hi"', "back\\slash", "\x00\x07\n\t\x1f", "ünïcødé ☃ 𝄞", "/", ""],
+        {'"quoted"': "\\", "ñ": "\x7f", "tab\t": [" ", "\ud83d"]},
+        [True, 1, False, 0, None, 1.0, 0.0, -1, 2 ** 70],
+        {"rows": [{"distribution": "dirac(m=2)", "p0": 0.8, "p1": np.float64(0.05),
+                   "d11": np.float64(0.985521982), "d1_2": 1e-12, "draw_zero": True,
+                   "fixed_point_count": 3, "contraction_holds": False, "max_E": np.float32(0.3)},
+                  {"distribution": "poisson(lam=5.0)", "p0": 0.25, "p1": 0.5,
+                   "draw_zero": False, "fixed_point_count": 1, "contraction_holds": True}]},
+    ]
+    for value in cases:
+        assert cli._json(value) + "\n" == reference_json(value), value
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), object(), {1, 2}, [1j],
+                                   {"a": np.int32(2)}])
+def test_json_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        reference_json(value)
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_json_refuses_keys_that_are_not_str():
+    for value in ({1: 2.0}, {"a": 1, None: 2}, {(1, 2): 3}, {2.5: "x"}):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
+def _floats(doc):
+    if isinstance(doc, float):
+        yield doc
+    elif isinstance(doc, (list, dict)):
+        for item in doc.values() if isinstance(doc, dict) else doc:
+            yield from _floats(item)
+
+
+SWEEP_GRID = ("--grid-p0", "0.3,0.8", "--grid-p1", "0.05,0.1")
+JSON_COMMANDS = [
+    *[(cmd, "--family", "poisson", "--lam", "5", "--kappa", str(kappa), "--p0", "0.4",
+       "--p1", "0.3") for cmd in ("solve", "duration", "fixed-points") for kappa in (3, 12, 40)],
+    ("simulate", "--family", "dirac", "--m", "2", "--kappa", "3", "--p0", "0.8", "--p1", "0.1",
+     "--horizon", "4", "--samples", "2000", "--seed", "3"),
+    ("sweep", "--what", "solve", "--family", "dirac", "--grid-param", "m=2,3", "--kappa", "4",
+     *SWEEP_GRID),
+    ("sweep", "--what", "check-kappa2", "--family", "binomial", "--n", "10", "--pi", "0.6",
+     *SWEEP_GRID),
+    ("sweep", "--what", "check-kappa3", "--family", "poisson", "--lam", "5",
+     "--count-fixed-points", *SWEEP_GRID),
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=[" ".join(a[:6]) for a in JSON_COMMANDS])
+def test_json_output_rewrites_to_itself(capsys, argv):
+    # Rounding to 9 digits is idempotent, so the former layer, fed the parsed output,
+    # writes the same bytes; unlike a digest this holds on any BLAS build.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    floats = list(_floats(doc))
+    assert floats and all(float(f"{x:.9g}") == x for x in floats if x == x)
+    assert reference_json(doc) == out

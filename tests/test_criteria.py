@@ -607,3 +607,19 @@ def test_duration_report_serialization():
     # the "i,j" keys of the 1-based capital pairs, in row-major order
     assert list(obj["row_sums"]) == ["1,1", "1,2", "2,1", "2,2"]
     assert list(obj["row_sums"].values()) == report.row_sums.ravel().tolist()
+
+
+def reference_row_sums_json(report):
+    """The former `DurationReport.to_json_dict` row sums: one float per ndenumerate entry."""
+    return {f"{i + 1},{j + 1}": float(v) for (i, j), v in np.ndenumerate(report.row_sums)}
+
+
+def test_duration_row_sums_json_equals_reference():
+    reports = [duration_criterion(solve(GameSpec(kappa, Poisson(5.0), law(0.4, 0.3))))
+               for kappa in (2, 3, 12, 40)]
+    rng = np.random.default_rng(5)
+    reports.append(DurationReport(*rng.random((3, 3, 5)), False, False))   # not square
+    for report in reports:
+        got = report.to_json_dict()["row_sums"]
+        assert list(got.items()) == list(reference_row_sums_json(report).items())
+        assert all(type(v) is float for v in got.values())
