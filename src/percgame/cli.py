@@ -63,9 +63,10 @@ def _json(value, pad="") -> str:
     inner = pad + "  "
     if isinstance(value, dict):     # _str refuses a key that is not a str
         parts, ends = (f"{_str(k)}: {_json(value[k], inner)}" for k in sorted(value)), "{}"
-    elif isinstance(value, (list, tuple)):
-        floats = set(map(type, value)) == {float}
-        parts, ends = map(_float, value) if floats else (_json(v, inner) for v in value), "[]"
+    elif isinstance(value, (list, tuple)):     # a list of floats or of strs: one map
+        kinds = set(map(type, value))
+        leaf = _float if kinds == {float} else _str if kinds == {str} else None
+        parts, ends = map(leaf, value) if leaf else (_json(v, inner) for v in value), "[]"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not value:

@@ -139,52 +139,46 @@ def kappa3_bounds(dist: OffspringDistribution, law: EdgeWeightLaw) -> Kappa3Boun
     Gp = dist.pgf_derivative
     p0, p1, pm1 = law.p_0, law.p_1, law.p_minus1
 
-    A11 = A12 = G(pm1)
-    B21 = B22 = G(1.0 - p1)
-    A21 = G(pm1 * (1.0 - G(1.0 - (1.0 - pm1) * G(pm1))))
-    A22 = (G(pm1 * (1.0 - G(1.0 - G(pm1))))
-           + G((1.0 - p1) * (1.0 - G(1.0 - p1)))
-           - G(pm1 * (1.0 - G(1.0 - p1) - G(1.0 - G(pm1))
-                      + G((1.0 - p1) * (1.0 - G(pm1))))))
-    B11 = (G(1.0 - (1.0 - pm1) * G(pm1))
-           - G((1.0 - pm1) * (1.0 - G(pm1)) + pm1)
-           + G((1.0 - pm1) * (1.0 - G(pm1)) + pm1
-               - p1 * G(1.0 - G(1.0 - p1)) + p1 * G(pm1 * (1.0 - G(1.0 - p1)))))
-    B12 = G(1.0 - p1 * G((1.0 - p1) * (1.0 - G(1.0 - p1))))
+    # every G value that the bounds share, evaluated once; g_m = G(pm1), g_q = G(1 - p1)
+    g_m = G(pm1)
+    g_q = G(1.0 - p1)
+    g_1_gm = G(1.0 - g_m)
+    g_1_gq = G(1.0 - g_q)
+    g_lose = G(1.0 - (1.0 - pm1) * g_m)
+    g_q_gq = G((1.0 - p1) * (1.0 - g_q))
+    g_q_gm = G((1.0 - p1) * (1.0 - g_m))
+    g_m_gq = G(pm1 * (1.0 - g_q))
+    mix = (1.0 - pm1) * (1.0 - g_m) + pm1
+
+    A11 = A12 = g_m
+    B21 = B22 = g_q
+    A21 = G(pm1 * (1.0 - g_lose))
+    A22 = G(pm1 * (1.0 - g_1_gm)) + g_q_gq - G(pm1 * (1.0 - g_q - g_1_gm + g_q_gm))
+    B11 = g_lose - G(mix) + G(mix - p1 * g_1_gq + p1 * g_m_gq)
+    B12 = G(1.0 - p1 * g_q_gq)
     A = np.array([[A11, A12], [A21, A22]], dtype=float)
     B = np.array([[B11, B12], [B21, B22]], dtype=float)
 
-    def f1(x1, x2):
-        return G(1.0 - p1 * x2 - p0 * x1)
-
-    def f2(x1, x2):
-        return G(p0 + pm1 - p0 * x2 - pm1 * x1)
-
-    def d_f1(j, x1, x2):
-        # |partial_j f1|; the chain factor is p0 for the first argument, p1 for the second
-        return (p0 if j == 1 else p1) * Gp(1.0 - p1 * x2 - p0 * x1)
-
-    def d_f2(j, x1, x2):
-        return (pm1 if j == 1 else p0) * Gp(p0 + pm1 - p0 * x2 - pm1 * x1)
-
-    f1B2, f1B1 = f1(B[1, 0], B[1, 1]), f1(B[0, 0], B[0, 1])
-    f2B2, f2B1 = f2(B[1, 0], B[1, 1]), f2(B[0, 0], B[0, 1])
+    # f1(x1, x2) = G(1 - p1 x2 - p0 x1) and f2(x1, x2) = G(p0 + pm1 - p0 x2 - pm1 x1) at B
+    f1B2, f1B1 = G(1.0 - p1 * B22 - p0 * B21), G(1.0 - p1 * B12 - p0 * B11)
+    f2B2, f2B1 = G(p0 + pm1 - p0 * B22 - pm1 * B21), G(p0 + pm1 - p0 * B12 - pm1 * B11)
     outer = (Gp(1.0 - p1 * f1B2 - p0 * f1B1),
              Gp(1.0 - p1 * f2B2 - p0 * f2B1),
              Gp(p0 + pm1 - p0 * f1B2 - pm1 * f1B1),
              Gp(p0 + pm1 - p0 * f2B2 - pm1 * f2B1))
 
+    # (p0, pm1) and (p1, p0): the weights of the row-i inner block inside the two outer
+    # layers, and the chain factors of |partial_j f1| and |partial_j f2|
+    weights = ((p0, pm1), (p1, p0))
     E = np.zeros((2, 2))
-    for i in (1, 2):
-        # weight of the row-i inner block inside the two outer layers:
-        # p_{i-1} multiplies the first-layer terms, p_{i-2} the second.
-        w_first = p0 if i == 1 else p1
-        w_second = pm1 if i == 1 else p0
-        for j in (1, 2):
-            d1 = d_f1(j, A[i - 1, 0], A[i - 1, 1])
-            d2 = d_f2(j, A[i - 1, 0], A[i - 1, 1])
-            E[i - 1, j - 1] = (w_first * d1 * outer[0] + w_first * d2 * outer[1]
-                               + w_second * d1 * outer[2] + w_second * d2 * outer[3])
+    for i, (x1, x2) in enumerate(((A11, A12), (A21, A22))):
+        w_first, w_second = weights[i]
+        gp1 = Gp(1.0 - p1 * x2 - p0 * x1)
+        gp2 = Gp(p0 + pm1 - p0 * x2 - pm1 * x1)
+        for j, (c1, c2) in enumerate(weights):
+            d1, d2 = c1 * gp1, c2 * gp2
+            E[i, j] = (w_first * d1 * outer[0] + w_first * d2 * outer[1]
+                       + w_second * d1 * outer[2] + w_second * d2 * outer[3])
     return Kappa3Bounds(A=A, B=B, E=E)
 
 
@@ -230,11 +224,10 @@ def kappa3_p0_zero_check(dist: OffspringDistribution, p_minus1: float) -> bool:
     """
     if not 0.0 <= p_minus1 <= 1.0:
         raise ValueError("p_minus1 must lie in [0, 1]")
-    G = dist.pgf
+    g = dist.pgf(p_minus1)
     Gp = dist.pgf_derivative
     product = (p_minus1 * (1.0 - p_minus1)
-               * Gp(1.0 - (1.0 - p_minus1) * G(p_minus1))
-               * Gp(p_minus1 * (1.0 - G(p_minus1))))
+               * Gp(1.0 - (1.0 - p_minus1) * g) * Gp(p_minus1 * (1.0 - g)))
     return bool(product < 1.0)
 
 

@@ -34,8 +34,8 @@ def _check_unit_interval(x: ArrayLike) -> ArrayLike:
     An array argument comes back as a fresh clipped copy that the caller may
     overwrite (a numpy scalar for a 0-d array), anything else as a float, so
     augmented assignments on the result serve every kind of argument.  It runs once
-    per public pgf call; the operator loops clip their own stencil mix instead
-    (fixpoint._g_fast).
+    per public pgf or pgf_derivative call; the operator loops clip their own stencil
+    mix instead (fixpoint._g_fast).
     """
     arr = np.asarray(x, dtype=float)
     if arr.size and not (np.minimum.reduce(arr, None) >= -_PGF_DOMAIN_SLACK
@@ -77,6 +77,11 @@ class OffspringDistribution:
         raise NotImplementedError
 
     def pgf_derivative(self, x: ArrayLike) -> ArrayLike:
+        """G'(x), its argument checked and clipped as `pgf` checks and clips it."""
+        return self._pgf_derivative(_check_unit_interval(x))
+
+    def _pgf_derivative(self, x: ArrayLike) -> ArrayLike:
+        """The family's one body of G' for x already in [0, 1]; an array x may be overwritten."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -84,7 +89,8 @@ class OffspringDistribution:
         raise NotImplementedError
 
     def params(self) -> dict:
-        raise NotImplementedError
+        """{parameter: value}, the parameters named and ordered as `_FAMILIES` lists them."""
+        return {name: getattr(self, name) for name in _FAMILIES[self.family][1]}
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": self.params()}
@@ -110,15 +116,11 @@ class Dirac(OffspringDistribution):
         x **= self.m
         return x
 
-    def pgf_derivative(self, x):
-        x = _check_unit_interval(x)
+    def _pgf_derivative(self, x):
         return self.m * x ** (self.m - 1)
 
     def sample(self, rng, size):
         return np.full(size, self.m, dtype=np.int64)
-
-    def params(self):
-        return {"m": self.m}
 
 
 @dataclass(frozen=True)
@@ -142,14 +144,11 @@ class UniformRange(OffspringDistribution):
         x /= self.m
         return x
 
-    def pgf_derivative(self, x):
-        return _horner(range(1, self.m + 1), _check_unit_interval(x)) / self.m
+    def _pgf_derivative(self, x):
+        return _horner(range(1, self.m + 1), x) / self.m
 
     def sample(self, rng, size):
         return rng.integers(1, self.m + 1, size=size)
-
-    def params(self):
-        return {"m": self.m}
 
 
 @dataclass(frozen=True)
@@ -179,15 +178,11 @@ class Binomial(OffspringDistribution):
         x **= self.n
         return x
 
-    def pgf_derivative(self, x):
-        x = _check_unit_interval(x)
+    def _pgf_derivative(self, x):
         return self.n * self.pi * (1.0 - self.pi + self.pi * x) ** (self.n - 1)
 
     def sample(self, rng, size):
         return rng.binomial(self.n, self.pi, size=size)
-
-    def params(self):
-        return {"n": self.n, "pi": self.pi}
 
 
 @dataclass(frozen=True)
@@ -211,14 +206,11 @@ class Poisson(OffspringDistribution):
         x *= self.lam
         return np.exp(x, out=x if isinstance(x, np.ndarray) else None)
 
-    def pgf_derivative(self, x):
-        return self.lam * self.pgf(x)
+    def _pgf_derivative(self, x):
+        return self.lam * self._pgf_inplace(x)
 
     def sample(self, rng, size):
         return rng.poisson(self.lam, size=size)
-
-    def params(self):
-        return {"lam": self.lam}
 
 
 @dataclass(frozen=True)
@@ -253,16 +245,12 @@ class NegBinomial(OffspringDistribution):
         x *= self.pi**self.r
         return x
 
-    def pgf_derivative(self, x):
-        x = _check_unit_interval(x)
+    def _pgf_derivative(self, x):
         return (self.r * (1.0 - self.pi) * self.pi**self.r
                 * (1.0 - (1.0 - self.pi) * x) ** (-self.r - 1))
 
     def sample(self, rng, size):
         return rng.negative_binomial(self.r, self.pi, size=size)
-
-    def params(self):
-        return {"r": self.r, "pi": self.pi}
 
 
 @dataclass(frozen=True)
@@ -294,15 +282,11 @@ class TwoPoint(OffspringDistribution):
         x += 1.0 - self.pi
         return x
 
-    def pgf_derivative(self, x):
-        x = _check_unit_interval(x)
+    def _pgf_derivative(self, x):
         return self.pi * self.d * x ** (self.d - 1)
 
     def sample(self, rng, size):
         return np.where(rng.random(size) < self.pi, self.d, 0).astype(np.int64)
-
-    def params(self):
-        return {"pi": self.pi, "d": self.d}
 
 
 @dataclass(frozen=True)
@@ -332,14 +316,14 @@ class Explicit(OffspringDistribution):
     def _pgf_inplace(self, x):
         return _horner(self.pmf_values, x)
 
-    def pgf_derivative(self, x):
+    def _pgf_derivative(self, x):
         coeffs = [m * p for m, p in enumerate(self.pmf_values)][1:]
-        return _horner(coeffs, _check_unit_interval(x))
+        return _horner(coeffs, x)
 
     def sample(self, rng, size):
         return rng.choice(len(self.pmf_values), size=size, p=self.pmf_values)
 
-    def params(self):
+    def params(self):      # the field pmf_values holds the parameter pmf
         return {"pmf": list(self.pmf_values)}
 
 

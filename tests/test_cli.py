@@ -2,6 +2,8 @@ import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -687,6 +689,7 @@ def test_json_containers_strings_and_mixed_rows_equal_reference():
         {"1,10": 1.0, "1,2": 2.0, "10,1": 3.0, "2,1": 4.0, "": 0.0, "B": 1, "a": 2},
         {"nested": {"z": [1, [2.0, [3, "x"]]], "a": None}},
         ['say "hi"', "back\\slash", "\x00\x07\n\t\x1f", "ünïcødé ☃ 𝄞", "/", ""],
+        [["ZERO", "POSITIVE"], ["ZERO"], ["ZERO", 0.5], [["ZERO"]]],
         {'"quoted"': "\\", "ñ": "\x7f", "tab\t": [" ", "\ud83d"]},
         [True, 1, False, 0, None, 1.0, 0.0, -1, 2 ** 70],
         {"rows": [{"distribution": "dirac(m=2)", "p0": 0.8, "p1": np.float64(0.05),
@@ -747,3 +750,16 @@ def test_json_output_rewrites_to_itself(capsys, argv):
     floats = list(_floats(doc))
     assert floats and all(float(f"{x:.9g}") == x for x in floats if x == x)
     assert reference_json(doc) == out
+
+
+def test_importing_the_cli_loads_no_pool_or_optional_module():
+    # the benchmark's setup_s times this import in a fresh interpreter; the process pool
+    # is imported where it is used, and scipy and mpmath are not dependencies
+    heavy = ("concurrent.futures", "multiprocessing", "scipy", "mpmath")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = f"import sys, percgame.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"

@@ -1,7 +1,9 @@
-"""The single-path generating functions, forest sampler and batched sweep against the
-code they replaced, kept here verbatim as references: results must be equal, not close."""
+"""The single-path generating functions, kappa = 3 certificates, forest sampler and batched
+sweep against the code they replaced, kept here verbatim as references: results must be
+equal, not close."""
 
 import concurrent.futures
+import dataclasses
 import functools
 import io
 from contextlib import redirect_stdout
@@ -12,8 +14,10 @@ import numpy as np
 import pytest
 
 from percgame import (Binomial, Dirac, EdgeWeightLaw, Explicit, NegBinomial, Poisson, TwoPoint,
-                      UniformRange, cli, criteria, fixpoint, oracle, sample_forest)
-from percgame.offspring import _PGF_DOMAIN_SLACK, DistributionError, _check_unit_interval
+                      UniformRange, cli, criteria, fixpoint, offspring, oracle, sample_forest)
+from percgame.criteria import Kappa3Bounds
+from percgame.offspring import (_FAMILIES, _PGF_DOMAIN_SLACK, DistributionError,
+                                _check_unit_interval, _horner, geometric)
 from percgame.oracle import DEFAULT_NODE_CAP
 
 from test_cli import InlinePool
@@ -157,20 +161,231 @@ def test_pgf_equals_two_path_reference(dist, method):
 
 
 @pytest.mark.parametrize("dist", DISTS, ids=repr)
-def test_public_pgf_is_the_check_then_the_inplace_body(dist):
+@pytest.mark.parametrize("public, body", [("pgf", "_pgf_inplace"),
+                                          ("pgf_derivative", "_pgf_derivative")])
+def test_public_pgf_is_the_check_then_the_inplace_body(dist, public, body):
     # the operator loops call _pgf_inplace on a mix they clip themselves; the public
-    # pgf keeps the range check and gives what the body gives on a clipped copy
+    # pgf and pgf_derivative keep the range check and give what the body gives on a
+    # clipped copy
+    public, body = getattr(dist, public), getattr(dist, body)
     for x in (ARRAY, ARRAY.T, np.array([[-1e-9, 1.0 + 1e-9, 0.5]]), np.empty((0, 2))):
-        body = dist._pgf_inplace(np.clip(x, 0.0, 1.0))
-        np.testing.assert_array_equal(dist.pgf(x), body, strict=True)
+        np.testing.assert_array_equal(public(x), body(np.clip(x, 0.0, 1.0)), strict=True)
     for x in GRID:
-        assert dist.pgf(x) == dist._pgf_inplace(min(1.0, max(0.0, x)))
-    buffer = ARRAY.copy()
-    assert dist._pgf_inplace(buffer) is buffer                # in place, nothing fresh
+        expected = body(min(1.0, max(0.0, x)))
+        assert type(public(x)) is type(expected)
+        assert public(x) == expected
+    if public.__name__ == "pgf":
+        buffer = ARRAY.copy()
+        assert dist._pgf_inplace(buffer) is buffer                # in place, nothing fresh
     for x in (np.nan, -2e-9, 1.0 + 2e-9, np.array([0.5, np.nan]), np.array([[0.1, -0.5]]),
               np.array([1.0, 1.0 + 2e-9]), np.array(-2e-9)):
         with pytest.raises(DistributionError, match=r"pgf argument outside \[0, 1\]"):
-            dist.pgf(x)
+            public(x)
+
+
+# Each former subclass carries the family's pgf_derivative, which checked its own argument,
+# and its params, which named the parameters that _FAMILIES lists.
+
+class FormerDirac(Dirac):
+    def pgf_derivative(self, x):
+        x = _check_unit_interval(x)
+        return self.m * x ** (self.m - 1)
+
+    def params(self):
+        return {"m": self.m}
+
+
+class FormerUniformRange(UniformRange):
+    def pgf_derivative(self, x):
+        return _horner(range(1, self.m + 1), _check_unit_interval(x)) / self.m
+
+    def params(self):
+        return {"m": self.m}
+
+
+class FormerBinomial(Binomial):
+    def pgf_derivative(self, x):
+        x = _check_unit_interval(x)
+        return self.n * self.pi * (1.0 - self.pi + self.pi * x) ** (self.n - 1)
+
+    def params(self):
+        return {"n": self.n, "pi": self.pi}
+
+
+class FormerPoisson(Poisson):
+    def pgf_derivative(self, x):
+        return self.lam * self.pgf(x)
+
+    def params(self):
+        return {"lam": self.lam}
+
+
+class FormerNegBinomial(NegBinomial):
+    def pgf_derivative(self, x):
+        x = _check_unit_interval(x)
+        return (self.r * (1.0 - self.pi) * self.pi**self.r
+                * (1.0 - (1.0 - self.pi) * x) ** (-self.r - 1))
+
+    def params(self):
+        return {"r": self.r, "pi": self.pi}
+
+
+class FormerTwoPoint(TwoPoint):
+    def pgf_derivative(self, x):
+        x = _check_unit_interval(x)
+        return self.pi * self.d * x ** (self.d - 1)
+
+    def params(self):
+        return {"pi": self.pi, "d": self.d}
+
+
+class FormerExplicit(Explicit):
+    def pgf_derivative(self, x):
+        coeffs = [m * p for m, p in enumerate(self.pmf_values)][1:]
+        return _horner(coeffs, _check_unit_interval(x))
+
+
+FORMER = {cls.__base__: cls for cls in (FormerDirac, FormerUniformRange, FormerBinomial,
+                                        FormerPoisson, FormerNegBinomial, FormerTwoPoint,
+                                        FormerExplicit)}
+
+
+def former(dist):
+    """`dist` as an instance of its former class, built from its fields."""
+    return FORMER[type(dist)](*(getattr(dist, f.name) for f in dataclasses.fields(dist) if f.init))
+
+
+def reference_kappa3_bounds(dist, law):
+    """kappa3_bounds as it was: one G or G' call per occurrence in the formulas."""
+    G = dist.pgf
+    Gp = dist.pgf_derivative
+    p0, p1, pm1 = law.p_0, law.p_1, law.p_minus1
+
+    A11 = A12 = G(pm1)
+    B21 = B22 = G(1.0 - p1)
+    A21 = G(pm1 * (1.0 - G(1.0 - (1.0 - pm1) * G(pm1))))
+    A22 = (G(pm1 * (1.0 - G(1.0 - G(pm1))))
+           + G((1.0 - p1) * (1.0 - G(1.0 - p1)))
+           - G(pm1 * (1.0 - G(1.0 - p1) - G(1.0 - G(pm1))
+                      + G((1.0 - p1) * (1.0 - G(pm1))))))
+    B11 = (G(1.0 - (1.0 - pm1) * G(pm1))
+           - G((1.0 - pm1) * (1.0 - G(pm1)) + pm1)
+           + G((1.0 - pm1) * (1.0 - G(pm1)) + pm1
+               - p1 * G(1.0 - G(1.0 - p1)) + p1 * G(pm1 * (1.0 - G(1.0 - p1)))))
+    B12 = G(1.0 - p1 * G((1.0 - p1) * (1.0 - G(1.0 - p1))))
+    A = np.array([[A11, A12], [A21, A22]], dtype=float)
+    B = np.array([[B11, B12], [B21, B22]], dtype=float)
+
+    def f1(x1, x2):
+        return G(1.0 - p1 * x2 - p0 * x1)
+
+    def f2(x1, x2):
+        return G(p0 + pm1 - p0 * x2 - pm1 * x1)
+
+    def d_f1(j, x1, x2):
+        # |partial_j f1|; the chain factor is p0 for the first argument, p1 for the second
+        return (p0 if j == 1 else p1) * Gp(1.0 - p1 * x2 - p0 * x1)
+
+    def d_f2(j, x1, x2):
+        return (pm1 if j == 1 else p0) * Gp(p0 + pm1 - p0 * x2 - pm1 * x1)
+
+    f1B2, f1B1 = f1(B[1, 0], B[1, 1]), f1(B[0, 0], B[0, 1])
+    f2B2, f2B1 = f2(B[1, 0], B[1, 1]), f2(B[0, 0], B[0, 1])
+    outer = (Gp(1.0 - p1 * f1B2 - p0 * f1B1),
+             Gp(1.0 - p1 * f2B2 - p0 * f2B1),
+             Gp(p0 + pm1 - p0 * f1B2 - pm1 * f1B1),
+             Gp(p0 + pm1 - p0 * f2B2 - pm1 * f2B1))
+
+    E = np.zeros((2, 2))
+    for i in (1, 2):
+        # weight of the row-i inner block inside the two outer layers:
+        # p_{i-1} multiplies the first-layer terms, p_{i-2} the second.
+        w_first = p0 if i == 1 else p1
+        w_second = pm1 if i == 1 else p0
+        for j in (1, 2):
+            d1 = d_f1(j, A[i - 1, 0], A[i - 1, 1])
+            d2 = d_f2(j, A[i - 1, 0], A[i - 1, 1])
+            E[i - 1, j - 1] = (w_first * d1 * outer[0] + w_first * d2 * outer[1]
+                               + w_second * d1 * outer[2] + w_second * d2 * outer[3])
+    return Kappa3Bounds(A=A, B=B, E=E)
+
+
+def reference_kappa3_p0_zero_check(dist, p_minus1):
+    """kappa3_p0_zero_check as it was, with G(p_minus1) evaluated twice."""
+    if not 0.0 <= p_minus1 <= 1.0:
+        raise ValueError("p_minus1 must lie in [0, 1]")
+    G = dist.pgf
+    Gp = dist.pgf_derivative
+    product = (p_minus1 * (1.0 - p_minus1)
+               * Gp(1.0 - (1.0 - p_minus1) * G(p_minus1))
+               * Gp(p_minus1 * (1.0 - G(p_minus1))))
+    return bool(product < 1.0)
+
+
+# one law of each of the 8 families of _FAMILIES; G(1) of both negative binomials rounds
+# above 1, so 1 - G(1 - p1) at p1 = 0 is a tiny negative argument that the check clips
+FAMILY_DISTS = [Dirac(2), UniformRange(3), Binomial(10, 0.6), Poisson(5.0), NegBinomial(2, 0.1),
+                geometric(0.2), TwoPoint(0.5, 3), Explicit([0.1, 0.2, 0.3, 0.15, 0.25])]
+# the 41 x 41 p0 x p1 grid with p0 + p1 <= 1, edges p_m1 = 0, p0 = 0 and p1 = 0 included
+GRID_LAWS = [EdgeWeightLaw.from_p0_p1(i / 40, j / 40) for i in range(41) for j in range(41 - i)]
+
+
+def test_family_dists_cover_every_family_and_a_pgf_above_one():
+    assert sorted(d.family for d in FAMILY_DISTS) == sorted(
+        "negbinomial" if f == "geometric" else f for f in _FAMILIES)
+    assert NegBinomial(2, 0.1).pgf(1.0) > 1.0 and geometric(0.2).pgf(1.0) > 1.0
+    assert {law.p_minus1 for law in GRID_LAWS} >= {0.0, 1.0}
+    assert {law.p_0 for law in GRID_LAWS} >= {0.0, 1.0}
+    assert {law.p_1 for law in GRID_LAWS} >= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("dist", DISTS + FAMILY_DISTS, ids=repr)
+def test_pgf_derivative_and_params_equal_former_bodies(dist):
+    old = former(dist)
+    new_params, old_params = dist.params(), old.params()
+    assert new_params == old_params and list(new_params) == list(old_params)
+    assert offspring.distribution_from_json(dist.to_json()) == dist
+    for x in GRID:
+        assert type(dist.pgf_derivative(x)) is type(old.pgf_derivative(x))
+        assert dist.pgf_derivative(x) == old.pgf_derivative(x)
+    for x in (ARRAY, ARRAY.T, np.array(0.37), np.empty((0, 2))):
+        new_value, old_value = dist.pgf_derivative(x), old.pgf_derivative(x)
+        assert type(new_value) is type(old_value)
+        assert np.asarray(new_value).tobytes() == np.asarray(old_value).tobytes()
+
+
+@pytest.mark.parametrize("dist", FAMILY_DISTS, ids=repr)
+def test_kappa3_certificates_equal_former_bodies_bitwise(dist):
+    old = former(dist)
+    for law in GRID_LAWS:
+        new_bounds, old_bounds = criteria.kappa3_bounds(dist, law), reference_kappa3_bounds(old, law)
+        for name in ("A", "B", "E"):
+            assert getattr(new_bounds, name).tobytes() == getattr(old_bounds, name).tobytes(), law
+    for i in range(41):
+        assert (criteria.kappa3_p0_zero_check(dist, i / 40)
+                is reference_kappa3_p0_zero_check(old, i / 40))
+
+
+@pytest.mark.parametrize("dist", FAMILY_DISTS, ids=repr)
+def test_kappa3_certificates_check_each_distinct_value_once(dist, monkeypatch):
+    calls, check = [], _check_unit_interval
+
+    def counted(x):
+        calls.append(x)
+        return check(x)
+
+    monkeypatch.setattr(offspring, "_check_unit_interval", counted)
+    monkeypatch.setitem(globals(), "_check_unit_interval", counted)   # the former bodies' check
+    law = EdgeWeightLaw.from_p0_p1(0.5, 0.3)
+    counts = []
+    for run in (lambda: criteria.kappa3_bounds(dist, law),
+                lambda: reference_kappa3_bounds(former(dist), law),
+                lambda: criteria.kappa3_p0_zero_check(dist, 0.4),
+                lambda: reference_kappa3_p0_zero_check(former(dist), 0.4)):
+        calls.clear()
+        run()
+        counts.append(len(calls))
+    assert counts == [26, 45, 3, 4]
 
 
 @dataclass
