@@ -528,6 +528,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     fixpoint._check_nonnegative(tol=config["tol"], max_iter=config["max_iter"])
     if config["jobs"] < 1:
         raise CliError(f"jobs must be >= 1, got {config['jobs']!r}")
+    if config["seed"] < 0:
+        raise CliError(f"seed must be >= 0, got {config['seed']!r}")
     if args.command == "sweep":   # a flag that only other --what targets read is an error
         for name in flags:
             commands = _OPTIONS[name].commands

@@ -19,18 +19,20 @@ two layouts that alternate with generation parity:
 
 * layout A (the root's parity): one row per interior mover capital, with
   bit c set when the verdict holds at opponent capital c = 0..kappa; the
-  boundary bits (0 in the win rows, kappa in the loss rows) are set once;
+  boundary bits (0 in the win rows, kappa in the loss rows) are always set;
 * layout B: one row per opponent capital 0..kappa, with bit i-1 set when the
   verdict holds at interior mover capital i; the boundary rows (row 0 of the
   win table, row kappa of the loss table) are constant.
 
-A move along an edge of weight w swaps the roles, so a parent reads a child
-without any transpose: from a layout-A child it takes `(row >> (1 + w)) &
-mask` of each row, and from a layout-B child it takes rows 1+w .. n+w; the
-first gives the parent its layout-B rows and the second its layout-A rows.
-Rows are the narrowest unsigned integers that hold kappa+1 bits, or Python
-ints above 64 bits.  `sample_forest` keeps siblings contiguous, so "every
-child" and "some child" are `reduceat` runs of bitwise AND and OR.
+A generation's rows form an array with one column per node.  A move along
+an edge of weight w swaps the roles, so a parent reads a child without any
+transpose: from a layout-A child it takes `(row >> (1 + w)) & mask` of each
+row, and from a layout-B child it takes rows 1+w .. n+w; the first gives
+the parent its layout-B rows and the second its layout-A rows.  Rows are
+the narrowest unsigned integers that hold kappa+1 bits, or Python ints
+above 64 bits.  A generation's columns are in decreasing order of child
+count, so "every child" and "some child" are one bitwise AND and OR per
+sibling rank over a prefix of the parents.
 """
 
 from __future__ import annotations
@@ -77,19 +79,20 @@ def sample_forest(dist: OffspringDistribution, law: EdgeWeightLaw, depth: int,
     sizes = [n_samples]
     children: List[np.ndarray] = []
     weights: List[np.ndarray] = []
-    sid = np.arange(n_samples, dtype=np.int64)
+    bounds = np.arange(n_samples + 1)     # sample s holds nodes bounds[s]:bounds[s+1]
     cum = np.ones(n_samples, dtype=np.int64)
     aborted = np.zeros(n_samples, dtype=bool)
     for _ in range(depth):
         counts = dist.sample(rng, size=sizes[-1])
-        counts[aborted[sid]] = 0
-        sid = np.repeat(sid, counts)
-        u = rng.random(sid.size)
+        if aborted.any():
+            counts[np.repeat(aborted, np.diff(bounds))] = 0
+        bounds = np.concatenate(([0], np.cumsum(counts)))[bounds]
+        u = rng.random(int(bounds[-1]))
         w = (u < p1).view(np.int8) - (u >= p1 + p0).view(np.int8)
-        sizes.append(int(sid.size))
+        sizes.append(w.size)
         children.append(counts)
         weights.append(w)
-        cum += np.bincount(sid, minlength=n_samples)
+        cum += np.diff(bounds)
         aborted |= cum > node_cap
     return Forest(n_samples=n_samples, depth=depth, sizes=sizes, children=children,
                   weights=weights, aborted=aborted)
@@ -112,69 +115,92 @@ def _forest_root_counts(forest: Forest, kappa: int, horizon: int):
     kappa as an immediate loss).  The win case is dual.
 
     Win and loss sets are bit rows in the layouts of the module docstring:
-    even generations in layout A, odd ones in layout B.  The sibling runs of
-    the reductions end in one identity row (all ones for AND, zero for OR) so
-    that a run may start at the end; runs of leaf parents are masked out.
+    even generations in layout A, odd ones in layout B.  A generation's nodes
+    are columns in decreasing order of child count, so the parents with more
+    than r children are a prefix, and "every child" / "some child" fold in
+    one step per sibling rank r over that prefix, starting from the
+    identities (all ones for AND, zero for OR) that a leaf keeps.  Horizon 1
+    only reads the boundary capitals, so every node starts from one of 8
+    table entries, picked by which weights occur among its children, and
+    generation H is never built.
     """
     n = kappa - 1
     H = horizon
     dt = _row_dtype(kappa + 1)
     row = dt.type
     mask = row((1 << n) - 1)
-    win, lose = [], []
-    for g in range(H + 1):
-        N = forest.sizes[g]
-        if g % 2 == 0:      # layout A
-            win.append(np.full((N, n), row(1), dtype=dt))
-            lose.append(np.full((N, n), row(1 << kappa), dtype=dt))
-        else:               # layout B
-            wv = np.zeros((N, kappa + 1), dtype=dt)
-            lv = np.zeros((N, kappa + 1), dtype=dt)
-            wv[:, 0] = mask
-            lv[:, kappa] = mask
-            win.append(wv)
-            lose.append(lv)
-    # Per parent generation: sibling-run starts, leaf mask and how to read a
-    # child.  Reads and leaf masks are full (rows, n) arrays: numpy applies a
-    # column broadcast across n rows several times slower.
-    ones, zeros = np.full((1, n), mask, dtype=dt), np.zeros((1, n), dtype=dt)
-    plan = []
-    for g in range(H):
+
+    # Horizon-1 rows per code = OR of 1 << (1 + w) over a node's children: a
+    # mover at capital i loses on a leaf (code 0) and at i = 1 with only -1
+    # edges (code 1), and wins at i = kappa-1 with a +1 edge (code & 4).
+    # tables[p] holds the loss and win rows of parity p, one column per code.
+    c, i = np.arange(8), np.arange(1, kappa)[:, None]
+    zero = np.zeros((n, 8), dtype=dt)
+    lost = np.where((c == 0) | ((c == 1) & (i == 1)), mask, zero)    # over opponent capitals
+    won = np.where((c & 4 > 0) & (i == n), mask, zero)
+    lost_b = np.where(c == 0, mask, np.where(c == 1, row(1), zero))  # over mover capitals
+    won_b = np.where(c & 4 > 0, row(1 << (n - 1)), zero)
+    edge, full = zero[:1], zero[:1] + mask
+    tables = [((lost << 1) | row(1 << kappa), (won << 1) | row(1)),
+              (np.concatenate([edge, lost_b, full]), np.concatenate([full, won_b, edge]))]
+
+    # From generation H-1 up: each generation's column order and codes, and per
+    # sibling rank r of parent generations 0..H-2 the count m of parents with
+    # more than r children and how each reads its r-th child, whose column is
+    # `pos` of its index in the child generation.
+    codes, plans = [None] * H, [None] * H
+    pos = None
+    for g in range(H - 1, -1, -1):
         nch = forest.children[g]
-        w = forest.weights[g]
-        if g % 2 == 0:      # child rows are per opponent capital: pick rows i + w
-            read = (np.arange(1, w.size * (kappa + 1), kappa + 1) + w)[:, None] + np.arange(n)
-        else:               # child rows are per mover capital: shift out bits i + w
-            read = np.repeat((1 + w).astype(dt)[:, None], n, axis=1)
-        plan.append((np.cumsum(nch) - nch, np.repeat((nch == 0)[:, None], n, axis=1), read))
-    # The reductions see each child's n rows as a few wide words: an AND or OR
-    # of whole words gives the same bits, and reduceat's cost is per element.
-    word = dt if dt == object else np.dtype(f"u{np.gcd(8, n * dt.itemsize)}")
-    bits = np.arange(1, kappa).astype(dt)
-    keep = ~forest.aborted
+        top = int(nch.max(initial=0))
+        order = (top - nch).astype(np.min_scalar_type(top)).argsort(kind="stable")
+        first = (np.cumsum(nch) - nch).take(order)
+        codes[g] = np.zeros(nch.size, dtype=np.uint8)
+        plans[g] = []
+        for r, m in enumerate(nch.size - np.cumsum(np.bincount(nch))[:-1]):
+            child = first[:m] + r
+            w = forest.weights[g].take(child)
+            codes[g][:m] |= np.uint8(1) << (1 + w).view(np.uint8)
+            if g == H - 1:
+                continue
+            at, size = pos.take(child), forest.sizes[g + 1]
+            if g % 2 == 0:  # flat indices of layout-B rows i + w
+                plans[g].append((m, i * size + (w.astype(np.intp) * size + at), None))
+            else:           # layout-A columns, shifted by 1 + w
+                plans[g].append((m, at, (1 + w).astype(dt)))
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+    keep = (~forest.aborted.take(order)).astype(dt)
+    lose = [tables[g % 2][0].take(code, axis=1) for g, code in enumerate(codes)]
+    win = [tables[g % 2][1].take(code, axis=1) for g, code in enumerate(codes)]
+
+    bits = i.astype(dt)
     loss = np.zeros((H, n, n))
     wins = np.zeros((H, n, n))
     for step in range(1, H + 1):
-        for g in range(H - step + 1):
-            starts, leaf, read = plan[g]
+        # horizon 1 is the tables'; later ones fold in place, in generation order,
+        # since generation g-1 has read g's horizon step-1 rows by then
+        for g in range(H - step + 1 if step > 1 else 0):
+            every, some = (lose[g], win[g]) if g % 2 == 0 else (lose[g][1:kappa], win[g][1:kappa])
+            every[...], some[...] = mask, 0
+            for m, read, shift in plans[g]:
+                if shift is None:
+                    cw, cl = win[g + 1].take(read), lose[g + 1].take(read)
+                else:
+                    cw, cl = win[g + 1].take(read, axis=1), lose[g + 1].take(read, axis=1)
+                    cw >>= shift
+                    cl >>= shift
+                every[:, :m] &= cw
+                some[:, :m] |= cl
             if g % 2 == 0:
-                cw = win[g + 1].reshape(-1).take(read)
-                cl = lose[g + 1].reshape(-1).take(read)
+                every <<= 1
+                every |= row(1 << kappa)
+                some <<= 1
+                some |= row(1)
             else:
-                cw = (win[g + 1] >> read) & mask
-                cl = (lose[g + 1] >> read) & mask
-            every = np.bitwise_and.reduceat(np.concatenate([cw, ones]).view(word), starts, axis=0)
-            some = np.bitwise_or.reduceat(np.concatenate([cl, zeros]).view(word), starts, axis=0)
-            lose_g = np.where(leaf, mask, every.view(dt))
-            win_g = np.where(leaf, row(0), some.view(dt))
-            if g % 2 == 0:
-                win[g] = (win_g << 1) | row(1)
-                lose[g] = (lose_g << 1) | row(1 << kappa)
-            else:
-                win[g][:, 1:kappa] = win_g
-                lose[g][:, 1:kappa] = lose_g
-        loss[step - 1] = ((lose[0][keep][:, :, None] >> bits) & 1).sum(axis=0)
-        wins[step - 1] = ((win[0][keep][:, :, None] >> bits) & 1).sum(axis=0)
+                some &= mask
+        loss[step - 1] = np.count_nonzero((lose[0][:, None] >> bits) & keep, axis=-1)
+        wins[step - 1] = np.count_nonzero((win[0][:, None] >> bits) & keep, axis=-1)
     return loss, wins
 
 
@@ -266,6 +292,8 @@ def estimate_probs(spec: GameSpec, horizon: int, samples: int, seed: int = 0,
         raise ValueError("horizon must be >= 1")
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     chunk_sizes = [min(DEFAULT_CHUNK_SIZE, samples - start)
                    for start in range(0, samples, DEFAULT_CHUNK_SIZE)]
     subs = np.random.SeedSequence(seed).spawn(len(chunk_sizes))

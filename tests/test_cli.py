@@ -227,6 +227,8 @@ SOLVE_POINT = (*LAW_POINT, "--kappa", "3")
     (("simulate", *SOLVE_POINT, "--samples", "10", "--jobs", "0"), "jobs"),
     (("simulate", *SOLVE_POINT, "--samples", "10", "--jobs", "-3"), "jobs"),
     (("sweep", "--what", "check-kappa2", *LAW_POINT, "--jobs", "0"), "jobs"),
+    (("simulate", "--family", "dirac", "--m", "2", "--kappa", "3", "--p0", "0.8", "--p1", "0.1",
+      "--horizon", "2", "--samples", "10", "--seed", "-1"), "seed"),
     # a setting is checked before any work, not only once a run reaches its reader:
     # the check-kappa2 cells never solve
     (("sweep", "--what", "check-kappa2", "--family", "poisson", "--lam", "5", "--grid-p0", "0.8",
@@ -619,6 +621,14 @@ def test_env_seed_fallback(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("PERCGAME_SEED")
     _, out_5, _ = run_cli(capsys, *argv, "--seed", "5")
     assert out_flag == out_5
+    # a negative seed from the environment or a config file exits 2 naming the field
+    monkeypatch.setenv("PERCGAME_SEED", "-1")
+    assert run_cli(capsys, *argv) == (2, "", "error: seed must be >= 0, got -1\n")
+    monkeypatch.delenv("PERCGAME_SEED")
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": -2}), encoding="utf-8")
+    assert run_cli(capsys, "solve", "--config", str(conf)) == (
+        2, "", "error: seed must be >= 0, got -2\n")
 
 
 # ---------------------------------------------------------------------------

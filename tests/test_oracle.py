@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,7 +177,14 @@ def test_forest_counts_match_per_tree_solver():
              (8, Poisson(1.5), 4, 60, 40, "some"),
              # kappa=66: more than 64 bits, so rows are Python ints
              (66, Poisson(1.2), 2, 6, None, "none"),
-             (66, Poisson(1.2), 3, 6, None, "none")]
+             (66, Poisson(1.2), 3, 6, None, "none"),
+             # H=1 reads the horizon-1 table at layout A, H=2 at layout B and folds once
+             (3, Poisson(2.0), 1, 150, None, "none"),
+             (3, Poisson(2.0), 2, 150, 6, "some"),
+             (4, Dirac(2), 1, 80, 2, "all"),
+             (4, Dirac(2), 2, 80, None, "none"),
+             (2, Poisson(1.2), 1, 200, None, "none"),
+             (2, Poisson(1.2), 2, 200, None, "none")]
     law = EdgeWeightLaw.from_p0_p1(0.5, 0.25)
     for seed, (kappa, dist, horizon, n, cap, aborts) in enumerate(cases):
         rng = np.random.default_rng(31 + seed)
@@ -201,6 +209,32 @@ def test_forest_counts_match_per_tree_solver():
             case = f"hand-built forest kappa={kappa} H={horizon}"
             np.testing.assert_array_equal(loss, loss_ref, err_msg=case)
             np.testing.assert_array_equal(win, win_ref, err_msg=case)
+    # Roots whose children carry the weight sets {-1}, {+1}, {-1, 0, +1}, none, {0} and
+    # {-1, +1}: every code of the horizon-1 table.  Generation 1 is all leaves (H=2) and
+    # generation 2 is empty (H=3).
+    forest = build_forest(6, ([0, 1, 2, 2, 2, 4, 5, 5], [-1, 1, -1, 0, 1, 0, -1, 1]),
+                          ([], []), ([], []))
+    for kappa in (2, 3, 4, 8):
+        for horizon in (1, 2, 3):
+            loss, win = _forest_root_counts(forest, kappa, horizon)
+            loss_ref, win_ref = reference_root_counts(forest, kappa, horizon)
+            case = f"leaf and empty generations kappa={kappa} H={horizon}"
+            np.testing.assert_array_equal(loss, loss_ref, err_msg=case)
+            np.testing.assert_array_equal(win, win_ref, err_msg=case)
+
+
+def test_forest_counts_traced_peak_below_three_forests():
+    # peak_rss_mb is a gated benchmark metric: the kernel's own allocations stay within a
+    # fixed multiple of the forest it reads (about 2.6x here; the reduceat kernel took 4.4x)
+    forest = sample_forest(Dirac(2), LAW, 6, 2000, np.random.default_rng(5))
+    nbytes = sum(a.nbytes for a in forest.children + forest.weights) + forest.aborted.nbytes
+    tracemalloc.start()
+    try:
+        _forest_root_counts(forest, 3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * nbytes, peak / nbytes
 
 
 def test_estimates_deterministic_and_job_invariant():
@@ -268,6 +302,11 @@ def test_map_in_processes_keeps_task_order_and_rejects_jobs_below_one():
             map_in_processes(pow, jobs, [2], [3])
         with pytest.raises(ValueError, match="jobs"):
             estimate_probs(GameSpec(2, Dirac(2), LAW), horizon=2, samples=10, jobs=jobs)
+
+
+def test_estimate_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        estimate_probs(GameSpec(2, Dirac(2), LAW), horizon=2, samples=10, seed=-1)
 
 
 def test_estimate_serialization():

@@ -1,5 +1,5 @@
-"""The single-path generating functions, kappa = 3 certificates, forest sampler and batched
-sweep against the code they replaced, kept here verbatim as references: results must be
+"""The single-path generating functions, kappa = 3 certificates, forest sampler, tree kernel and
+batched sweep against the code they replaced, kept here verbatim as references: results must be
 equal, not close."""
 
 import concurrent.futures
@@ -488,6 +488,130 @@ def test_sample_forest_weights_equal_reference_at_their_boundaries(p0, p1):
     np.testing.assert_array_equal(new.weights[0], expected)
     probs = {1: law.p_1, 0: law.p_0, -1: law.p_minus1}
     assert set(expected) == {w for w, p in probs.items() if p > 0}
+
+
+def former_sample_forest(dist, law, depth, n_samples, rng, node_cap=DEFAULT_NODE_CAP):
+    """sample_forest as it was, with a sample id per node and a bincount per generation."""
+    p1, p0 = law.p_1, law.p_0
+    sizes = [n_samples]
+    children: List[np.ndarray] = []
+    weights: List[np.ndarray] = []
+    sid = np.arange(n_samples, dtype=np.int64)
+    cum = np.ones(n_samples, dtype=np.int64)
+    aborted = np.zeros(n_samples, dtype=bool)
+    for _ in range(depth):
+        counts = dist.sample(rng, size=sizes[-1])
+        counts[aborted[sid]] = 0
+        sid = np.repeat(sid, counts)
+        u = rng.random(sid.size)
+        w = (u < p1).view(np.int8) - (u >= p1 + p0).view(np.int8)
+        sizes.append(int(sid.size))
+        children.append(counts)
+        weights.append(w)
+        cum += np.bincount(sid, minlength=n_samples)
+        aborted |= cum > node_cap
+    return oracle.Forest(n_samples=n_samples, depth=depth, sizes=sizes, children=children,
+                         weights=weights, aborted=aborted)
+
+
+def former_forest_root_counts(forest, kappa, horizon):
+    """_forest_root_counts as it was: a reduceat per sibling run and generation.
+
+    A mover loses at horizon m+1 when the node is childless or every child,
+    under the weight-shifted mover capital, lies in the opponent's horizon-m
+    win set (capital 0 counting as an immediate win for the opponent, capital
+    kappa as an immediate loss).  The win case is dual.
+
+    Win and loss sets are bit rows in the layouts of the module docstring:
+    even generations in layout A, odd ones in layout B.  The sibling runs of
+    the reductions end in one identity row (all ones for AND, zero for OR) so
+    that a run may start at the end; runs of leaf parents are masked out.
+    """
+    n = kappa - 1
+    H = horizon
+    dt = oracle._row_dtype(kappa + 1)
+    row = dt.type
+    mask = row((1 << n) - 1)
+    win, lose = [], []
+    for g in range(H + 1):
+        N = forest.sizes[g]
+        if g % 2 == 0:      # layout A
+            win.append(np.full((N, n), row(1), dtype=dt))
+            lose.append(np.full((N, n), row(1 << kappa), dtype=dt))
+        else:               # layout B
+            wv = np.zeros((N, kappa + 1), dtype=dt)
+            lv = np.zeros((N, kappa + 1), dtype=dt)
+            wv[:, 0] = mask
+            lv[:, kappa] = mask
+            win.append(wv)
+            lose.append(lv)
+    # Per parent generation: sibling-run starts, leaf mask and how to read a
+    # child.  Reads and leaf masks are full (rows, n) arrays: numpy applies a
+    # column broadcast across n rows several times slower.
+    ones, zeros = np.full((1, n), mask, dtype=dt), np.zeros((1, n), dtype=dt)
+    plan = []
+    for g in range(H):
+        nch = forest.children[g]
+        w = forest.weights[g]
+        if g % 2 == 0:      # child rows are per opponent capital: pick rows i + w
+            read = (np.arange(1, w.size * (kappa + 1), kappa + 1) + w)[:, None] + np.arange(n)
+        else:               # child rows are per mover capital: shift out bits i + w
+            read = np.repeat((1 + w).astype(dt)[:, None], n, axis=1)
+        plan.append((np.cumsum(nch) - nch, np.repeat((nch == 0)[:, None], n, axis=1), read))
+    # The reductions see each child's n rows as a few wide words: an AND or OR
+    # of whole words gives the same bits, and reduceat's cost is per element.
+    word = dt if dt == object else np.dtype(f"u{np.gcd(8, n * dt.itemsize)}")
+    bits = np.arange(1, kappa).astype(dt)
+    keep = ~forest.aborted
+    loss = np.zeros((H, n, n))
+    wins = np.zeros((H, n, n))
+    for step in range(1, H + 1):
+        for g in range(H - step + 1):
+            starts, leaf, read = plan[g]
+            if g % 2 == 0:
+                cw = win[g + 1].reshape(-1).take(read)
+                cl = lose[g + 1].reshape(-1).take(read)
+            else:
+                cw = (win[g + 1] >> read) & mask
+                cl = (lose[g + 1] >> read) & mask
+            every = np.bitwise_and.reduceat(np.concatenate([cw, ones]).view(word), starts, axis=0)
+            some = np.bitwise_or.reduceat(np.concatenate([cl, zeros]).view(word), starts, axis=0)
+            lose_g = np.where(leaf, mask, every.view(dt))
+            win_g = np.where(leaf, row(0), some.view(dt))
+            if g % 2 == 0:
+                win[g] = (win_g << 1) | row(1)
+                lose[g] = (lose_g << 1) | row(1 << kappa)
+            else:
+                win[g][:, 1:kappa] = win_g
+                lose[g][:, 1:kappa] = lose_g
+        loss[step - 1] = ((lose[0][keep][:, :, None] >> bits) & 1).sum(axis=0)
+        wins[step - 1] = ((win[0][keep][:, :, None] >> bits) & 1).sum(axis=0)
+    return loss, wins
+
+
+@pytest.mark.parametrize("dist, caps", [
+    (Poisson(0.7), {"none": DEFAULT_NODE_CAP, "some": 1}),
+    (Dirac(1), {"none": DEFAULT_NODE_CAP, "all": 1}),
+    (Explicit([0.4, 0.2, 0.1, 0.3]), {"none": DEFAULT_NODE_CAP, "some": 3})], ids=repr)
+@pytest.mark.parametrize("horizon", range(1, 8))
+def test_forest_and_root_counts_equal_former_code_bitwise(dist, caps, horizon):
+    # kappa on both sides of each row-dtype boundary: 8, 16, 32 and 64 bits, then Python ints
+    law = EdgeWeightLaw.from_p0_p1(0.4, 0.35)
+    for aborts, cap in caps.items():
+        rng_new, rng_old = np.random.default_rng(horizon), np.random.default_rng(horizon)
+        new = sample_forest(dist, law, horizon, 16, rng_new, node_cap=cap)
+        old = former_sample_forest(dist, law, horizon, 16, rng_old, node_cap=cap)
+        assert (new.n_samples, new.depth, new.sizes) == (old.n_samples, old.depth, old.sizes)
+        for a, b in zip(new.children + new.weights + [new.aborted],
+                        old.children + old.weights + [old.aborted]):
+            np.testing.assert_array_equal(a, b, strict=True)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        n_aborted = int(new.aborted.sum())
+        assert {"none": n_aborted == 0, "some": 0 < n_aborted < 16, "all": n_aborted == 16}[aborts]
+        for kappa in (7, 8, 15, 16, 31, 32, 63, 64, 65):
+            for a, b in zip(oracle._forest_root_counts(new, kappa, horizon),
+                            former_forest_root_counts(old, kappa, horizon)):
+                np.testing.assert_array_equal(a, b, strict=True)
 
 
 def reference_check_unit_interval(x):
