@@ -2,8 +2,9 @@
 
 Four groups of tests:
 
-* target capital 2: exact phase boundaries deciding d = 0 for the binomial,
-  Poisson, negative binomial and two-point offspring families;
+* target capital 2: exact phase boundaries deciding d = 0 for the binomial
+  (and Dirac, as binomial with pi = 1), Poisson, negative binomial and
+  two-point offspring families;
 * target capital 3: lower bounds A on the loss probabilities, upper bounds B
   on one minus the win probabilities, and contraction coefficients E built
   from them -- max E < 1 certifies a unique fixed point, hence no draws;
@@ -23,7 +24,7 @@ import numpy as np
 
 from .fixpoint import (DEFAULT_DRAW_EPSILON, EdgeWeightLaw, InternalInconsistencyError,
                        SolveResult, Verdict, _edge_mix, classify_draw)
-from .offspring import Binomial, NegBinomial, OffspringDistribution, Poisson, TwoPoint
+from .offspring import Binomial, Dirac, NegBinomial, OffspringDistribution, Poisson, TwoPoint
 
 # Interval endpoints for the 1 : a : a^2 weight-ratio certificate on the
 # binary tree, as published (6 significant figures, no derivation shown).
@@ -43,16 +44,18 @@ def kappa2_draw_zero(dist: OffspringDistribution, law: EdgeWeightLaw) -> bool:
     """Exact draw-probability dichotomy at target capital 2.
 
     Returns True when the draw probability d_{1,1} is zero, which holds iff
-    the family-specific inequality below is satisfied.  The ratios of powers
-    (d + 1)^(d - 1) / d^d and (r - 1)^(r + 1) / r^r enter as their nearest
-    floats, found from a float form unless the verdict lies within
-    RATIO_MARGIN of it (_at_power_ratio).
+    the family-specific inequality below is satisfied.  Dirac(m) is Binomial(m, 1)
+    and takes the binomial test.  The ratios of powers (d + 1)^(d - 1) / d^d and
+    (r - 1)^(r + 1) / r^r enter as their nearest floats, found from a float form
+    unless the verdict lies within RATIO_MARGIN of it (_at_power_ratio).
     """
     p0, p1, pm1 = law.p_0, law.p_1, law.p_minus1
+    if isinstance(dist, Dirac):
+        dist = Binomial(dist.m, 1.0)
     if isinstance(dist, Binomial):
         d, pi = int(dist.n), dist.pi
         if d < 2:
-            raise UnsupportedFamilyError("binomial test requires n >= 2")
+            raise UnsupportedFamilyError("binomial test requires n >= 2 (dirac: m >= 2)")
         lhs = p0 * pi * (1.0 - pi * p1) ** (d - 1)
         return _at_power_ratio(lambda c: lhs <= c, _binomial_ratio(d), (d + 1, d - 1, d, d))
     if isinstance(dist, Poisson):

@@ -54,6 +54,7 @@ MAX_STACK_ENTRIES = 2**16
 # kappa 66 on) tests every step, where a longer block only spills the cache
 BLOCK_ENTRIES = 2**14
 MAX_BLOCK_STEPS = 32
+_ONE = np.array(1.0)   # the 1 of a step's 1 - X, 0-d: the cheapest operand of a ufunc
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -160,32 +161,35 @@ def weight_matrix(spec: GameSpec) -> np.ndarray:
 
 
 def _stencil_buffers(shape: tuple) -> tuple:
-    """Working arrays of _edge_mix for inputs of `shape` (..., n, n): the row blocks
-    0..n-1, 1..n (the interior) and 2..n+1 of one array whose padding rows, above and
-    below, already hold 1 and 0, then a work array for one term."""
-    n = shape[-1]
-    padded = np.empty(shape[:-2] + (n + 2, n))
-    padded[..., 0, :] = 1.0
-    padded[..., n + 1, :] = 0.0
-    return (padded[..., 0:n, :], padded[..., 1:n + 1, :], padded[..., 2:n + 2, :],
-            np.empty(shape))
+    """Working arrays of _edge_mix for a rows-first stack of `shape` (n, *batch, n):
+    the row blocks 0..n-1, 1..n (the interior) and 2..n+1 of one array whose padding
+    rows, above and below, already hold 1 and 0, then a work array for one term.
+    With the row axis outermost, each block is one contiguous array over the whole
+    stack, so every ufunc of the stencil runs numpy's contiguous loop."""
+    n = shape[0]
+    padded = np.empty((n + 2,) + shape[1:])
+    padded[0] = 1.0
+    padded[n + 1] = 0.0
+    return padded[0:n], padded[1:n + 1], padded[2:n + 2], np.empty(shape)
 
 
-def _edge_mix(C: np.ndarray, p1: float, p0: float, pm1: float,
-              _buffers: tuple = None, out: np.ndarray = None) -> np.ndarray:
+def _edge_mix(C: np.ndarray, p1, p0, pm1, _buffers: tuple = None,
+              out: np.ndarray = None) -> np.ndarray:
     """The edge-weight stencil out[i, j] = pm1 c[j, i-1] + p0 c[j, i] + p1 c[j, i+1]
     for i, j = 1..kappa-1, where c is C (columns 1..kappa-1) padded with the
-    boundary values c[j, 0] = 1 and c[j, kappa] = 0; leading axes are batch axes.
+    boundary values c[j, 0] = 1 and c[j, kappa] = 0.
 
-    C is transposed once, into the interior rows, so each term is one contiguous
-    row block.  The result is `out`, a fresh array by default.  A loop passes its
-    own _stencil_buffers and out so nothing is allocated, and may pass their
-    interior as C once it holds C transposed.
+    C is a rows-first stack (n, *batch, n): entry [i, b, j] is row i, column j of
+    matrix b, so a 2-D C is one matrix.  C is transposed once, C.swapaxes(0, -1),
+    into the interior rows, the only strided operand; each term is then one
+    contiguous block of the stack.  The result is `out`, a fresh array by default.
+    A loop passes its own _stencil_buffers and out so nothing is allocated, and
+    may pass their interior as C once it holds C transposed.
     """
     left, interior, right, term = _stencil_buffers(C.shape) if _buffers is None else _buffers
     mix = np.empty(C.shape) if out is None else out
     if C is not interior:
-        interior[...] = C.swapaxes(-1, -2)
+        interior[...] = C.swapaxes(0, -1)
     np.multiply(left, pm1, out=mix)
     np.multiply(interior, p0, out=term)
     mix += term
@@ -194,13 +198,14 @@ def _edge_mix(C: np.ndarray, p1: float, p0: float, pm1: float,
     return mix
 
 
-def _g_fast(G, p1: float, p0: float, pm1: float, X: np.ndarray,
-            _buffers: tuple = None, out: np.ndarray = None) -> np.ndarray:
-    """g(X) = G(_edge_mix(1 - X)); leading axes of X are batch axes.  1 - X goes
-    transposed straight into the stencil's interior, the mix into `out` (a fresh
-    array by default), and G runs on it there: a family's _pgf_inplace overwrites
-    it, while a public pgf returns a fresh array.  A loop passes its own
-    _stencil_buffers for X's shape and its own out, so a step allocates nothing.
+def _g_fast(G, p1, p0, pm1, X: np.ndarray, _buffers: tuple = None,
+            out: np.ndarray = None) -> np.ndarray:
+    """g(X) = G(_edge_mix(1 - X)) for a rows-first stack X of shape (n, *batch, n)
+    (_edge_mix; a 2-D X is one matrix).  1 - X goes transposed straight into the
+    stencil's interior, the mix into `out` (a fresh array by default), and G runs on
+    it there: a family's _pgf_inplace overwrites it, while a public pgf returns a
+    fresh array.  A loop passes its own _stencil_buffers for X's shape and its own
+    out, so a step allocates nothing, and every array it writes is contiguous.
 
     The mix is not range-checked.  For X in [0, 1] it is a convex combination of
     entries of 1 - X and the boundary values 1 and 0, with weights that sum to
@@ -209,7 +214,7 @@ def _g_fast(G, p1: float, p0: float, pm1: float, X: np.ndarray,
     same bits.  Every X comes from a validated matrix or from G itself.
     """
     buffers = _stencil_buffers(X.shape) if _buffers is None else _buffers
-    np.subtract(1.0, X.swapaxes(-1, -2), out=buffers[1])
+    np.subtract(_ONE, X.swapaxes(0, -1), out=buffers[1])
     mix = _edge_mix(buffers[1], p1, p0, pm1, buffers, out)
     mix.clip(0.0, 1.0, out=mix)
     return G(mix)
@@ -271,21 +276,22 @@ def _stacks(specs: list, copies: int):
 
 def _law_columns(specs: list, ndim: int, repeat: int = 1) -> tuple:
     """p_1, p_0 and p_m1 per stack row, each spec's value `repeat` times, as arrays of
-    shape (rows, 1, ..., 1) that broadcast over an ndim-dimensional stack; a value
-    every spec shares stays a float, the cheaper operand of a ufunc."""
+    shape (rows, 1, ..., 1) that broadcast over the batch axes of an ndim-dimensional
+    rows-first stack (n, rows, ..., n); a value every spec shares is a 0-d array, the
+    cheapest operand of a ufunc."""
     columns = []
     for name in ("p_1", "p_0", "p_minus1"):
         values = [getattr(s.law, name) for s in specs]
         if values.count(values[0]) == len(values):
-            columns.append(values[0])
+            columns.append(np.array(values[0]))
         else:
-            columns.append(np.repeat(values, repeat).reshape((-1,) + (1,) * (ndim - 1)))
+            columns.append(np.repeat(values, repeat).reshape((-1,) + (1,) * (ndim - 2)))
     return tuple(columns)
 
 
 def _rows(columns: tuple, keep: np.ndarray) -> tuple:
     """The law columns of the stack rows where keep is True."""
-    return tuple(c if isinstance(c, float) else c[keep] for c in columns)
+    return tuple(c if c.ndim == 0 else c[keep] for c in columns)
 
 
 def iterate_from_below(spec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
@@ -325,22 +331,24 @@ def _block_steps(entries: int) -> int:
 
 
 def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
-    """iterate_from_below for one stack of specs, Z of shape (specs, 2, n, n).
+    """iterate_from_below for one rows-first stack of specs, Z of shape (n, specs, 2, n).
 
-    g acts alike on both halves, so g^k(Z_0) is Z_k with its halves swapped at odd
-    k, and the loop iterates g alone.  A block of K steps writes its iterates into
-    a ring of K + 1 stacks, which the blocks walk forwards and backwards in turn,
-    so that each block starts from the slot where the last one ended.  The tests
-    then run over the block's K changes at once.  A spec that stops inside the
-    block leaves with its iterate of that step; the later steps of the other specs
-    stand, and they go on from the block's last iterate in a new, smaller ring.
+    Z' = (g(ell), g(ybar)): each step's fill reads the other half, through a view
+    of its ring slot built once, Z.swapaxes(0, -1)[:, :, ::-1], so every slot holds
+    its Z_k = (ybar_k, ell_k) in that order.  A block of K steps writes its iterates
+    into a ring of K + 1 stacks, which the blocks walk forwards and backwards in
+    turn, so that each block starts from the slot where the last one ended.  The
+    tests then run over the block's K changes at once, from each half's least and
+    largest change.  A spec that stops inside the block leaves with its iterate of
+    that step; the later steps of the other specs stand, and they go on from the
+    block's last iterate in a new, smaller ring.
     """
     n = specs[0].size
     G = specs[0].dist._pgf_inplace
     laws = _law_columns(specs, 4)
-    B = np.empty((len(specs), 2, n, n))   # g^it(Z_0)
-    B[:, 0] = 1.0
-    B[:, 1] = 0.0
+    B = np.empty((n, len(specs), 2, n))   # Z_it
+    B[:, :, 0] = 1.0
+    B[:, :, 1] = 0.0
     cells = list(range(len(specs)))     # the spec of each stack row
     runs = [None] * len(specs)
     delta = np.zeros(len(specs))        # what a run that takes no step reports
@@ -349,57 +357,54 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
         K = _block_steps(B.size)
         path = np.empty((K + 1,) + B.shape)    # the ring, walked one way per block
         path[0] = B
+        slots = list(path)
+        fills = [Z.swapaxes(0, -1)[:, :, ::-1] for Z in slots]   # Z_k's other half, transposed
         change = np.empty((K,) + B.shape)
         buffers = _stencil_buffers(B.shape)
         while True:
             steps = min(K, max_iter - it)
-            for k in range(steps):
-                _g_fast(G, *laws, path[k], buffers, out=path[k + 1])
-            np.subtract(path[1:steps + 1], path[:steps, :, ::-1], out=change[:steps])
-            # Z_k - Z_(k-1) in B_k's half order, where ybar is half 0 at even k and half
-            # 1 at odd k; negating its change leaves the increases of w and of ell
-            change[(it + 1) % 2:steps:2, :, 0] *= -1.0
-            change[it % 2:steps:2, :, 1] *= -1.0
-            flat = change[:steps].reshape(steps, len(B), -1)
-            least = np.minimum.reduce(flat, 2)          # per step and spec
-            stops = None                                # each spec's stop step, if any
-            # the largest increase bounds a spec's max-norm change from below, so only
-            # a spec whose increases all stay below tol can stop in this block
-            if np.minimum.reduce(np.maximum.reduce(flat, 2), None) < tol:
-                deltas = np.maximum.reduce(np.abs(flat, out=flat), 2)   # max-norm changes
-                below = deltas < tol
-                if below.any():
-                    stops = np.where(below.any(0), below.argmax(0), steps)
+            for fill, Z in zip(fills[:steps], slots[1:steps + 1]):   # Z = g(fill), as in _g_fast
+                np.subtract(_ONE, fill, out=buffers[1])
+                G(_edge_mix(buffers[1], *laws, buffers, Z).clip(0.0, 1.0, out=Z))
+            np.subtract(path[1:steps + 1], path[:steps], out=change[:steps])
+            # each half's least and largest change per step and spec: ybar = 1 - w
+            # falls and ell rises, so the increases of w and ell lie in [-hi, -lo]
+            # and [lo, hi] of their halves, and a max-norm change is max(hi, -lo)
+            # (0.0 - lo, so that a step changing nothing reports +0.0, not -0.0)
+            lo = np.minimum.reduce(np.minimum.reduce(change[:steps], 1), 3)
+            hi = np.maximum.reduce(np.maximum.reduce(change[:steps], 1), 3)
+            deltas = np.maximum.reduce(np.maximum(hi, 0.0 - lo), 2)
+            below = deltas < tol
+            stops = np.where(below.any(0), below.argmax(0), steps) if below.any() else None
             # a spec counts up to its stop step, which it reaches moving forwards
-            if np.minimum.reduce(least, None) < -1e-12 and np.any(
-                    (least < -1e-12) & (np.arange(steps)[:, None] <= (
-                        steps if stops is None else stops))):
+            backwards = (hi[:, :, 0] > 1e-12) | (lo[:, :, 1] < -1e-12)
+            if backwards.any() and np.any(backwards & (np.arange(steps)[:, None] <= (
+                    steps if stops is None else stops))):
                 raise InternalInconsistencyError("monotone iteration moved backwards")
             it += steps
             if it == max_iter:              # report the change of the last step
-                delta = np.maximum.reduce(np.abs(flat[steps - 1]), 1)
+                delta = deltas[steps - 1]
             if stops is not None or it == max_iter:
                 break
-            path = path[::-1]
-        done = np.zeros(len(B), dtype=bool) if stops is None else stops < steps
+            path, slots, fills = path[::-1], slots[::-1], fills[::-1]
+        done = np.zeros(len(cells), dtype=bool) if stops is None else stops < steps
         for row in np.flatnonzero(done):
             k = int(stops[row])
-            runs[cells[row]] = _run(path[k + 1, row], it - steps + k + 1, deltas[k, row], True)
+            runs[cells[row]] = _run(path[k + 1, :, row], it - steps + k + 1, deltas[k, row], True)
         keep = ~done
-        B, delta, laws = path[steps][keep], delta[keep], _rows(laws, keep)
+        B, delta, laws = path[steps][:, keep], delta[keep], _rows(laws, keep)
         cells = [cell for cell, kept in zip(cells, keep) if kept]
     for row, cell in enumerate(cells):
         # a degenerate request (max_iter 0: the start is the answer) and a fixed-step
         # run (tol 0, e.g. horizon iterates) count as converged
-        runs[cell] = _run(B[row], it, delta[row], max_iter == 0 or tol == 0.0)
+        runs[cell] = _run(B[:, row], it, delta[row], max_iter == 0 or tol == 0.0)
     return runs
 
 
 def _run(iterate: np.ndarray, step: int, delta, converged: bool) -> IterationRun:
-    """The run of one spec whose g^step(Z_0) is `iterate`."""
-    ybar, ell = iterate[::-1] if step % 2 else iterate
-    return IterationRun(ell=ell.copy(), w=1.0 - ybar, iterations=step, delta=float(delta),
-                        converged=converged)
+    """The run of one spec whose Z_step is `iterate`, of shape (n, 2, n)."""
+    return IterationRun(ell=iterate[:, 1].copy(), w=1.0 - iterate[:, 0], iterations=step,
+                        delta=float(delta), converged=converged)
 
 
 def horizon_iterates(spec: GameSpec, horizon: int):
@@ -514,13 +519,15 @@ def find_fixed_points(spec, seeds: Optional[Sequence] = None,
 
 
 def _multi_start(specs: list, starts: np.ndarray, tol: float, max_iter: int) -> list:
-    """find_fixed_points for one stack: every spec from every start, a row per pair."""
+    """find_fixed_points for one stack: every spec from every start, a row per pair, in
+    a rows-first stack (n, rows, n)."""
     G = specs[0].dist._pgf_inplace
     n_seeds = len(starts)
     laws = _law_columns(specs, 3, repeat=n_seeds)
-    X = np.concatenate([starts] * len(specs))     # spec-major, then seed order
-    settled = np.zeros(len(X), dtype=bool)
-    rows = np.arange(len(X))                      # the row of X each live orbit belongs to
+    # spec-major, then seed order
+    X = np.concatenate([starts.transpose(1, 0, 2)] * len(specs), axis=1)
+    settled = np.zeros(X.shape[1], dtype=bool)
+    rows = np.arange(X.shape[1])                  # the row of X each live orbit belongs to
     live = X.copy()
     buffers = _stencil_buffers(live.shape)
     half, spare = np.empty(live.shape), np.empty(live.shape)
@@ -528,20 +535,20 @@ def _multi_start(specs: list, starts: np.ndarray, tol: float, max_iter: int) -> 
     for _ in range(max_iter):
         nxt = _g_fast(G, *laws, _g_fast(G, *laws, live, buffers, out=half), buffers, out=spare)
         np.abs(np.subtract(nxt, live, out=half), out=half)
-        moving = ~(np.maximum.reduce(half.reshape(len(half), -1), 1) < tol)
+        moving = ~(np.maximum.reduce(np.maximum.reduce(half, 0), 1) < tol)
         live, spare = nxt, live
         if moving.all():
             continue
         frozen = rows[~moving]
-        X[frozen] = live[~moving]
+        X[:, frozen] = live[:, ~moving]
         settled[frozen] = True
-        rows, live, laws = rows[moving], live[moving], _rows(laws, moving)
+        rows, live, laws = rows[moving], live[:, moving], _rows(laws, moving)
         if not rows.size:
             break
         buffers = _stencil_buffers(live.shape)
         half, spare = np.empty(live.shape), np.empty(live.shape)
     found = []
-    for limits, ok in zip(X.reshape((len(specs),) + starts.shape),
+    for limits, ok in zip(X.transpose(1, 0, 2).reshape((len(specs),) + starts.shape),
                           settled.reshape(len(specs), n_seeds)):
         dropped = n_seeds - np.count_nonzero(ok)
         if dropped:

@@ -81,6 +81,25 @@ def test_check_kappa2_command(capsys):
         assert json.loads(out)
 
 
+@pytest.mark.parametrize("m", (2, 3, 5))
+def test_check_kappa2_dirac_equals_binomial_with_pi_one(capsys, m):
+    dirac = ["--family", "dirac", "--m", str(m)]
+    grid = ["--grid-p0", "0,0.3,0.6,0.8,0.95", "--grid-p1", "0,0.02,0.05"]
+
+    def swept(law_flags):
+        code, out, err = run_cli(capsys, "sweep", "--what", "check-kappa2", *law_flags, *grid)
+        assert (code, err) == (0, "")
+        return [(row["p0"], row["p1"], row["draw_zero"]) for row in json.loads(out)["rows"]]
+
+    verdicts = swept(dirac)
+    assert verdicts == swept(["--family", "binomial", "--n", str(m), "--pi", "1"])
+    assert {zero for *_, zero in verdicts} == {True, False}
+    for p0, p1, zero in verdicts:
+        code, out, err = run_cli(capsys, "check-kappa2", *dirac, "--p0", repr(p0), "--p1", repr(p1))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["draw_zero"] is zero
+
+
 def test_check_kappa3_command(capsys):
     code, out, _ = run_cli(capsys, "check-kappa3", "--family", "poisson", "--lam", "50",
                            "--p0", "0.4", "--p1", "0.3")
@@ -507,7 +526,7 @@ def test_every_flag_of_a_command_is_read(capsys, monkeypatch):
     for command, argv in runs:
         code = main([command, *argv])
         err = capsys.readouterr().err
-        # check-kappa2 has no closed form for dirac, uniform and explicit; it stops after the law
+        # check-kappa2 has no closed form for uniform and explicit; it stops after the law
         assert code == 0 or err.startswith("error: no closed-form capital-2 test"), (argv, err)
         reads[command] = reads.get(command, set()) | read
         read.clear()

@@ -175,11 +175,23 @@ def test_kappa2_verdicts_equal_big_int_form_at_ties(k, monkeypatch):
 
 def test_kappa2_unsupported_family():
     with pytest.raises(UnsupportedFamilyError):
-        kappa2_draw_zero(Dirac(2), law(0.8, 0.1))
-    with pytest.raises(UnsupportedFamilyError):
         kappa2_draw_zero(UniformRange(3), law(0.8, 0.1))
     with pytest.raises(UnsupportedFamilyError):
         kappa2_draw_zero(Binomial(1, 0.5), law(0.8, 0.1))
+    with pytest.raises(UnsupportedFamilyError, match="m >= 2"):
+        kappa2_draw_zero(Dirac(1), law(0.8, 0.1))
+
+
+# a p0 x p1 grid over the simplex that crosses the Dirac(m) boundaries for m = 2, 3, 5
+KAPPA2_GRID = [(p0, p1) for p0 in np.linspace(0.0, 1.0, 21)
+               for p1 in np.linspace(0.0, 1.0 - p0, 6)]
+
+
+@pytest.mark.parametrize("m", (2, 3, 5))
+def test_kappa2_dirac_is_binomial_with_pi_one(m):
+    verdicts = [kappa2_draw_zero(Dirac(m), law(p0, p1)) for p0, p1 in KAPPA2_GRID]
+    assert verdicts == [kappa2_draw_zero(Binomial(m, 1.0), law(p0, p1)) for p0, p1 in KAPPA2_GRID]
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from percgame import (Binomial, Dirac, EdgeWeightLaw, Explicit, GameSpec,
                       classify_draw, default_seed_matrices, duration_criterion,
                       find_fixed_points, geometric, horizon_iterates, iterate_from_below,
                       solve, weight_matrix)
-from percgame import fixpoint
+from percgame import criteria, fixpoint
 from percgame.fixpoint import (IterationRun, _edge_mix, _g_fast, _law_columns,
                                _stencil_buffers, ensure_prob_matrix)
 from percgame.offspring import OffspringDistribution
@@ -223,6 +223,49 @@ def test_stacked_iteration_equals_two_call_reference(dist, kappa):
                         reference_iterate_from_below(spec, **kwargs)[0])
     for horizon in (25, 7):
         assert_same_horizon_iterates(spec, horizon)
+
+
+def kappa2_boundary_p0(dist, p1):
+    """The largest float p0 (bisection) at which kappa2_draw_zero still says ZERO."""
+    lo, hi = 0.0, 1.0 - p1
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if criteria.kappa2_draw_zero(dist, EdgeWeightLaw.from_p0_p1(mid, p1)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def near_boundary_specs(dist, p1, distances=(-3e-3, 3e-3)):
+    p0c = kappa2_boundary_p0(dist, p1)
+    return [GameSpec(2, dist, EdgeWeightLaw.from_p0_p1(p0c + d, p1)) for d in distances]
+
+
+def test_near_boundary_runs_equal_two_call_reference():
+    # the kappa = 2 solves of the near-critical benchmark at +-3e-3 from the boundary,
+    # single and as a list, then a list whose specs differ in p1
+    poisson = near_boundary_specs(Poisson(5.0), 0.05)
+    binomial = near_boundary_specs(Binomial(10, 0.6), 0.02)
+    mixed = (near_boundary_specs(Poisson(5.0), 0.04, (-3e-3,)) + poisson[:1]
+             + near_boundary_specs(Poisson(5.0), 0.06, (3e-3,)))
+    for specs in (poisson, binomial, mixed):
+        expected = [reference_iterate_from_below(spec)[0] for spec in specs]
+        for got, run in zip(iterate_from_below(specs), expected, strict=True):
+            assert_same_run(got, run)
+        for spec, run in zip(specs, expected):
+            assert_same_run(iterate_from_below(spec), run)
+            assert run.converged
+    assert [spec.law.p_1 for spec in mixed] == [0.04, 0.05, 0.06]
+    # the step counts below the boundary
+    assert [iterate_from_below(below).iterations for below, _ in (poisson, binomial)] == [8647, 5180]
+
+
+def test_a_step_that_changes_nothing_reports_positive_zero():
+    # with every edge weight 0, Dirac(2) at kappa = 2 starts at its fixed point
+    spec = GameSpec(2, Dirac(2), EdgeWeightLaw.from_p0_p1(1.0, 0.0))
+    for run in (iterate_from_below(spec, tol=0.0, max_iter=3), iterate_from_below(spec),
+                *iterate_from_below([spec, spec_d2(0.5, 0.2, 2)], tol=0.0, max_iter=40)[:1]):
+        assert run.delta == 0.0 and not np.signbit(run.delta)
 
 
 class _Decreasing(OffspringDistribution):
@@ -484,34 +527,37 @@ def assert_same_as_reference(spec, seeds, caplog, **kwargs):
 def test_g_fast_batch_equals_per_slice(dist):
     rng = np.random.default_rng(5)
     for kappa in (2, 3, 5):
-        X = rng.random((7, kappa - 1, kappa - 1))
+        X = rng.random((kappa - 1, 7, kappa - 1))     # rows-first: matrix b is X[:, b]
         got = _g_fast(dist.pgf, 0.3, 0.5, 0.2, X)
-        expected = np.stack([_g_fast(dist.pgf, 0.3, 0.5, 0.2, S) for S in X])
+        expected = np.stack([_g_fast(dist.pgf, 0.3, 0.5, 0.2, X[:, b]) for b in range(7)], axis=1)
         assert np.array_equal(got, expected)
 
 
 def reference_edge_mix(C, p1, p0, pm1):
-    """The stencil entry by entry: out[..., i, j] = pm1 c[j, i-1] + p0 c[j, i] + p1 c[j, i+1]
-    (1-based i, j) over the rows of C padded with c[j, 0] = 1 and c[j, kappa] = 0, in
-    _edge_mix's order of additions; p1, p0 and pm1 broadcast over C."""
+    """The stencil entry by entry on a rows-first stack C of shape (n, *batch, n), whose
+    matrix b has entry C[i, b, j] in row i, column j: out[i, ..., j] = pm1 c[j, i-1] +
+    p0 c[j, i] + p1 c[j, i+1] (1-based i, j) over the rows of c = C[:, b] padded with
+    c[j, 0] = 1 and c[j, kappa] = 0, in _edge_mix's order of additions; p1, p0 and pm1
+    broadcast over C."""
     out = np.empty(C.shape)
     weights = [np.broadcast_to(p, C.shape) for p in (pm1, p0, p1)]
     for idx in np.ndindex(C.shape):
-        *batch, i, j = idx
-        c = [1.0, *C[tuple(batch)][j], 0.0]
+        i, *batch, j = idx
+        c = [1.0, *C[(j, *batch)], 0.0]
         a, b, d = (float(w[idx]) for w in weights)
         out[idx] = a * c[i] + b * c[i + 1] + d * c[i + 2]
     return out
 
 
 def _law_stack(kappa, batch):
-    """A random stack of shape batch + (n, n) and per-row law columns for it, from one
-    spec per entry of the first batch axis (one spec's floats for batch ())."""
+    """A random rows-first stack of shape (n,) + batch + (n,) and per-row law columns for
+    it, from one spec per entry of the first batch axis (one spec's values for batch ())."""
     rng = np.random.default_rng(kappa + len(batch))
     rows = batch[0] if batch else 1
     specs = [GameSpec(kappa, Dirac(2), EdgeWeightLaw.from_p0_p1(p0, p1))
              for p0, p1 in zip(rng.uniform(0.1, 0.6, rows), rng.uniform(0.05, 0.3, rows))]
-    return rng.random(batch + (kappa - 1, kappa - 1)), _law_columns(specs, len(batch) + 2)
+    n = kappa - 1
+    return rng.random((n,) + batch + (n,)), _law_columns(specs, len(batch) + 2)
 
 
 @pytest.mark.parametrize("batch", [(), (7,), (3, 2)], ids=str)
@@ -524,18 +570,43 @@ def test_edge_mix_equals_literal_stencil(kappa, batch):
     assert np.array_equal(C, C_before)
     # a loop's buffers, reused across steps through _g_fast with G the identity
     buffers = _stencil_buffers(C.shape)
-    for X in (C, C[..., ::-1, :]):
+    for X in (C, C[::-1]):
         got = _g_fast(lambda x: x, *laws, X, buffers).copy()
         assert np.array_equal(got, reference_edge_mix(1.0 - X, *laws))
     assert np.array_equal(C, C_before)
 
 
-def test_stencil_results_are_c_contiguous():
-    C, laws = _law_stack(6, (7, 2))
-    buffers = _stencil_buffers(C.shape)
-    for result in (_edge_mix(C, *laws), _g_fast(Poisson(5.0).pgf, *laws, C),
-                   _g_fast(Poisson(5.0).pgf, *laws, C, buffers)):
-        assert result.shape == C.shape and result.flags.c_contiguous
+def _stencil_stacks(kappa):
+    """(stack, law columns) for the three kinds of rows-first stack the loops build: one
+    spec's (n, 1, 2, n), a list of specs with their own laws (n, 5, 2, n), and a
+    multi-start row stack of 3 specs x 4 starts (n, 12, n)."""
+    rng = np.random.default_rng(kappa)
+    n = kappa - 1
+    specs = [GameSpec(kappa, Poisson(5.0), EdgeWeightLaw.from_p0_p1(p0, 0.1))
+             for p0 in (0.3, 0.4, 0.5, 0.6, 0.7)]
+    return [(rng.random((n, 1, 2, n)), _law_columns(specs[:1], 4)),
+            (rng.random((n, 5, 2, n)), _law_columns(specs, 4)),
+            (rng.random((n, 12, n)), _law_columns(specs[:3], 3, repeat=4))]
+
+
+@pytest.mark.parametrize("kappa", (2, 3, 41))
+def test_stencil_results_are_c_contiguous(kappa):
+    # each stencil ufunc acts on one contiguous block of the stack: the property the
+    # rows-first layout exists for
+    for C, laws in _stencil_stacks(kappa):
+        buffers = _stencil_buffers(C.shape)
+        for block in buffers:
+            assert block.shape == C.shape and block.flags.c_contiguous
+        out = np.empty(C.shape)
+        for result in (_edge_mix(C, *laws), _edge_mix(C, *laws, buffers, out),
+                       _g_fast(Poisson(5.0).pgf, *laws, C),
+                       _g_fast(Poisson(5.0)._pgf_inplace, *laws, C, buffers, out)):
+            assert result.shape == C.shape and result.flags.c_contiguous
+    # a value every spec shares is a 0-d array, others a column per stack row
+    (_, one), (_, listed), (_, starts) = _stencil_stacks(kappa)
+    assert [c.shape for c in one] == [()] * 3
+    assert [c.shape for c in listed] == [(), (5, 1, 1), (5, 1, 1)]
+    assert [c.shape for c in starts] == [(), (12, 1), (12, 1)]
 
 
 @pytest.mark.parametrize("kappa", (2, 3, 4, 6))
