@@ -374,13 +374,17 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
             lo = np.minimum.reduce(np.minimum.reduce(change[:steps], 1), 3)
             hi = np.maximum.reduce(np.maximum.reduce(change[:steps], 1), 3)
             deltas = np.maximum.reduce(np.maximum(hi, 0.0 - lo), 2)
-            below = deltas < tol
-            stops = np.where(below.any(0), below.argmax(0), steps) if below.any() else None
+            stops = None                                # each spec's stop step, if any
+            if np.minimum.reduce(deltas, None) < tol:
+                below = deltas < tol
+                stops = np.where(below.any(0), below.argmax(0), steps)
             # a spec counts up to its stop step, which it reaches moving forwards
-            backwards = (hi[:, :, 0] > 1e-12) | (lo[:, :, 1] < -1e-12)
-            if backwards.any() and np.any(backwards & (np.arange(steps)[:, None] <= (
-                    steps if stops is None else stops))):
-                raise InternalInconsistencyError("monotone iteration moved backwards")
+            if (np.maximum.reduce(hi[:, :, 0], None) > 1e-12
+                    or np.minimum.reduce(lo[:, :, 1], None) < -1e-12):
+                backwards = (hi[:, :, 0] > 1e-12) | (lo[:, :, 1] < -1e-12)
+                if np.any(backwards & (np.arange(steps)[:, None] <= (
+                        steps if stops is None else stops))):
+                    raise InternalInconsistencyError("monotone iteration moved backwards")
             it += steps
             if it == max_iter:              # report the change of the last step
                 delta = deltas[steps - 1]
