@@ -339,7 +339,10 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
     into a ring of K + 1 stacks, which the blocks walk forwards and backwards in
     turn, so that each block starts from the slot where the last one ended.  The
     tests then run over the block's K changes at once, from each half's least and
-    largest change.  A spec that stops inside the block leaves with its iterate of
+    largest change.  The one subtract that forms the changes writes them spec-major,
+    (K, specs, 2, n, n), so each of those is one flat reduction over a half, where
+    rows-first changes would take n - 1 inner loops of numpy's reduction to fold
+    their rows.  A spec that stops inside the block leaves with its iterate of
     that step; the later steps of the other specs stand, and they go on from the
     block's last iterate in a new, smaller ring.
     """
@@ -359,20 +362,22 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
         path[0] = B
         slots = list(path)
         fills = [Z.swapaxes(0, -1)[:, :, ::-1] for Z in slots]   # Z_k's other half, transposed
-        change = np.empty((K,) + B.shape)
+        change = np.empty((K, len(cells), 2, n, n))
+        change_rows = change.transpose(0, 3, 1, 2, 4)     # the ring's axis order
         buffers = _stencil_buffers(B.shape)
         while True:
             steps = min(K, max_iter - it)
             for fill, Z in zip(fills[:steps], slots[1:steps + 1]):   # Z = g(fill), as in _g_fast
                 np.subtract(_ONE, fill, out=buffers[1])
                 G(_edge_mix(buffers[1], *laws, buffers, Z).clip(0.0, 1.0, out=Z))
-            np.subtract(path[1:steps + 1], path[:steps], out=change[:steps])
+            np.subtract(path[1:steps + 1], path[:steps], out=change_rows[:steps])
             # each half's least and largest change per step and spec: ybar = 1 - w
             # falls and ell rises, so the increases of w and ell lie in [-hi, -lo]
             # and [lo, hi] of their halves, and a max-norm change is max(hi, -lo)
             # (0.0 - lo, so that a step changing nothing reports +0.0, not -0.0)
-            lo = np.minimum.reduce(np.minimum.reduce(change[:steps], 1), 3)
-            hi = np.maximum.reduce(np.maximum.reduce(change[:steps], 1), 3)
+            flat = change[:steps].reshape(steps, len(cells), 2, n * n)
+            lo = np.minimum.reduce(flat, 3)
+            hi = np.maximum.reduce(flat, 3)
             deltas = np.maximum.reduce(np.maximum(hi, 0.0 - lo), 2)
             stops = None                                # each spec's stop step, if any
             if np.minimum.reduce(deltas, None) < tol:
