@@ -28,7 +28,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .offspring import OffspringDistribution, distribution_from_json
+from .offspring import _ONE, OffspringDistribution, distribution_from_json
+
+try:                                       # the ufunc that ndarray.clip ends in
+    from numpy._core.umath import clip as _clip
+except ImportError:                        # numpy 1.x
+    from numpy.core.umath import clip as _clip
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +59,7 @@ MAX_STACK_ENTRIES = 2**16
 # kappa 66 on) tests every step, where a longer block only spills the cache
 BLOCK_ENTRIES = 2**14
 MAX_BLOCK_STEPS = 32
-_ONE = np.array(1.0)   # the 1 of a step's 1 - X, 0-d: the cheapest operand of a ufunc
+_ZERO = np.array(0.0)  # with _ONE, the 0-d bounds of a step's clip
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -184,28 +189,29 @@ def _edge_mix(C: np.ndarray, p1, p0, pm1, _buffers: tuple = None,
     into the interior rows, the only strided operand; each term is then one
     contiguous block of the stack.  The result is `out`, a fresh array by default.
     A loop passes its own _stencil_buffers and out so nothing is allocated, and
-    may pass their interior as C once it holds C transposed.
+    may pass their interior as C once it holds C transposed; the stencil is then
+    its five ufunc calls, each with its output as a positional argument.
     """
     left, interior, right, term = _stencil_buffers(C.shape) if _buffers is None else _buffers
     mix = np.empty(C.shape) if out is None else out
     if C is not interior:
         interior[...] = C.swapaxes(0, -1)
-    np.multiply(left, pm1, out=mix)
-    np.multiply(interior, p0, out=term)
-    mix += term
-    np.multiply(right, p1, out=term)
-    mix += term
-    return mix
+    np.multiply(left, pm1, mix)
+    np.multiply(interior, p0, term)
+    np.add(mix, term, mix)
+    np.multiply(right, p1, term)
+    return np.add(mix, term, mix)
 
 
-def _g_fast(G, p1, p0, pm1, X: np.ndarray, _buffers: tuple = None,
-            out: np.ndarray = None) -> np.ndarray:
-    """g(X) = G(_edge_mix(1 - X)) for a rows-first stack X of shape (n, *batch, n)
-    (_edge_mix; a 2-D X is one matrix).  1 - X goes transposed straight into the
-    stencil's interior, the mix into `out` (a fresh array by default), and G runs on
-    it there: a family's _pgf_inplace overwrites it, while a public pgf returns a
-    fresh array.  A loop passes its own _stencil_buffers for X's shape and its own
-    out, so a step allocates nothing, and every array it writes is contiguous.
+def _g_step(G, laws: tuple, fill: np.ndarray, buffers: tuple, out: np.ndarray) -> np.ndarray:
+    """The one body of an operator step: out = g(X) = G(clip(_edge_mix(1 - X))) for a
+    rows-first stack X, from fill = X.swapaxes(0, -1), the law columns (p1, p0, pm1),
+    the _stencil_buffers for X's shape and the output array.  1 - X goes transposed
+    straight into the stencil's interior, the mix into `out`, and G runs on it there:
+    a family's _pgf_inplace overwrites it, while a public pgf returns a fresh array.
+    A step is nothing but ufunc calls, each passed its output positionally: the
+    subtract, the stencil, the clip ufunc that ndarray.clip ends in, with 0-d bounds,
+    and G's own; so it allocates nothing and every array it writes is contiguous.
 
     The mix is not range-checked.  For X in [0, 1] it is a convex combination of
     entries of 1 - X and the boundary values 1 and 0, with weights that sum to
@@ -213,11 +219,19 @@ def _g_fast(G, p1, p0, pm1, X: np.ndarray, _buffers: tuple = None,
     pgf's _check_unit_interval would do to it is this clip, and it gives the
     same bits.  Every X comes from a validated matrix or from G itself.
     """
+    np.subtract(_ONE, fill, buffers[1])
+    mix = _edge_mix(buffers[1], *laws, buffers, out)
+    return G(_clip(mix, _ZERO, _ONE, mix))
+
+
+def _g_fast(G, p1, p0, pm1, X: np.ndarray, _buffers: tuple = None,
+            out: np.ndarray = None) -> np.ndarray:
+    """g(X) for a rows-first stack X of shape (n, *batch, n) (_edge_mix; a 2-D X is
+    one matrix) by _g_step, into `out` with the given _stencil_buffers, fresh arrays
+    by default."""
     buffers = _stencil_buffers(X.shape) if _buffers is None else _buffers
-    np.subtract(_ONE, X.swapaxes(0, -1), out=buffers[1])
-    mix = _edge_mix(buffers[1], p1, p0, pm1, buffers, out)
-    mix.clip(0.0, 1.0, out=mix)
-    return G(mix)
+    return _g_step(G, (p1, p0, pm1), X.swapaxes(0, -1), buffers,
+                   np.empty(X.shape) if out is None else out)
 
 
 def apply_g(spec: GameSpec, X) -> np.ndarray:
@@ -367,9 +381,8 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
         buffers = _stencil_buffers(B.shape)
         while True:
             steps = min(K, max_iter - it)
-            for fill, Z in zip(fills[:steps], slots[1:steps + 1]):   # Z = g(fill), as in _g_fast
-                np.subtract(_ONE, fill, out=buffers[1])
-                G(_edge_mix(buffers[1], *laws, buffers, Z).clip(0.0, 1.0, out=Z))
+            for fill, Z in zip(fills[:steps], slots[1:steps + 1]):
+                _g_step(G, laws, fill, buffers, Z)
             np.subtract(path[1:steps + 1], path[:steps], out=change_rows[:steps])
             # each half's least and largest change per step and spec: ybar = 1 - w
             # falls and ell rises, so the increases of w and ell lie in [-hi, -lo]
@@ -542,8 +555,9 @@ def _multi_start(specs: list, starts: np.ndarray, tol: float, max_iter: int) -> 
     half, spare = np.empty(live.shape), np.empty(live.shape)
     # a seed freezes at its first h-step changing less than tol
     for _ in range(max_iter):
-        nxt = _g_fast(G, *laws, _g_fast(G, *laws, live, buffers, out=half), buffers, out=spare)
-        np.abs(np.subtract(nxt, live, out=half), out=half)
+        _g_step(G, laws, live.swapaxes(0, -1), buffers, half)
+        nxt = _g_step(G, laws, half.swapaxes(0, -1), buffers, spare)
+        np.abs(np.subtract(nxt, live, half), half)
         moving = ~(np.maximum.reduce(np.maximum.reduce(half, 0), 1) < tol)
         live, spare = nxt, live
         if moving.all():

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 ArrayLike = Union[float, np.ndarray]
 
 _PGF_DOMAIN_SLACK = 1e-9
+_ONE = np.array(1.0)   # 0-d: the cheapest operand of a ufunc
 
 
 class DistributionError(ValueError):
@@ -35,7 +37,7 @@ def _check_unit_interval(x: ArrayLike) -> ArrayLike:
     overwrite (a numpy scalar for a 0-d array), anything else as a float, so
     augmented assignments on the result serve every kind of argument.  It runs once
     per public pgf or pgf_derivative call; the operator loops clip their own stencil
-    mix instead (fixpoint._g_fast).
+    mix instead (fixpoint._g_step).
     """
     arr = np.asarray(x, dtype=float)
     if arr.size and not (np.minimum.reduce(arr, None) >= -_PGF_DOMAIN_SLACK
@@ -43,6 +45,17 @@ def _check_unit_interval(x: ArrayLike) -> ArrayLike:
         raise DistributionError(f"pgf argument outside [0, 1]: {x!r}")
     clipped = arr.clip(0.0, 1.0)
     return clipped if isinstance(x, np.ndarray) else float(clipped)
+
+
+def _power(e: int) -> tuple:
+    """(ufunc, operands) such that ufunc(x, *operands, x) is `x **= e` on a float array x,
+    bit for bit: numpy sends the int exponents 2 and -1 to square and reciprocal, and any
+    other to power with e as a float, here a 0-d array built once."""
+    if e == 2:
+        return np.square, ()
+    if e == -1:
+        return np.reciprocal, ()
+    return np.power, (np.array(float(e)),)
 
 
 def _horner(coeffs, x: ArrayLike) -> ArrayLike:
@@ -73,7 +86,11 @@ class OffspringDistribution:
 
     def _pgf_inplace(self, x: ArrayLike) -> ArrayLike:
         """The family's one body of G for x already in [0, 1]: an array x is
-        overwritten with G(x) and returned, a float gives a float."""
+        overwritten with G(x) and returned, a float gives a float.  On an array the
+        body is its ufunc calls alone, each writing into x and taking the family's
+        constants as the 0-d arrays of `_operands`, built once per distribution (the
+        two Horner families still go through _horner); a scalar takes the same
+        operations in the same order, on Python numbers."""
         raise NotImplementedError
 
     def pgf_derivative(self, x: ArrayLike) -> ArrayLike:
@@ -112,9 +129,16 @@ class Dirac(OffspringDistribution):
 
     pgf = OffspringDistribution.pgf
 
+    @cached_property
+    def _operands(self):
+        return _power(self.m)
+
     def _pgf_inplace(self, x):
-        x **= self.m
-        return x
+        if not isinstance(x, np.ndarray):
+            x **= self.m
+            return x
+        power, exponent = self._operands
+        return power(x, *exponent, x)
 
     def _pgf_derivative(self, x):
         return self.m * x ** (self.m - 1)
@@ -172,11 +196,20 @@ class Binomial(OffspringDistribution):
 
     pgf = OffspringDistribution.pgf
 
+    @cached_property
+    def _operands(self):
+        return np.array(self.pi), np.array(1.0 - self.pi), _power(self.n)
+
     def _pgf_inplace(self, x):
-        x *= self.pi
-        x += 1.0 - self.pi
-        x **= self.n
-        return x
+        if not isinstance(x, np.ndarray):
+            x *= self.pi
+            x += 1.0 - self.pi
+            x **= self.n
+            return x
+        pi, q, (power, exponent) = self._operands
+        np.multiply(x, pi, x)
+        np.add(x, q, x)
+        return power(x, *exponent, x)
 
     def _pgf_derivative(self, x):
         return self.n * self.pi * (1.0 - self.pi + self.pi * x) ** (self.n - 1)
@@ -201,10 +234,18 @@ class Poisson(OffspringDistribution):
 
     pgf = OffspringDistribution.pgf
 
+    @cached_property
+    def _operands(self):
+        return np.array(self.lam)
+
     def _pgf_inplace(self, x):
-        x -= 1.0
-        x *= self.lam
-        return np.exp(x, out=x if isinstance(x, np.ndarray) else None)
+        if not isinstance(x, np.ndarray):
+            x -= 1.0
+            x *= self.lam
+            return np.exp(x)
+        np.subtract(x, _ONE, x)
+        np.multiply(x, self._operands, x)
+        return np.exp(x, x)
 
     def _pgf_derivative(self, x):
         return self.lam * self._pgf_inplace(x)
@@ -238,12 +279,22 @@ class NegBinomial(OffspringDistribution):
 
     pgf = OffspringDistribution.pgf
 
+    @cached_property
+    def _operands(self):
+        return np.array(self.pi - 1.0), _power(-self.r), np.array(self.pi**self.r)
+
     def _pgf_inplace(self, x):
-        x *= self.pi - 1.0      # fl(pi - 1) = -fl(1 - pi): the same roundings as 1 - (1 - pi) x
-        x += 1.0
-        x **= -self.r
-        x *= self.pi**self.r
-        return x
+        if not isinstance(x, np.ndarray):
+            x *= self.pi - 1.0      # fl(pi - 1) = -fl(1 - pi): the same roundings as 1 - (1 - pi) x
+            x += 1.0
+            x **= -self.r
+            x *= self.pi**self.r
+            return x
+        slope, (power, exponent), scale = self._operands
+        np.multiply(x, slope, x)
+        np.add(x, _ONE, x)
+        power(x, *exponent, x)
+        return np.multiply(x, scale, x)
 
     def _pgf_derivative(self, x):
         return (self.r * (1.0 - self.pi) * self.pi**self.r
@@ -276,11 +327,20 @@ class TwoPoint(OffspringDistribution):
 
     pgf = OffspringDistribution.pgf
 
+    @cached_property
+    def _operands(self):
+        return _power(self.d), np.array(self.pi), np.array(1.0 - self.pi)
+
     def _pgf_inplace(self, x):
-        x **= self.d
-        x *= self.pi
-        x += 1.0 - self.pi
-        return x
+        if not isinstance(x, np.ndarray):
+            x **= self.d
+            x *= self.pi
+            x += 1.0 - self.pi
+            return x
+        (power, exponent), pi, q = self._operands
+        power(x, *exponent, x)
+        np.multiply(x, pi, x)
+        return np.add(x, q, x)
 
     def _pgf_derivative(self, x):
         return self.pi * self.d * x ** (self.d - 1)
