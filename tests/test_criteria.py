@@ -317,10 +317,15 @@ def test_p0_zero_check_validation_and_formula():
     with pytest.raises(ValueError):
         kappa3_p0_zero_check(Dirac(2), 1.5)
     assert kappa3_p0_zero_check(Dirac(2), 0.0)
-    dist, pm1 = Poisson(3.0), 0.6
-    G, Gp = dist.pgf, dist.pgf_derivative
-    product = pm1 * (1 - pm1) * Gp(1 - (1 - pm1) * G(pm1)) * Gp(pm1 * (1 - G(pm1)))
-    assert kappa3_p0_zero_check(dist, pm1) == (product < 1)
+    verdicts = set()
+    for dist in (Dirac(2), Poisson(3.0), Poisson(50.0), Binomial(10, 0.6), NegBinomial(2, 0.1),
+                 TwoPoint(0.5, 3), UniformRange(3), Explicit([0.1, 0.2, 0.3, 0.15, 0.25])):
+        G, Gp = dist.pgf, dist.pgf_derivative
+        for pm1 in (i / 40 for i in range(41)):
+            product = pm1 * (1 - pm1) * Gp(1 - (1 - pm1) * G(pm1)) * Gp(pm1 * (1 - G(pm1)))
+            assert kappa3_p0_zero_check(dist, pm1) == (product < 1), (dist, pm1)
+            verdicts.add(product < 1)
+    assert verdicts == {True, False}
 
 
 def kappa3_p0_zero_maps(dist, p_minus1):
@@ -385,49 +390,6 @@ def test_p0_zero_uniqueness_equivalence():
 # ---------------------------------------------------------------------------
 # duration certificate
 # ---------------------------------------------------------------------------
-
-def _independent_duration(spec, result):
-    """Literal re-implementation of alpha, beta and the coefficient row sums."""
-    k = spec.kappa
-    pm1, p0, p1 = spec.law.p_minus1, spec.law.p_0, spec.law.p_1
-    Gp = spec.dist.pgf_derivative
-
-    def wv(j, c):
-        if c == 0:
-            return 1.0
-        if c == k:
-            return 0.0
-        return result.W[j - 1, c - 1]
-
-    def lv(j, c):
-        if c == 0:
-            return 0.0
-        if c == k:
-            return 1.0
-        return result.L[j - 1, c - 1]
-
-    prob = {-1: pm1, 0: p0, 1: p1}
-
-    def alpha(i, j):
-        return pm1 * wv(j, i - 1) + p0 * wv(j, i) + p1 * wv(j, i + 1)
-
-    def beta(i, j):
-        return pm1 * (1 - lv(j, i - 1)) + p0 * (1 - lv(j, i)) + p1 * (1 - lv(j, i + 1))
-
-    sums = np.empty((k - 1, k - 1))
-    for ip in range(1, k):
-        for jp in range(1, k):
-            total = 0.0
-            for s in range(1, k):
-                for t in range(1, k):
-                    if abs(ip - s) <= 1 and abs(jp - t) <= 1:
-                        total += (Gp(beta(s, t)) * Gp(alpha(t, ip))
-                                  * prob[ip - s] * prob[jp - t])
-            sums[ip - 1, jp - 1] = total
-    idx = range(1, k)
-    return (np.array([[alpha(i, j) for j in idx] for i in idx]),
-            np.array([[beta(i, j) for j in idx] for i in idx]), sums)
-
 
 def reference_duration_criterion(spec, result):
     """duration_criterion's former cell-by-cell body: its own padded W and L
@@ -534,11 +496,9 @@ def test_duration_zero_draw_case():
         # row exceeds 1 so the certificate does not apply (recorded oracle value)
         assert not report.criterion_holds
         assert float(np.max(np.abs(report.alpha - report.beta))) < 1e-10
-        alpha, beta, expected = _independent_duration(spec, r)
-        assert np.array_equal(report.alpha, alpha)
-        assert np.array_equal(report.beta, beta)
-        assert report.row_sums.shape == expected.shape
-        assert report.row_sums == pytest.approx(expected, rel=1e-9)
+        expected = reference_duration_criterion(spec, r)
+        for name in ("alpha", "beta", "row_sums"):
+            assert np.array_equal(getattr(report, name), getattr(expected, name))
         if kappa == 3:
             assert report.row_sums[1, 1] > 1.0
             assert report.row_sums[0, 1] < 1.0
@@ -619,19 +579,9 @@ def test_duration_report_serialization():
     # the "i,j" keys of the 1-based capital pairs, in row-major order
     assert list(obj["row_sums"]) == ["1,1", "1,2", "2,1", "2,2"]
     assert list(obj["row_sums"].values()) == report.row_sums.ravel().tolist()
-
-
-def reference_row_sums_json(report):
-    """The former `DurationReport.to_json_dict` row sums: one float per ndenumerate entry."""
-    return {f"{i + 1},{j + 1}": float(v) for (i, j), v in np.ndenumerate(report.row_sums)}
-
-
-def test_duration_row_sums_json_equals_reference():
-    reports = [duration_criterion(solve(GameSpec(kappa, Poisson(5.0), law(0.4, 0.3))))
-               for kappa in (2, 3, 12, 40)]
-    rng = np.random.default_rng(5)
-    reports.append(DurationReport(*rng.random((3, 3, 5)), False, False))   # not square
-    for report in reports:
-        got = report.to_json_dict()["row_sums"]
-        assert list(got.items()) == list(reference_row_sums_json(report).items())
-        assert all(type(v) is float for v in got.values())
+    # a non-square report: keys count rows by i and columns by j, values are Python floats
+    report = DurationReport(*np.arange(18.0).reshape(3, 3, 2), False, False)
+    row_sums = report.to_json_dict()["row_sums"]
+    assert list(row_sums.items()) == [("1,1", 12.0), ("1,2", 13.0), ("2,1", 14.0),
+                                      ("2,2", 15.0), ("3,1", 16.0), ("3,2", 17.0)]
+    assert all(type(v) is float for v in row_sums.values())

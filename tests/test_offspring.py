@@ -5,6 +5,7 @@ import pytest
 
 from percgame import (Binomial, Dirac, DistributionError, Explicit, NegBinomial,
                       Poisson, TwoPoint, UniformRange, distribution_from_json, geometric)
+from percgame.offspring import _check_unit_interval
 
 ALL_DISTS = [
     Dirac(2), Dirac(5), Dirac(15),
@@ -195,6 +196,42 @@ def test_geometric_is_negbinomial_r1():
 def test_json_round_trip(dist):
     clone = distribution_from_json(dist.to_json())
     assert clone == dist
+
+
+def test_params_name_the_parameters_in_constructor_order():
+    for dist, params in ((Dirac(2), {"m": 2}), (UniformRange(3), {"m": 3}),
+                         (Binomial(10, 0.6), {"n": 10, "pi": 0.6}), (Poisson(5.0), {"lam": 5.0}),
+                         (NegBinomial(2, 0.1), {"r": 2, "pi": 0.1}),
+                         (geometric(0.2), {"r": 1, "pi": 0.2}),
+                         (TwoPoint(0.5, 3), {"pi": 0.5, "d": 3}),
+                         (Explicit([0.25, 0.75]), {"pmf": [0.25, 0.75]})):
+        assert list(dist.params().items()) == list(params.items())
+        assert [type(v) for v in dist.params().values()] == [type(v) for v in params.values()]
+
+
+UNIT_ARRAY = np.random.default_rng(5).random((500, 2))
+
+
+@pytest.mark.parametrize("x", [0.5, -1e-10, 1.0 + 1e-10, 0, np.float64(-0.0), np.array(0.37),
+                               np.array(-1e-10), np.empty((0, 3)), UNIT_ARRAY, UNIT_ARRAY.T,
+                               np.array([[-1e-9, 1.0 + 1e-9]])], ids=repr)
+def test_check_unit_interval_clips_into_a_fresh_value(x):
+    got = _check_unit_interval(x)
+    np.testing.assert_array_equal(got, np.clip(np.asarray(x, dtype=float), 0.0, 1.0), strict=True)
+    if not isinstance(x, np.ndarray):
+        assert type(got) is float
+    elif x.ndim == 0:
+        assert type(got) is np.float64
+    else:                       # a fresh copy the caller may overwrite
+        assert type(got) is np.ndarray and got.flags.writeable and not np.shares_memory(got, x)
+
+
+@pytest.mark.parametrize("x", [-2e-9, 1.0 + 2e-9, np.nan, np.array([0.5, np.nan]),
+                               np.array([[0.1, -0.5]]), np.array(1.5)], ids=repr)
+def test_check_unit_interval_refusal_names_the_argument(x):
+    with pytest.raises(DistributionError) as exc:
+        _check_unit_interval(x)
+    assert str(exc.value) == f"pgf argument outside [0, 1]: {x!r}"
 
 
 def test_json_geometric_alias_and_errors():

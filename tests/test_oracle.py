@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from percgame import (Dirac, EdgeWeightLaw, Forest, GameSpec, NodeCapExceeded, Poisson,
-                      estimate_probs, horizon_iterates, sample_forest)
+from percgame import (Dirac, EdgeWeightLaw, Explicit, Forest, GameSpec, NodeCapExceeded,
+                      Poisson, TwoPoint, estimate_probs, horizon_iterates, sample_forest)
 from percgame.oracle import _forest_root_counts, map_in_processes
 
 
@@ -101,6 +101,66 @@ def test_sample_forest_node_cap():
     forest = sample_forest(Dirac(3), LAW, 8, 5, np.random.default_rng(0), node_cap=100)
     assert forest.aborted.all()
     assert forest.sizes[5:] == [0, 0, 0, 0]
+    # a sample is aborted when its node count exceeds the cap: depth 2 holds 1 + 3 + 9 = 13
+    for cap, aborted in ((13, False), (12, True)):
+        forest = sample_forest(Dirac(3), LAW, 2, 4, np.random.default_rng(0), node_cap=cap)
+        assert forest.sizes == [4, 12, 36]
+        np.testing.assert_array_equal(forest.aborted, aborted)
+
+
+@pytest.mark.parametrize("dist, depth, n, cap, aborts", [
+    (TwoPoint(0.3, 2), 10, 3, 12, "none"),
+    (Poisson(0.7), 6, 16, 3, "some"),
+    (Explicit([0.4, 0.2, 0.1, 0.3]), 6, 16, 6, "some"),
+    (Dirac(1), 6, 16, 1, "all")], ids=repr)
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_forest_draw_order(dist, depth, n, cap, aborts, seed):
+    # per generation one dist.sample call for every node, zeroed in aborted samples, then
+    # one uniform per edge, also for an empty generation: the simulate golden digests
+    # rest on this draw sequence
+    law = EdgeWeightLaw.from_p0_p1(0.4, 0.35)
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    forest = sample_forest(dist, law, depth, n, rng, node_cap=cap)
+    sample_id, nodes = np.arange(n), np.ones(n, dtype=np.int64)
+    for g in range(depth):
+        counts = dist.sample(replay, size=sample_id.size)
+        counts[(nodes > cap)[sample_id]] = 0
+        np.testing.assert_array_equal(forest.children[g], counts, strict=True)
+        u = replay.random(counts.sum())
+        weights = np.where(u < law.p_1, 1, np.where(u < law.p_1 + law.p_0, 0, -1))
+        np.testing.assert_array_equal(forest.weights[g], weights.astype(np.int8), strict=True)
+        sample_id = np.repeat(sample_id, counts)
+        nodes += np.bincount(sample_id, minlength=n)
+    np.testing.assert_array_equal(forest.aborted, nodes > cap, strict=True)
+    assert forest.sizes == [n] + [w.size for w in forest.weights]
+    assert rng.bit_generator.state == replay.bit_generator.state
+    n_aborted = int(forest.aborted.sum())
+    assert {"none": n_aborted == 0, "some": 0 < n_aborted < n, "all": n_aborted == n}[aborts]
+    assert 0 in forest.sizes
+
+
+class BoundaryUniforms:
+    """Stands in for the generator: `random` cycles through the given uniforms."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values)
+
+    def random(self, size):
+        return np.resize(self.values, size)
+
+
+@pytest.mark.parametrize("p0, p1", [(0.5, 0.3), (0.0, 0.4), (0.6, 0.0)])
+def test_sample_forest_weights_at_their_boundaries(p0, p1):
+    law = EdgeWeightLaw.from_p0_p1(p0, p1)
+    # every u at which a weight changes, and the float just below it; Dirac draws no uniforms
+    cut = law.p_1 + law.p_0
+    uniforms = [0.0, np.nextafter(law.p_1, 0), law.p_1, np.nextafter(cut, 0), cut,
+                np.nextafter(1.0, 0)]
+    forest = sample_forest(Dirac(3), law, 2, 2, BoundaryUniforms(uniforms))
+    expected = [1 if u < law.p_1 else 0 if u < cut else -1 for u in uniforms]
+    np.testing.assert_array_equal(forest.weights[0], expected)
+    probs = {1: law.p_1, 0: law.p_0, -1: law.p_minus1}
+    assert set(expected) == {w for w, p in probs.items() if p > 0}
 
 
 def test_sample_forest_mean_node_count():
@@ -160,6 +220,13 @@ def test_capital_monotone_verdicts_on_samples():
         assert np.all(loss[:, :, :-1] <= loss[:, :, 1:])
 
 
+def assert_counts_match_per_tree_solver(forest, kappa, horizon, case):
+    loss, win = _forest_root_counts(forest, kappa, horizon)
+    loss_ref, win_ref = reference_root_counts(forest, kappa, horizon)
+    np.testing.assert_array_equal(loss, loss_ref, err_msg=case)
+    np.testing.assert_array_equal(win, win_ref, err_msg=case)
+
+
 def test_forest_counts_match_per_tree_solver():
     # (kappa, offspring law, horizon, samples, node cap, aborted samples)
     cases = [(3, Poisson(2.0), 4, 150, None, "none"),
@@ -191,11 +258,13 @@ def test_forest_counts_match_per_tree_solver():
         forest = sample_forest(dist, law, horizon, n, rng, node_cap=cap or 10**7)
         n_aborted = int(forest.aborted.sum())
         assert {"none": n_aborted == 0, "some": 0 < n_aborted < n, "all": n_aborted == n}[aborts]
-        loss, win = _forest_root_counts(forest, kappa, horizon)
-        loss_ref, win_ref = reference_root_counts(forest, kappa, horizon)
-        case = f"kappa={kappa} {dist} H={horizon} cap={cap}"
-        np.testing.assert_array_equal(loss, loss_ref, err_msg=case)
-        np.testing.assert_array_equal(win, win_ref, err_msg=case)
+        assert_counts_match_per_tree_solver(forest, kappa, horizon,
+                                            f"kappa={kappa} {dist} H={horizon} cap={cap}")
+    # kappa on both sides of each row-dtype boundary: 16, 32 and 64 bits, then Python ints
+    law = EdgeWeightLaw.from_p0_p1(0.4, 0.35)
+    for kappa, horizon in [(k, 3) for k in (15, 16, 31, 32, 63, 64, 65)] + [(16, 4), (64, 4)]:
+        forest = sample_forest(Poisson(1.2), law, horizon, 6, np.random.default_rng(kappa))
+        assert_counts_match_per_tree_solver(forest, kappa, horizon, f"kappa={kappa} H={horizon}")
     # Sibling runs at the edges: in generation 2 only the last parent has
     # children, in generation 3 only the first (the later runs start at the
     # end of the children), and generations 4 and 5 are empty.
@@ -204,11 +273,8 @@ def test_forest_counts_match_per_tree_solver():
     assert forest.sizes == [3, 3, 3, 2, 0, 0]
     for kappa in (2, 3, 4, 8):
         for horizon in (4, 5):
-            loss, win = _forest_root_counts(forest, kappa, horizon)
-            loss_ref, win_ref = reference_root_counts(forest, kappa, horizon)
-            case = f"hand-built forest kappa={kappa} H={horizon}"
-            np.testing.assert_array_equal(loss, loss_ref, err_msg=case)
-            np.testing.assert_array_equal(win, win_ref, err_msg=case)
+            assert_counts_match_per_tree_solver(forest, kappa, horizon,
+                                                f"hand-built forest kappa={kappa} H={horizon}")
     # Roots whose children carry the weight sets {-1}, {+1}, {-1, 0, +1}, none, {0} and
     # {-1, +1}: every code of the horizon-1 table.  Generation 1 is all leaves (H=2) and
     # generation 2 is empty (H=3).
@@ -216,11 +282,8 @@ def test_forest_counts_match_per_tree_solver():
                           ([], []), ([], []))
     for kappa in (2, 3, 4, 8):
         for horizon in (1, 2, 3):
-            loss, win = _forest_root_counts(forest, kappa, horizon)
-            loss_ref, win_ref = reference_root_counts(forest, kappa, horizon)
-            case = f"leaf and empty generations kappa={kappa} H={horizon}"
-            np.testing.assert_array_equal(loss, loss_ref, err_msg=case)
-            np.testing.assert_array_equal(win, win_ref, err_msg=case)
+            assert_counts_match_per_tree_solver(
+                forest, kappa, horizon, f"leaf and empty generations kappa={kappa} H={horizon}")
 
 
 def test_forest_counts_traced_peak_below_three_forests():

@@ -1,31 +1,35 @@
-"""The single-path generating functions, kappa = 3 certificates, forest sampler, tree kernel,
-batched sweep and operator step against the code they replaced, kept here verbatim as references:
-results must be equal, not close."""
+"""The references of two layers, the generating functions and `sweep`, and the one
+former-code copy left.
+
+* The `Ref*` classes carry each family's pgf and G' as a float path and an array path
+  written apart; the public pgf and pgf_derivative must equal them, not be close.
+* `reference_sweep` runs `percgame sweep` cell by cell, one row call per grid cell; the
+  batched sweep must print the same bytes.
+* `former_g_step` and `FORMER_PGF_INPLACE` are the operator step and pgf bodies that the
+  lean step replaced, which pin it bitwise.
+
+The other layers' references live with their tests (README, "Tests").
+"""
 
 import concurrent.futures
-import dataclasses
 import functools
 import io
 import tracemalloc
 from contextlib import redirect_stdout
-from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 import pytest
 
 from percgame import (Binomial, Dirac, EdgeWeightLaw, Explicit, NegBinomial, Poisson, TwoPoint,
-                      UniformRange, cli, criteria, fixpoint, offspring, oracle, sample_forest)
-from percgame.criteria import Kappa3Bounds
-from percgame.offspring import (_FAMILIES, _PGF_DOMAIN_SLACK, DistributionError,
-                                _check_unit_interval, _horner, geometric)
-from percgame.oracle import DEFAULT_NODE_CAP
+                      UniformRange, cli, criteria, fixpoint, offspring, oracle)
+from percgame.offspring import DistributionError, _check_unit_interval, geometric
 
 from test_cli import InlinePool
 from test_offspring import ALL_DISTS
 
 
-# Each reference subclass carries the family's former pgf and pgf_derivative bodies.
+# Each reference subclass carries the family's pgf and pgf_derivative, a float path and an
+# array path written apart.
 
 class RefDirac(Dirac):
     def pgf(self, x):
@@ -139,7 +143,8 @@ class RefExplicit(Explicit):
 REFERENCES = {cls.__base__: cls for cls in (RefDirac, RefUniformRange, RefBinomial, RefPoisson,
                                             RefNegBinomial, RefTwoPoint, RefExplicit)}
 
-DISTS = ALL_DISTS + [UniformRange(17), Explicit([0.1, 0.2, 0.3, 0.15, 0.25])]
+DISTS = ALL_DISTS + [UniformRange(17), Explicit([0.1, 0.2, 0.3, 0.15, 0.25]),
+                     NegBinomial(2, 0.1), geometric(0.2)]
 GRID = [float(v) for v in np.linspace(0.0, 1.0, 41)] + [-1e-10, 1.0 + 1e-10, 0.123456789]
 ARRAY = np.concatenate([np.random.default_rng(5).random(2000), GRID]).reshape(-1, 4)[:, ::2]
 
@@ -152,8 +157,9 @@ def test_pgf_equals_two_path_reference(dist, method):
     for x in GRID:
         assert type(new(x)) is type(old(x))
         assert new(x) == old(x)
-    assert type(new(ARRAY)) is type(old(ARRAY)) is np.ndarray
-    np.testing.assert_array_equal(new(ARRAY), old(ARRAY), strict=True)
+    for x in (ARRAY, ARRAY.T, np.empty((0, 2))):
+        assert type(new(x)) is type(old(x)) is np.ndarray
+        np.testing.assert_array_equal(new(x), old(x), strict=True)
     # A 0-d array is clipped to a numpy scalar; the Horner families used to convert
     # it to a Python float, and now return the numpy scalar as every other family does.
     zero_d = np.array(0.37)
@@ -184,187 +190,9 @@ def test_public_pgf_is_the_check_then_the_inplace_body(dist, public, body):
             public(x)
 
 
-# Each former subclass carries the family's pgf_derivative, which checked its own argument,
-# and its params, which named the parameters that _FAMILIES lists.
-
-class FormerDirac(Dirac):
-    def pgf_derivative(self, x):
-        x = _check_unit_interval(x)
-        return self.m * x ** (self.m - 1)
-
-    def params(self):
-        return {"m": self.m}
-
-
-class FormerUniformRange(UniformRange):
-    def pgf_derivative(self, x):
-        return _horner(range(1, self.m + 1), _check_unit_interval(x)) / self.m
-
-    def params(self):
-        return {"m": self.m}
-
-
-class FormerBinomial(Binomial):
-    def pgf_derivative(self, x):
-        x = _check_unit_interval(x)
-        return self.n * self.pi * (1.0 - self.pi + self.pi * x) ** (self.n - 1)
-
-    def params(self):
-        return {"n": self.n, "pi": self.pi}
-
-
-class FormerPoisson(Poisson):
-    def pgf_derivative(self, x):
-        return self.lam * self.pgf(x)
-
-    def params(self):
-        return {"lam": self.lam}
-
-
-class FormerNegBinomial(NegBinomial):
-    def pgf_derivative(self, x):
-        x = _check_unit_interval(x)
-        return (self.r * (1.0 - self.pi) * self.pi**self.r
-                * (1.0 - (1.0 - self.pi) * x) ** (-self.r - 1))
-
-    def params(self):
-        return {"r": self.r, "pi": self.pi}
-
-
-class FormerTwoPoint(TwoPoint):
-    def pgf_derivative(self, x):
-        x = _check_unit_interval(x)
-        return self.pi * self.d * x ** (self.d - 1)
-
-    def params(self):
-        return {"pi": self.pi, "d": self.d}
-
-
-class FormerExplicit(Explicit):
-    def pgf_derivative(self, x):
-        coeffs = [m * p for m, p in enumerate(self.pmf_values)][1:]
-        return _horner(coeffs, _check_unit_interval(x))
-
-
-FORMER = {cls.__base__: cls for cls in (FormerDirac, FormerUniformRange, FormerBinomial,
-                                        FormerPoisson, FormerNegBinomial, FormerTwoPoint,
-                                        FormerExplicit)}
-
-
-def former(dist):
-    """`dist` as an instance of its former class, built from its fields."""
-    return FORMER[type(dist)](*(getattr(dist, f.name) for f in dataclasses.fields(dist) if f.init))
-
-
-def reference_kappa3_bounds(dist, law):
-    """kappa3_bounds as it was: one G or G' call per occurrence in the formulas."""
-    G = dist.pgf
-    Gp = dist.pgf_derivative
-    p0, p1, pm1 = law.p_0, law.p_1, law.p_minus1
-
-    A11 = A12 = G(pm1)
-    B21 = B22 = G(1.0 - p1)
-    A21 = G(pm1 * (1.0 - G(1.0 - (1.0 - pm1) * G(pm1))))
-    A22 = (G(pm1 * (1.0 - G(1.0 - G(pm1))))
-           + G((1.0 - p1) * (1.0 - G(1.0 - p1)))
-           - G(pm1 * (1.0 - G(1.0 - p1) - G(1.0 - G(pm1))
-                      + G((1.0 - p1) * (1.0 - G(pm1))))))
-    B11 = (G(1.0 - (1.0 - pm1) * G(pm1))
-           - G((1.0 - pm1) * (1.0 - G(pm1)) + pm1)
-           + G((1.0 - pm1) * (1.0 - G(pm1)) + pm1
-               - p1 * G(1.0 - G(1.0 - p1)) + p1 * G(pm1 * (1.0 - G(1.0 - p1)))))
-    B12 = G(1.0 - p1 * G((1.0 - p1) * (1.0 - G(1.0 - p1))))
-    A = np.array([[A11, A12], [A21, A22]], dtype=float)
-    B = np.array([[B11, B12], [B21, B22]], dtype=float)
-
-    def f1(x1, x2):
-        return G(1.0 - p1 * x2 - p0 * x1)
-
-    def f2(x1, x2):
-        return G(p0 + pm1 - p0 * x2 - pm1 * x1)
-
-    def d_f1(j, x1, x2):
-        # |partial_j f1|; the chain factor is p0 for the first argument, p1 for the second
-        return (p0 if j == 1 else p1) * Gp(1.0 - p1 * x2 - p0 * x1)
-
-    def d_f2(j, x1, x2):
-        return (pm1 if j == 1 else p0) * Gp(p0 + pm1 - p0 * x2 - pm1 * x1)
-
-    f1B2, f1B1 = f1(B[1, 0], B[1, 1]), f1(B[0, 0], B[0, 1])
-    f2B2, f2B1 = f2(B[1, 0], B[1, 1]), f2(B[0, 0], B[0, 1])
-    outer = (Gp(1.0 - p1 * f1B2 - p0 * f1B1),
-             Gp(1.0 - p1 * f2B2 - p0 * f2B1),
-             Gp(p0 + pm1 - p0 * f1B2 - pm1 * f1B1),
-             Gp(p0 + pm1 - p0 * f2B2 - pm1 * f2B1))
-
-    E = np.zeros((2, 2))
-    for i in (1, 2):
-        # weight of the row-i inner block inside the two outer layers:
-        # p_{i-1} multiplies the first-layer terms, p_{i-2} the second.
-        w_first = p0 if i == 1 else p1
-        w_second = pm1 if i == 1 else p0
-        for j in (1, 2):
-            d1 = d_f1(j, A[i - 1, 0], A[i - 1, 1])
-            d2 = d_f2(j, A[i - 1, 0], A[i - 1, 1])
-            E[i - 1, j - 1] = (w_first * d1 * outer[0] + w_first * d2 * outer[1]
-                               + w_second * d1 * outer[2] + w_second * d2 * outer[3])
-    return Kappa3Bounds(A=A, B=B, E=E)
-
-
-def reference_kappa3_p0_zero_check(dist, p_minus1):
-    """kappa3_p0_zero_check as it was, with G(p_minus1) evaluated twice."""
-    if not 0.0 <= p_minus1 <= 1.0:
-        raise ValueError("p_minus1 must lie in [0, 1]")
-    G = dist.pgf
-    Gp = dist.pgf_derivative
-    product = (p_minus1 * (1.0 - p_minus1)
-               * Gp(1.0 - (1.0 - p_minus1) * G(p_minus1))
-               * Gp(p_minus1 * (1.0 - G(p_minus1))))
-    return bool(product < 1.0)
-
-
-# one law of each of the 8 families of _FAMILIES; G(1) of both negative binomials rounds
-# above 1, so 1 - G(1 - p1) at p1 = 0 is a tiny negative argument that the check clips
+# one law of each of the 8 families of offspring._FAMILIES
 FAMILY_DISTS = [Dirac(2), UniformRange(3), Binomial(10, 0.6), Poisson(5.0), NegBinomial(2, 0.1),
                 geometric(0.2), TwoPoint(0.5, 3), Explicit([0.1, 0.2, 0.3, 0.15, 0.25])]
-# the 41 x 41 p0 x p1 grid with p0 + p1 <= 1, edges p_m1 = 0, p0 = 0 and p1 = 0 included
-GRID_LAWS = [EdgeWeightLaw.from_p0_p1(i / 40, j / 40) for i in range(41) for j in range(41 - i)]
-
-
-def test_family_dists_cover_every_family_and_a_pgf_above_one():
-    assert sorted(d.family for d in FAMILY_DISTS) == sorted(
-        "negbinomial" if f == "geometric" else f for f in _FAMILIES)
-    assert NegBinomial(2, 0.1).pgf(1.0) > 1.0 and geometric(0.2).pgf(1.0) > 1.0
-    assert {law.p_minus1 for law in GRID_LAWS} >= {0.0, 1.0}
-    assert {law.p_0 for law in GRID_LAWS} >= {0.0, 1.0}
-    assert {law.p_1 for law in GRID_LAWS} >= {0.0, 1.0}
-
-
-@pytest.mark.parametrize("dist", DISTS + FAMILY_DISTS, ids=repr)
-def test_pgf_derivative_and_params_equal_former_bodies(dist):
-    old = former(dist)
-    new_params, old_params = dist.params(), old.params()
-    assert new_params == old_params and list(new_params) == list(old_params)
-    assert offspring.distribution_from_json(dist.to_json()) == dist
-    for x in GRID:
-        assert type(dist.pgf_derivative(x)) is type(old.pgf_derivative(x))
-        assert dist.pgf_derivative(x) == old.pgf_derivative(x)
-    for x in (ARRAY, ARRAY.T, np.array(0.37), np.empty((0, 2))):
-        new_value, old_value = dist.pgf_derivative(x), old.pgf_derivative(x)
-        assert type(new_value) is type(old_value)
-        assert np.asarray(new_value).tobytes() == np.asarray(old_value).tobytes()
-
-
-@pytest.mark.parametrize("dist", FAMILY_DISTS, ids=repr)
-def test_kappa3_certificates_equal_former_bodies_bitwise(dist):
-    old = former(dist)
-    for law in GRID_LAWS:
-        new_bounds, old_bounds = criteria.kappa3_bounds(dist, law), reference_kappa3_bounds(old, law)
-        for name in ("A", "B", "E"):
-            assert getattr(new_bounds, name).tobytes() == getattr(old_bounds, name).tobytes(), law
-    for i in range(41):
-        assert (criteria.kappa3_p0_zero_check(dist, i / 40)
-                is reference_kappa3_p0_zero_check(old, i / 40))
 
 
 @pytest.mark.parametrize("dist", FAMILY_DISTS, ids=repr)
@@ -376,275 +204,11 @@ def test_kappa3_certificates_check_each_distinct_value_once(dist, monkeypatch):
         return check(x)
 
     monkeypatch.setattr(offspring, "_check_unit_interval", counted)
-    monkeypatch.setitem(globals(), "_check_unit_interval", counted)   # the former bodies' check
-    law = EdgeWeightLaw.from_p0_p1(0.5, 0.3)
-    counts = []
-    for run in (lambda: criteria.kappa3_bounds(dist, law),
-                lambda: reference_kappa3_bounds(former(dist), law),
-                lambda: criteria.kappa3_p0_zero_check(dist, 0.4),
-                lambda: reference_kappa3_p0_zero_check(former(dist), 0.4)):
-        calls.clear()
-        run()
-        counts.append(len(calls))
-    assert counts == [26, 45, 3, 4]
-
-
-@dataclass
-class Forest:
-    """The former Forest layout, with a parent index and a sample id per node."""
-
-    n_samples: int
-    depth: int
-    sizes: List[int]
-    parents: List[Optional[np.ndarray]]
-    weights: List[Optional[np.ndarray]]
-    sample_id: List[np.ndarray]
-    aborted: np.ndarray
-
-
-def reference_sample_forest(dist, law, depth, n_samples, rng, node_cap=DEFAULT_NODE_CAP):
-    """sample_forest as it was, with its separate branch for an empty generation and the
-    former Forest layout."""
-    p1, p0 = law.p_1, law.p_0
-    sizes = [n_samples]
-    parents: List[Optional[np.ndarray]] = [None]
-    weights: List[Optional[np.ndarray]] = [None]
-    sample_id = [np.arange(n_samples, dtype=np.int64)]
-    cum = np.ones(n_samples, dtype=np.int64)
-    aborted = np.zeros(n_samples, dtype=bool)
-    for g in range(1, depth + 1):
-        prev_n = sizes[g - 1]
-        if prev_n == 0:
-            sizes.append(0)
-            parents.append(np.empty(0, dtype=np.int64))
-            weights.append(np.empty(0, dtype=np.int8))
-            sample_id.append(np.empty(0, dtype=np.int64))
-            continue
-        counts = dist.sample(rng, size=prev_n)
-        counts[aborted[sample_id[g - 1]]] = 0
-        parent = np.repeat(np.arange(prev_n, dtype=np.int64), counts)
-        sid = sample_id[g - 1][parent]
-        u = rng.random(parent.size)
-        w = np.where(u < p1, 1, np.where(u < p1 + p0, 0, -1)).astype(np.int8)
-        sizes.append(int(parent.size))
-        parents.append(parent)
-        weights.append(w)
-        sample_id.append(sid)
-        cum += np.bincount(sid, minlength=n_samples)
-        aborted |= cum > node_cap
-    return Forest(n_samples=n_samples, depth=depth, sizes=sizes, parents=parents,
-                  weights=weights, sample_id=sample_id, aborted=aborted)
-
-
-def assert_forest_equals_reference(new, old):
-    """`new` holds exactly what the former layout `old` holds, in child counts and edge weights."""
-    assert (new.n_samples, new.depth, new.sizes) == (old.n_samples, old.depth, old.sizes)
-    assert len(new.children) == len(new.weights) == new.depth
-    sample_id = np.arange(new.n_samples, dtype=np.int64)
-    for g in range(new.depth):
-        np.testing.assert_array_equal(
-            new.children[g], np.bincount(old.parents[g + 1], minlength=old.sizes[g]), strict=True)
-        np.testing.assert_array_equal(new.weights[g], old.weights[g + 1], strict=True)
-        sample_id = np.repeat(sample_id, new.children[g])
-        np.testing.assert_array_equal(sample_id, old.sample_id[g + 1], strict=True)
-        np.testing.assert_array_equal(
-            np.repeat(np.arange(new.sizes[g]), new.children[g]), old.parents[g + 1], strict=True)
-    np.testing.assert_array_equal(new.aborted, old.aborted, strict=True)
-
-
-@pytest.mark.parametrize("dist", [TwoPoint(0.3, 2), Explicit([0.6, 0.2, 0.2])], ids=repr)
-@pytest.mark.parametrize("seed", range(6))
-def test_sample_forest_equals_reference_through_empty_generations(dist, seed):
-    law = EdgeWeightLaw.from_p0_p1(0.5, 0.3)
-    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = sample_forest(dist, law, 10, 3, rng_new, node_cap=12)
-    old = reference_sample_forest(dist, law, 10, 3, rng_old, node_cap=12)
-    assert 0 in old.sizes                      # whole generations die out
-    assert_forest_equals_reference(new, old)
-    # the next forest of a resampling round starts from the same generator state
-    assert rng_new.bit_generator.state == rng_old.bit_generator.state
-
-
-class BoundaryUniforms:
-    """Stands in for the generator: `random` cycles through the given uniforms."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values)
-
-    def random(self, size):
-        return np.resize(self.values, size)
-
-
-@pytest.mark.parametrize("p0, p1", [(0.5, 0.3), (0.0, 0.4), (0.6, 0.0)])
-def test_sample_forest_weights_equal_reference_at_their_boundaries(p0, p1):
-    law = EdgeWeightLaw.from_p0_p1(p0, p1)
-    # every u at which a weight changes, and the float just below it; Dirac draws no uniforms
-    cut = law.p_1 + law.p_0
-    uniforms = [0.0, np.nextafter(law.p_1, 0), law.p_1, np.nextafter(cut, 0), cut,
-                np.nextafter(1.0, 0)]
-    new = sample_forest(Dirac(3), law, 2, 2, BoundaryUniforms(uniforms))
-    old = reference_sample_forest(Dirac(3), law, 2, 2, BoundaryUniforms(uniforms))
-    assert_forest_equals_reference(new, old)
-    expected = [1 if u < law.p_1 else 0 if u < cut else -1 for u in uniforms]
-    np.testing.assert_array_equal(new.weights[0], expected)
-    probs = {1: law.p_1, 0: law.p_0, -1: law.p_minus1}
-    assert set(expected) == {w for w, p in probs.items() if p > 0}
-
-
-def former_sample_forest(dist, law, depth, n_samples, rng, node_cap=DEFAULT_NODE_CAP):
-    """sample_forest as it was, with a sample id per node and a bincount per generation."""
-    p1, p0 = law.p_1, law.p_0
-    sizes = [n_samples]
-    children: List[np.ndarray] = []
-    weights: List[np.ndarray] = []
-    sid = np.arange(n_samples, dtype=np.int64)
-    cum = np.ones(n_samples, dtype=np.int64)
-    aborted = np.zeros(n_samples, dtype=bool)
-    for _ in range(depth):
-        counts = dist.sample(rng, size=sizes[-1])
-        counts[aborted[sid]] = 0
-        sid = np.repeat(sid, counts)
-        u = rng.random(sid.size)
-        w = (u < p1).view(np.int8) - (u >= p1 + p0).view(np.int8)
-        sizes.append(int(sid.size))
-        children.append(counts)
-        weights.append(w)
-        cum += np.bincount(sid, minlength=n_samples)
-        aborted |= cum > node_cap
-    return oracle.Forest(n_samples=n_samples, depth=depth, sizes=sizes, children=children,
-                         weights=weights, aborted=aborted)
-
-
-def former_forest_root_counts(forest, kappa, horizon):
-    """_forest_root_counts as it was: a reduceat per sibling run and generation.
-
-    A mover loses at horizon m+1 when the node is childless or every child,
-    under the weight-shifted mover capital, lies in the opponent's horizon-m
-    win set (capital 0 counting as an immediate win for the opponent, capital
-    kappa as an immediate loss).  The win case is dual.
-
-    Win and loss sets are bit rows in the layouts of the module docstring:
-    even generations in layout A, odd ones in layout B.  The sibling runs of
-    the reductions end in one identity row (all ones for AND, zero for OR) so
-    that a run may start at the end; runs of leaf parents are masked out.
-    """
-    n = kappa - 1
-    H = horizon
-    dt = oracle._row_dtype(kappa + 1)
-    row = dt.type
-    mask = row((1 << n) - 1)
-    win, lose = [], []
-    for g in range(H + 1):
-        N = forest.sizes[g]
-        if g % 2 == 0:      # layout A
-            win.append(np.full((N, n), row(1), dtype=dt))
-            lose.append(np.full((N, n), row(1 << kappa), dtype=dt))
-        else:               # layout B
-            wv = np.zeros((N, kappa + 1), dtype=dt)
-            lv = np.zeros((N, kappa + 1), dtype=dt)
-            wv[:, 0] = mask
-            lv[:, kappa] = mask
-            win.append(wv)
-            lose.append(lv)
-    # Per parent generation: sibling-run starts, leaf mask and how to read a
-    # child.  Reads and leaf masks are full (rows, n) arrays: numpy applies a
-    # column broadcast across n rows several times slower.
-    ones, zeros = np.full((1, n), mask, dtype=dt), np.zeros((1, n), dtype=dt)
-    plan = []
-    for g in range(H):
-        nch = forest.children[g]
-        w = forest.weights[g]
-        if g % 2 == 0:      # child rows are per opponent capital: pick rows i + w
-            read = (np.arange(1, w.size * (kappa + 1), kappa + 1) + w)[:, None] + np.arange(n)
-        else:               # child rows are per mover capital: shift out bits i + w
-            read = np.repeat((1 + w).astype(dt)[:, None], n, axis=1)
-        plan.append((np.cumsum(nch) - nch, np.repeat((nch == 0)[:, None], n, axis=1), read))
-    # The reductions see each child's n rows as a few wide words: an AND or OR
-    # of whole words gives the same bits, and reduceat's cost is per element.
-    word = dt if dt == object else np.dtype(f"u{np.gcd(8, n * dt.itemsize)}")
-    bits = np.arange(1, kappa).astype(dt)
-    keep = ~forest.aborted
-    loss = np.zeros((H, n, n))
-    wins = np.zeros((H, n, n))
-    for step in range(1, H + 1):
-        for g in range(H - step + 1):
-            starts, leaf, read = plan[g]
-            if g % 2 == 0:
-                cw = win[g + 1].reshape(-1).take(read)
-                cl = lose[g + 1].reshape(-1).take(read)
-            else:
-                cw = (win[g + 1] >> read) & mask
-                cl = (lose[g + 1] >> read) & mask
-            every = np.bitwise_and.reduceat(np.concatenate([cw, ones]).view(word), starts, axis=0)
-            some = np.bitwise_or.reduceat(np.concatenate([cl, zeros]).view(word), starts, axis=0)
-            lose_g = np.where(leaf, mask, every.view(dt))
-            win_g = np.where(leaf, row(0), some.view(dt))
-            if g % 2 == 0:
-                win[g] = (win_g << 1) | row(1)
-                lose[g] = (lose_g << 1) | row(1 << kappa)
-            else:
-                win[g][:, 1:kappa] = win_g
-                lose[g][:, 1:kappa] = lose_g
-        loss[step - 1] = ((lose[0][keep][:, :, None] >> bits) & 1).sum(axis=0)
-        wins[step - 1] = ((win[0][keep][:, :, None] >> bits) & 1).sum(axis=0)
-    return loss, wins
-
-
-@pytest.mark.parametrize("dist, caps", [
-    (Poisson(0.7), {"none": DEFAULT_NODE_CAP, "some": 1}),
-    (Dirac(1), {"none": DEFAULT_NODE_CAP, "all": 1}),
-    (Explicit([0.4, 0.2, 0.1, 0.3]), {"none": DEFAULT_NODE_CAP, "some": 3})], ids=repr)
-@pytest.mark.parametrize("horizon", range(1, 8))
-def test_forest_and_root_counts_equal_former_code_bitwise(dist, caps, horizon):
-    # kappa on both sides of each row-dtype boundary: 8, 16, 32 and 64 bits, then Python ints
-    law = EdgeWeightLaw.from_p0_p1(0.4, 0.35)
-    for aborts, cap in caps.items():
-        rng_new, rng_old = np.random.default_rng(horizon), np.random.default_rng(horizon)
-        new = sample_forest(dist, law, horizon, 16, rng_new, node_cap=cap)
-        old = former_sample_forest(dist, law, horizon, 16, rng_old, node_cap=cap)
-        assert (new.n_samples, new.depth, new.sizes) == (old.n_samples, old.depth, old.sizes)
-        for a, b in zip(new.children + new.weights + [new.aborted],
-                        old.children + old.weights + [old.aborted]):
-            np.testing.assert_array_equal(a, b, strict=True)
-        assert rng_new.bit_generator.state == rng_old.bit_generator.state
-        n_aborted = int(new.aborted.sum())
-        assert {"none": n_aborted == 0, "some": 0 < n_aborted < 16, "all": n_aborted == 16}[aborts]
-        for kappa in (7, 8, 15, 16, 31, 32, 63, 64, 65):
-            for a, b in zip(oracle._forest_root_counts(new, kappa, horizon),
-                            former_forest_root_counts(old, kappa, horizon)):
-                np.testing.assert_array_equal(a, b, strict=True)
-
-
-def reference_check_unit_interval(x):
-    """_check_unit_interval as it was, through the np.min/np.max/np.clip wrappers."""
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not (arr.min() >= -_PGF_DOMAIN_SLACK and arr.max() <= 1.0 + _PGF_DOMAIN_SLACK):
-        raise DistributionError(f"pgf argument outside [0, 1]: {x!r}")
-    clipped = np.clip(arr, 0.0, 1.0)
-    return clipped if isinstance(x, np.ndarray) else float(clipped)
-
-
-@pytest.mark.parametrize("x", [0.5, -1e-10, 1.0 + 1e-10, 0, np.float64(-0.0), np.array(0.37),
-                               np.array(-1e-10), np.empty((0, 3)), ARRAY, ARRAY.T,
-                               np.array([[-1e-9, 1.0 + 1e-9]])], ids=repr)
-def test_check_unit_interval_equals_reference(x):
-    new, old = _check_unit_interval(x), reference_check_unit_interval(x)
-    assert type(new) is type(old)
-    np.testing.assert_array_equal(new, old, strict=True)
-    if isinstance(x, np.ndarray) and x.ndim:
-        assert not np.shares_memory(new, x)      # a fresh copy the caller may overwrite
-        assert new.flags.writeable
-
-
-@pytest.mark.parametrize("x", [-2e-9, 1.0 + 2e-9, np.nan, np.array([0.5, np.nan]),
-                               np.array([[0.1, -0.5]]), np.array(1.5)], ids=repr)
-def test_check_unit_interval_refuses_like_reference(x):
-    messages = []
-    for check in (_check_unit_interval, reference_check_unit_interval):
-        with pytest.raises(DistributionError) as exc:
-            check(x)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1] == f"pgf argument outside [0, 1]: {x!r}"
+    criteria.kappa3_bounds(dist, EdgeWeightLaw.from_p0_p1(0.5, 0.3))
+    assert len(calls) == 26
+    calls.clear()
+    criteria.kappa3_p0_zero_check(dist, 0.4)
+    assert len(calls) == 3
 
 
 # sweep: the per-cell body that the batched sweep replaced, one row function call per
