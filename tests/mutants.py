@@ -2,23 +2,16 @@
 
     python tests/mutants.py [NAME ...]
 
-Each mutant is one textual change to `src/`: an operator swap, a comparison
-off by one or a constant nudge, in `sample_forest`, `_row_dtype`,
-`_forest_root_counts`, `_check_unit_interval`, `kappa3_bounds`,
-`kappa3_p0_zero_check`, the `pgf_derivative` bodies, `params`,
-`duration_criterion` or `DurationReport.to_json_dict`.  For each one the script
-copies `src/`, `tests/`, `perfbench/`, `pyproject.toml` and `BENCHMARK.json`
-into a temporary directory, applies the change there and runs pytest on the
-copy twice, side by side: the suite without `tests/test_reference_paths.py`,
-then that file alone.  Both runs stop at their first failure (`-x`), so a
-column reads 1 when that part of the suite catches the mutant, and the first
-failing test is printed next to it.  The three acceptance tests that fail on
-the unchanged code (criteria 2, 5 and 6) are deselected, so they count
-nowhere.  The unchanged copy runs first as a control; the script stops if it
-fails.
-
-Nothing is written to the working tree: the copies live in the system's
-temporary directory, pytest runs without its cache and without bytecode.
+Each mutant is one textual change to `src/` (an operator swap, a comparison off by
+one or a constant nudge) in `sample_forest`, `_row_dtype`, `_forest_root_counts`,
+`_check_unit_interval`, `kappa3_bounds`, `kappa3_p0_zero_check`, the `pgf_derivative`
+bodies, `params`, `duration_criterion` or `DurationReport.to_json_dict`.  It is
+applied to a copy of `src/`, `tests/`, `perfbench/`, `pyproject.toml` and
+`BENCHMARK.json` in the system's temporary directory, never to the working tree.
+Two pytest runs (`-x`, no cache, no bytecode) go side by side on the copy: the suite
+without `tests/test_reference_paths.py`, and that file alone; a column reads 1 when
+its run fails, next to the first failing test.  Criteria 2, 5 and 6, which fail on
+the unchanged code, are deselected.  An unchanged copy runs first as a control.
 Given mutant names, only those run.  Uses the standard library alone.
 """
 

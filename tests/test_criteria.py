@@ -236,6 +236,32 @@ def test_bounds_sandwich_solved_probabilities(dist, lw):
     assert np.all(b.A <= b.B + 1e-12)
 
 
+@pytest.mark.parametrize("dist", [Poisson(5.0), Dirac(4), Binomial(6, 0.5)], ids=repr)
+@pytest.mark.parametrize("p0, p1", [(0.2, 0.5), (0.3, 0.15), (0.1, 0.6), (0.45, 0.35)])
+def test_kappa3_bounds_at_asymmetric_laws(dist, p0, p1):
+    # A, B and E term by term where p1 != p_m1, so that a swap of the two shows; E[i, j]
+    # chains |d f_a / d x_i| at (f_k(B_1), f_k(B_2)) with |d f_k / d x_j| at A_i
+    G, Gp, pm1 = dist.pgf, dist.pgf_derivative, 1 - p0 - p1
+    g_m, g_q = G(pm1), G(1 - p1)
+    mix = (1 - pm1) * (1 - g_m) + pm1
+    A = [[g_m, g_m], [G(pm1 * (1 - G(1 - (1 - pm1) * g_m))),
+                      G(pm1 * (1 - G(1 - g_m))) + G((1 - p1) * (1 - g_q))
+                      - G(pm1 * (1 - g_q - G(1 - g_m) + G((1 - p1) * (1 - g_m))))]]
+    B = [[G(1 - (1 - pm1) * g_m) - G(mix) + G(mix - p1 * G(1 - g_q) + p1 * G(pm1 * (1 - g_q))),
+          G(1 - p1 * G((1 - p1) * (1 - g_q)))], [g_q, g_q]]
+    args = (lambda x1, x2: 1 - p1 * x2 - p0 * x1, lambda x1, x2: p0 + pm1 - p0 * x2 - pm1 * x1)
+    coefs = ((p0, p1), (pm1, p0))      # |d f_a / d x_j| = coefs[a][j] * G'(args[a])
+
+    def partial(a, j, x):
+        return coefs[a][j] * Gp(args[a](*x))
+
+    outer_at = [[G(args[k](*B[0])), G(args[k](*B[1]))] for k in (0, 1)]
+    E = [[sum(partial(a, i, outer_at[k]) * partial(k, j, A[i]) for a in (0, 1) for k in (0, 1))
+          for j in (0, 1)] for i in (0, 1)]
+    b = kappa3_bounds(dist, law(p0, p1))
+    np.testing.assert_allclose([b.A, b.B, b.E], [A, B, E], rtol=1e-12, atol=0)
+
+
 def test_kappa3_bounds_partials_match_finite_differences():
     dist, lw = Poisson(5.0), EdgeWeightLaw(0.35, 0.3, 0.35)
     G = dist.pgf
@@ -317,15 +343,18 @@ def test_p0_zero_check_validation_and_formula():
     with pytest.raises(ValueError):
         kappa3_p0_zero_check(Dirac(2), 1.5)
     assert kappa3_p0_zero_check(Dirac(2), 0.0)
-    verdicts = set()
-    for dist in (Dirac(2), Poisson(3.0), Poisson(50.0), Binomial(10, 0.6), NegBinomial(2, 0.1),
-                 TwoPoint(0.5, 3), UniformRange(3), Explicit([0.1, 0.2, 0.3, 0.15, 0.25])):
-        G, Gp = dist.pgf, dist.pgf_derivative
-        for pm1 in (i / 40 for i in range(41)):
-            product = pm1 * (1 - pm1) * Gp(1 - (1 - pm1) * G(pm1)) * Gp(pm1 * (1 - G(pm1)))
-            assert kappa3_p0_zero_check(dist, pm1) == (product < 1), (dist, pm1)
-            verdicts.add(product < 1)
-    assert verdicts == {True, False}
+    assert kappa3_p0_zero_check(Poisson(50.0), 0.875)
+    assert not kappa3_p0_zero_check(Poisson(50.0), 0.9)   # product 1.0824
+
+
+@pytest.mark.parametrize("dist", [Dirac(2), Poisson(3.0), Poisson(50.0), Binomial(10, 0.6),
+                                  NegBinomial(2, 0.1), TwoPoint(0.5, 3), UniformRange(3),
+                                  Explicit([0.1, 0.2, 0.3, 0.15, 0.25])], ids=repr)
+def test_p0_zero_check_is_the_product_rule(dist):
+    G, Gp = dist.pgf, dist.pgf_derivative
+    for pm1 in (i / 40 for i in range(41)):
+        product = pm1 * (1 - pm1) * Gp(1 - (1 - pm1) * G(pm1)) * Gp(pm1 * (1 - G(pm1)))
+        assert kappa3_p0_zero_check(dist, pm1) == (product < 1), pm1
 
 
 def kappa3_p0_zero_maps(dist, p_minus1):

@@ -198,15 +198,14 @@ def test_json_round_trip(dist):
     assert clone == dist
 
 
-def test_params_name_the_parameters_in_constructor_order():
-    for dist, params in ((Dirac(2), {"m": 2}), (UniformRange(3), {"m": 3}),
-                         (Binomial(10, 0.6), {"n": 10, "pi": 0.6}), (Poisson(5.0), {"lam": 5.0}),
-                         (NegBinomial(2, 0.1), {"r": 2, "pi": 0.1}),
-                         (geometric(0.2), {"r": 1, "pi": 0.2}),
-                         (TwoPoint(0.5, 3), {"pi": 0.5, "d": 3}),
-                         (Explicit([0.25, 0.75]), {"pmf": [0.25, 0.75]})):
-        assert list(dist.params().items()) == list(params.items())
-        assert [type(v) for v in dist.params().values()] == [type(v) for v in params.values()]
+@pytest.mark.parametrize("dist, params", [
+    (Dirac(2), {"m": 2}), (UniformRange(3), {"m": 3}), (Binomial(10, 0.6), {"n": 10, "pi": 0.6}),
+    (Poisson(5.0), {"lam": 5.0}), (NegBinomial(2, 0.1), {"r": 2, "pi": 0.1}),
+    (geometric(0.2), {"r": 1, "pi": 0.2}), (TwoPoint(0.5, 3), {"pi": 0.5, "d": 3}),
+    (Explicit([0.25, 0.75]), {"pmf": [0.25, 0.75]})], ids=repr)
+def test_params_name_the_parameters_in_constructor_order(dist, params):
+    assert list(dist.params().items()) == list(params.items())
+    assert [type(v) for v in dist.params().values()] == [type(v) for v in params.values()]
 
 
 UNIT_ARRAY = np.random.default_rng(5).random((500, 2))

@@ -260,30 +260,38 @@ def test_forest_counts_match_per_tree_solver():
         assert {"none": n_aborted == 0, "some": 0 < n_aborted < n, "all": n_aborted == n}[aborts]
         assert_counts_match_per_tree_solver(forest, kappa, horizon,
                                             f"kappa={kappa} {dist} H={horizon} cap={cap}")
+
+
+@pytest.mark.parametrize("kappa, horizon",
+                         [(k, 3) for k in (15, 16, 31, 32, 63, 64, 65)] + [(16, 4), (64, 4)])
+def test_forest_counts_match_per_tree_solver_at_row_dtype_boundaries(kappa, horizon):
     # kappa on both sides of each row-dtype boundary: 16, 32 and 64 bits, then Python ints
-    law = EdgeWeightLaw.from_p0_p1(0.4, 0.35)
-    for kappa, horizon in [(k, 3) for k in (15, 16, 31, 32, 63, 64, 65)] + [(16, 4), (64, 4)]:
-        forest = sample_forest(Poisson(1.2), law, horizon, 6, np.random.default_rng(kappa))
-        assert_counts_match_per_tree_solver(forest, kappa, horizon, f"kappa={kappa} H={horizon}")
-    # Sibling runs at the edges: in generation 2 only the last parent has
-    # children, in generation 3 only the first (the later runs start at the
-    # end of the children), and generations 4 and 5 are empty.
-    forest = build_forest(3, ([0, 0, 2], [1, -1, 0]), ([2, 2, 2], [0, 1, -1]),
-                          ([0, 0], [-1, 0]), ([], []), ([], []))
-    assert forest.sizes == [3, 3, 3, 2, 0, 0]
-    for kappa in (2, 3, 4, 8):
-        for horizon in (4, 5):
-            assert_counts_match_per_tree_solver(forest, kappa, horizon,
-                                                f"hand-built forest kappa={kappa} H={horizon}")
-    # Roots whose children carry the weight sets {-1}, {+1}, {-1, 0, +1}, none, {0} and
-    # {-1, +1}: every code of the horizon-1 table.  Generation 1 is all leaves (H=2) and
-    # generation 2 is empty (H=3).
-    forest = build_forest(6, ([0, 1, 2, 2, 2, 4, 5, 5], [-1, 1, -1, 0, 1, 0, -1, 1]),
-                          ([], []), ([], []))
-    for kappa in (2, 3, 4, 8):
-        for horizon in (1, 2, 3):
-            assert_counts_match_per_tree_solver(
-                forest, kappa, horizon, f"leaf and empty generations kappa={kappa} H={horizon}")
+    forest = sample_forest(Poisson(1.2), EdgeWeightLaw.from_p0_p1(0.4, 0.35), horizon, 6,
+                           np.random.default_rng(kappa))
+    assert_counts_match_per_tree_solver(forest, kappa, horizon, f"kappa={kappa} H={horizon}")
+
+
+HAND_BUILT = {
+    # in generation 2 only the last parent has children, in generation 3 only the first
+    # (the later runs start at the end of the children), and generations 4 and 5 are empty
+    "sibling-runs-at-the-edges": ([3, 3, 3, 2, 0, 0], ([0, 0, 2], [1, -1, 0]),
+                                  ([2, 2, 2], [0, 1, -1]), ([0, 0], [-1, 0]), ([], []), ([], [])),
+    # roots whose children carry the weight sets {-1}, {+1}, {-1, 0, +1}, none, {0} and
+    # {-1, +1}: every code of the horizon-1 table; generation 1 is all leaves (H=2) and
+    # generation 2 is empty (H=3)
+    "every-horizon1-code": ([6, 8, 0, 0], ([0, 1, 2, 2, 2, 4, 5, 5], [-1, 1, -1, 0, 1, 0, -1, 1]),
+                            ([], []), ([], [])),
+}
+
+
+@pytest.mark.parametrize("kappa", (2, 3, 4, 8))
+@pytest.mark.parametrize("name, horizon", [("sibling-runs-at-the-edges", h) for h in (4, 5)]
+                         + [("every-horizon1-code", h) for h in (1, 2, 3)])
+def test_forest_counts_match_per_tree_solver_on_hand_built_forests(name, horizon, kappa):
+    sizes, *generations = HAND_BUILT[name]
+    forest = build_forest(sizes[0], *generations)
+    assert forest.sizes == sizes
+    assert_counts_match_per_tree_solver(forest, kappa, horizon, name)
 
 
 def test_forest_counts_traced_peak_below_three_forests():
