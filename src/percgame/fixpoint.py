@@ -59,6 +59,15 @@ MAX_STACK_ENTRIES = 2**16
 # kappa 66 on) tests every step, where a longer block only spills the cache
 BLOCK_ENTRIES = 2**14
 MAX_BLOCK_STEPS = 32
+# a stack that tests every step recomputes only the entries whose inputs changed
+# (_box_step) while they fit in boxes at least BOX_STEP_ENTRIES entries smaller than
+# the stack: a box step costs about what the whole-stack step spends on that many
+# entries (its numpy calls, the same for any box) plus what the whole step spends on
+# each box entry (the measured break-even, BENCH_active_box.json).  Between box steps
+# the boxes are looked for after whole-stack steps 1, 2, 4, ..., BOX_SCAN_STEPS and
+# every BOX_SCAN_STEPS-th after that, since a look costs about a fifth of a step.
+BOX_STEP_ENTRIES = 14000
+BOX_SCAN_STEPS = 32
 _ZERO = np.array(0.0)  # with _ONE, the 0-d bounds of a step's clip
 
 
@@ -359,6 +368,16 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
     their rows.  A spec that stops inside the block leaves with its iterate of
     that step; the later steps of the other specs stand, and they go on from the
     block's last iterate in a new, smaller ring.
+
+    A stack that tests every step (K = 1) updates Z in place by box steps
+    (_box_step) while they pay (BOX_STEP_ENTRIES), and by the whole-stack step of
+    the ring otherwise.  Entry [i, h, j] of g(Z) reads only Z[j, 1 - h, i-1..i+1]
+    (_edge_mix), so an entry whose three inputs kept their bits keeps its own, and
+    a step recomputes, for each half h, only the box whose rows are the columns
+    that changed in half 1 - h, widened by one, and whose columns are the rows that
+    changed there (_next_box): the entries it skips are exact.  Each box comes from
+    the last step's changes, which a box step scans every time and a whole-stack
+    step on the schedule of BOX_SCAN_STEPS.
     """
     n = specs[0].size
     G = specs[0].dist._pgf_inplace
@@ -379,18 +398,35 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
         change = np.empty((K, len(cells), 2, n, n))
         change_rows = change.transpose(0, 3, 1, 2, 4)     # the ring's axis order
         buffers = _stencil_buffers(B.shape)
+        # the next step's boxes, if known, and the whole-stack steps since the last box
+        # step; box steps can pay only in a stack that tests every step and holds more
+        # than BOX_STEP_ENTRIES entries, where they take their padded blocks from `pad`
+        boxes, whole = None, 0 if K == 1 and B.size > BOX_STEP_ENTRIES else None
+        if whole is not None:
+            pad = np.empty((n + 2) * len(cells) * n)
         while True:
             steps = min(K, max_iter - it)
-            for fill, Z in zip(fills[:steps], slots[1:steps + 1]):
-                _g_step(G, laws, fill, buffers, Z)
-            np.subtract(path[1:steps + 1], path[:steps], out=change_rows[:steps])
-            # each half's least and largest change per step and spec: ybar = 1 - w
-            # falls and ell rises, so the increases of w and ell lie in [-hi, -lo]
-            # and [lo, hi] of their halves, and a max-norm change is max(hi, -lo)
-            # (0.0 - lo, so that a step changing nothing reports +0.0, not -0.0)
-            flat = change[:steps].reshape(steps, len(cells), 2, n * n)
-            lo = np.minimum.reduce(flat, 3)
-            hi = np.maximum.reduce(flat, 3)
+            if boxes is not None and len(cells) * _box_entries(boxes) + BOX_STEP_ENTRIES <= B.size:
+                # Z_it in place; the other slot, the stencil's term and the changes as work
+                lo, hi, boxes = _box_step(G, laws, boxes, slots[0], fills[0], (
+                    slots[1].reshape(-1), pad, buffers[3].reshape(-1), change.reshape(-1)))
+                path, slots, fills = path[::-1], slots[::-1], fills[::-1]   # Z_it is path[1]
+                whole = 0
+            else:
+                for fill, Z in zip(fills[:steps], slots[1:steps + 1]):
+                    _g_step(G, laws, fill, buffers, Z)
+                np.subtract(path[1:steps + 1], path[:steps], out=change_rows[:steps])
+                # each half's least and largest change per step and spec: ybar = 1 - w
+                # falls and ell rises, so the increases of w and ell lie in [-hi, -lo]
+                # and [lo, hi] of their halves, and a max-norm change is max(hi, -lo)
+                # (0.0 - lo, so that a step changing nothing reports +0.0, not -0.0)
+                flat = change[:steps].reshape(steps, len(cells), 2, n * n)
+                lo = np.minimum.reduce(flat, 3)
+                hi = np.maximum.reduce(flat, 3)
+                if whole is not None:       # after whole steps 1, 2, 4, ..., 32, 64, 96, ...
+                    whole += 1
+                    boxes = None if whole & (whole - 1) and whole % BOX_SCAN_STEPS else [
+                        _next_box(change[0, :, 1 - h], 0, 0, n) for h in (0, 1)]
             deltas = np.maximum.reduce(np.maximum(hi, 0.0 - lo), 2)
             stops = None                                # each spec's stop step, if any
             if np.minimum.reduce(deltas, None) < tol:
@@ -421,6 +457,67 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
         # run (tol 0, e.g. horizon iterates) count as converged
         runs[cell] = _run(B[:, row], it, delta[row], max_iter == 0 or tol == 0.0)
     return runs
+
+
+def _box_entries(boxes: list) -> int:
+    """The entries per spec of the boxes (rows a:b, columns c:d) of the two halves."""
+    return sum((b - a) * (d - c) for a, b, c, d in boxes)
+
+
+def _next_box(change: np.ndarray, a: int, c: int, n: int) -> tuple:
+    """The box (rows, then columns, as ranges) of the half that reads the half whose
+    spec-major change over its box from row a, column c is `change`, (specs, rows,
+    columns): its rows are the columns that changed, widened by one, and its columns
+    the rows that changed, over every spec; (0, 0, 0, 0) when nothing changed."""
+    moved = np.not_equal(change, _ZERO)
+    moved = moved[0] if len(moved) == 1 else np.logical_or.reduce(moved, 0)
+    rows = np.logical_or.reduce(moved, 1).nonzero()[0]
+    if not rows.size:
+        return (0, 0, 0, 0)
+    top, bottom = int(rows[0]), int(rows[-1]) + 1
+    cols = np.logical_or.reduce(moved[top:bottom], 0).nonzero()[0]
+    left, right, top, bottom = c + int(cols[0]), c + int(cols[-1]) + 1, a + top, a + bottom
+    return (max(left - 1, 0), min(right + 1, n), top, bottom)
+
+
+def _box_step(G, laws: tuple, boxes: list, Z: np.ndarray, fill: np.ndarray, work: tuple) -> tuple:
+    """A step of _iterate_stack that recomputes, in place in Z, only the box of each half
+    (rows a:b, columns c:d, from _next_box), and gives each half's least and largest
+    change per spec, of shape (1, specs, 2), and the next boxes.  A box runs _g_step on
+    a view of the fill, with a padded block of its own whose top and bottom rows hold
+    the fill of the rows above and below the box or the boundary values 1 and 0.  The
+    flat arrays of `work` hold the outputs, the blocks, the stencil's terms and the
+    changes, which are spec-major as in _iterate_stack."""
+    n, specs = Z.shape[:2]
+    outs, pad, term, change = work
+    lo, hi = np.zeros((2, 1, specs, 2))
+    done = []
+    for h, (a, b, c, d) in enumerate(boxes):
+        if a == b:
+            continue
+        rows, cols = b - a, d - c
+        block = pad[:(rows + 2) * specs * cols].reshape(rows + 2, specs, 1, cols)
+        for row, i, edge in ((0, a - 1, 1.0), (rows + 1, b, 0.0)):
+            if 0 <= i < n:
+                np.subtract(_ONE, fill[i, :, h:h + 1, c:d], block[row])
+            else:
+                block[row] = edge
+        size = rows * specs * cols
+        out, outs = outs[:size].reshape(rows, specs, 1, cols), outs[size:]
+        _g_step(G, laws, fill[a:b, :, h:h + 1, c:d],
+                (block[:rows], block[1:rows + 1], block[2:], term[:size].reshape(out.shape)), out)
+        done.append((h, out, Z[a:b, :, h:h + 1, c:d], a, c))
+    nxt = [(0, 0, 0, 0)] * 2
+    for h, out, old, a, c in done:
+        rows, _, _, cols = out.shape
+        step = change[:out.size].reshape(specs, rows, cols)
+        np.subtract(out, old, step.transpose(1, 0, 2)[:, :, None])
+        flat = step.reshape(specs, -1)
+        np.minimum.reduce(flat, 1, out=lo[0, :, h])
+        np.maximum.reduce(flat, 1, out=hi[0, :, h])
+        np.copyto(old, out)
+        nxt[1 - h] = _next_box(step, a, c, n)
+    return lo, hi, nxt
 
 
 def _run(iterate: np.ndarray, step: int, delta, converged: bool) -> IterationRun:

@@ -3,9 +3,10 @@
     python tests/mutants.py [NAME ...]
 
 Each mutant is one textual change to `src/` (an operator swap, a comparison off by
-one or a constant nudge) in `sample_forest`, `_row_dtype`, `_forest_root_counts`,
-`_check_unit_interval`, `kappa3_bounds`, `kappa3_p0_zero_check`, the `pgf_derivative`
-bodies, `params`, `duration_criterion` or `DurationReport.to_json_dict`.  It is
+one or a constant nudge) in the box bookkeeping of `_iterate_stack`, `sample_forest`,
+`_row_dtype`, `_forest_root_counts`, `_check_unit_interval`, `kappa3_bounds`,
+`kappa3_p0_zero_check`, the `pgf_derivative` bodies, `params`, `duration_criterion` or
+`DurationReport.to_json_dict`.  It is
 applied to a copy of `src/`, `tests/`, `perfbench/`, `pyproject.toml` and
 `BENCHMARK.json` in the system's temporary directory, never to the working tree.
 Two pytest runs (`-x`, no cache, no bytecode) go side by side on the copy: the suite
@@ -33,12 +34,25 @@ KNOWN_FAILURES = ("tests/test_acceptance.py::test_criterion_02_draw_table_poisso
                   "test_criterion_06_fixed_point_counts_and_max_coefficient")
 TIMEOUT_S = 600
 
+FIXPOINT = "src/percgame/fixpoint.py"
 ORACLE = "src/percgame/oracle.py"
 OFFSPRING = "src/percgame/offspring.py"
 CRITERIA = "src/percgame/criteria.py"
 
 # (name, file, text, replacement): the text occurs exactly once in the file
 MUTANTS = [
+    # the boxes of _iterate_stack's large-kappa steps (_next_box, _box_step)
+    ("box-no-widening", FIXPOINT, "return (max(left - 1, 0), min(right + 1, n), top, bottom)",
+     "return (left, right, top, bottom)"),
+    ("box-own-half", FIXPOINT, "nxt[1 - h] = _next_box(", "nxt[h] = _next_box("),
+    ("box-rows-cols-swapped", FIXPOINT,
+     "return (max(left - 1, 0), min(right + 1, n), top, bottom)",
+     "return (max(top - 1, 0), min(bottom + 1, n), left, right)"),
+    ("box-first-spec", FIXPOINT,
+     "moved = moved[0] if len(moved) == 1 else np.logical_or.reduce(moved, 0)",
+     "moved = moved[0]"),
+    ("box-rule-inverted", FIXPOINT, "_box_entries(boxes) + BOX_STEP_ENTRIES <= B.size",
+     "_box_entries(boxes) + BOX_STEP_ENTRIES > B.size"),
     # sample_forest
     ("forest-cap-ge", ORACLE, "aborted |= cum > node_cap", "aborted |= cum >= node_cap"),
     ("forest-cum-zeros", ORACLE, "cum = np.ones(n_samples", "cum = np.zeros(n_samples"),

@@ -58,6 +58,15 @@ GOLDEN = [
     ("simulate --family dirac --m 2 --kappa 3 --p0 0.8 --p1 0.1 --horizon 4 --samples 3000 "
      "--seed 7 --format csv",
      0, "be52bc22cab0e53d1acdb8b59384be8b223ee66136faac0b98bbf6d16dad1962"),
+    # large kappa, where a step recomputes only the entries whose inputs changed
+    ("solve --family poisson --lam 5 --kappa 150 --p0 0.4 --p1 0.3 --format csv",
+     0, "3a69873c78b799424d70161e7a3241104d2d84d55a13ffb5b6793cea10f9c84c"),
+    ("duration --family poisson --lam 5 --kappa 150 --p0 0.4 --p1 0.3 --format csv",
+     0, "e4a4cff305b6c313ee635ca02eb23a224f652a8cf29de0e1e9f13feab8c14c36"),
+    ("solve --family dirac --m 2 --kappa 195 --p0 0.9 --p1 0.05 --format csv",
+     0, "484c126936c80882bbe2afc26ce34711821ecc65fcbcfa7be98daa15fbb6c825"),
+    ("duration --family dirac --m 2 --kappa 195 --p0 0.9 --p1 0.05 --format csv",
+     0, "9869bbfaada781abc8167e374a182dd18b80f32aa3fda368de8b5718ea768950"),
     ("sweep --what solve --family dirac --grid-param m=2,5 --grid-p0 0.8,0.9 --grid-p1 "
      "0.05 --kappa 3 --format json",
      0, "e28dc17d3a08d39a97cf62aede2eaac6bc8197bd60bd47059cfbd83837beb951"),

@@ -356,6 +356,105 @@ def test_default_block_sizes_equal_reference():
         assert type(got.iterations) is int and type(got.delta) is float
 
 
+# From kappa = 66 a stack tests every step, and its steps recompute only the boxes of
+# entries whose inputs changed (fixpoint._box_step) once that pays.  The three points
+# of the benchmark's large-kappa workload:
+LARGE_KAPPA_SPECS = {
+    "poisson-k150": GameSpec(150, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.4, 0.3)),
+    "dirac-k195": GameSpec(195, Dirac(2), EdgeWeightLaw.from_p0_p1(0.9, 0.05)),
+    "poisson-k100": GameSpec(100, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.8, 0.1)),
+}
+
+
+@pytest.fixture
+def box_steps(monkeypatch):
+    """(specs, box entries per spec, stack entries) of every box step the test runs."""
+    seen = []
+    box_step = fixpoint._box_step
+
+    def spy(G, laws, boxes, Z, fill, work):
+        seen.append((Z.shape[1], fixpoint._box_entries(boxes), Z.size))
+        return box_step(G, laws, boxes, Z, fill, work)
+
+    monkeypatch.setattr(fixpoint, "_box_step", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", LARGE_KAPPA_SPECS)
+def test_large_kappa_runs_equal_two_call_reference(name, box_steps):
+    spec = LARGE_KAPPA_SPECS[name]
+    run = iterate_from_below(spec)
+    assert_same_run(run, reference_iterate_from_below(spec)[0])
+    assert run.converged and box_steps
+
+
+def test_large_kappa_run_cut_mid_front_equals_reference(box_steps):
+    spec = GameSpec(250, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.4, 0.3))
+    assert_same_run(iterate_from_below(spec, max_iter=500),
+                    reference_iterate_from_below(spec, max_iter=500)[0])
+    specs, entries, size = box_steps[-1]          # the front fills a fraction of the stack
+    assert len(box_steps) > 400 and 0 < 4 * specs * entries < size
+
+
+def test_large_kappa_fixed_step_runs_and_horizon_iterates_equal_reference(box_steps):
+    spec = LARGE_KAPPA_SPECS["poisson-k150"]
+    for max_iter in (1, 16, 17, 60):
+        assert_same_run(iterate_from_below(spec, tol=0.0, max_iter=max_iter),
+                        reference_iterate_from_below(spec, tol=0.0, max_iter=max_iter)[0])
+    assert_same_horizon_iterates(spec, 30)
+    assert box_steps
+
+
+def test_large_kappa_list_whose_specs_stop_apart_equals_reference(box_steps):
+    specs = [GameSpec(100, Poisson(5.0), EdgeWeightLaw.from_p0_p1(p0, p1))
+             for p0, p1 in ((0.4, 0.3), (0.5, 0.4), (0.3, 0.4))]
+    expected = [reference_iterate_from_below(spec)[0] for spec in specs]
+    assert len({run.iterations for run in expected}) == 3
+    for got, run in zip(iterate_from_below(specs), expected, strict=True):
+        assert_same_run(got, run)
+    assert {specs for specs, _, _ in box_steps} >= {2, 3}     # box steps over the list
+
+
+def test_large_kappa_steps_that_change_nothing_report_positive_zero(box_steps):
+    spec = LARGE_KAPPA_SPECS["dirac-k195"]
+    run = iterate_from_below(spec, tol=0.0, max_iter=160)
+    assert_same_run(run, reference_iterate_from_below(spec, tol=0.0, max_iter=160)[0])
+    assert run.delta == 0.0 and not np.signbit(run.delta)
+    assert box_steps[-1][1] == 0                  # the last steps recompute no entry
+
+
+def test_large_kappa_iteration_that_moves_backwards_raises():
+    spec = GameSpec(100, _Decreasing(), EdgeWeightLaw.from_p0_p1(0.5, 0.25))
+    for iterate in (iterate_from_below, reference_iterate_from_below):
+        with pytest.raises(InternalInconsistencyError, match="monotone iteration moved backwards"):
+            iterate(spec)
+
+
+def test_large_kappa_backwards_move_after_the_stop_step_does_not_raise(box_steps):
+    law = EdgeWeightLaw.from_p0_p1(0.9, 0.05)
+    expected = reference_iterate_from_below(GameSpec(100, Dirac(2), law), tol=1e-6)[0]
+    counted = _Relapsing(10**9)
+    assert_same_run(iterate_from_below(GameSpec(100, counted, law), tol=1e-6), expected)
+    calls = 10**9 - counted.calls                # the G calls up to the stop step
+    assert box_steps and calls < 2 * expected.iterations
+    assert_same_run(iterate_from_below(GameSpec(100, _Relapsing(calls), law), tol=1e-6), expected)
+    with pytest.raises(InternalInconsistencyError, match="monotone iteration moved backwards"):
+        iterate_from_below(GameSpec(100, _Relapsing(calls - 1), law), tol=1e-6)
+
+
+def test_box_steps_run_where_they_pay(box_steps):
+    # a box step costs about what a whole-stack step spends on BOX_STEP_ENTRIES entries
+    iterate_from_below(LARGE_KAPPA_SPECS["dirac-k195"])
+    assert len(box_steps) > 50
+    assert all(specs * entries + fixpoint.BOX_STEP_ENTRIES <= size
+               for specs, entries, size in box_steps)
+    box_steps.clear()
+    spec = GameSpec(66, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.4, 0.3))
+    assert 2 * spec.size**2 <= fixpoint.BOX_STEP_ENTRIES < fixpoint.BLOCK_ENTRIES
+    iterate_from_below(spec, tol=0.0, max_iter=100)
+    assert not box_steps
+
+
 def test_iterate_rejects_nan_and_negative_tol():
     spec = spec_d2(0.9, 0.05)
     for tol in (np.nan, -1e-12):
