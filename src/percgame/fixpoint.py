@@ -61,11 +61,11 @@ BLOCK_ENTRIES = 2**14
 MAX_BLOCK_STEPS = 32
 # a stack that tests every step recomputes only the entries whose inputs changed
 # (_box_step) while they fit in boxes at least BOX_STEP_ENTRIES entries smaller than
-# the stack: a box step costs about what the whole-stack step spends on that many
-# entries (its numpy calls, the same for any box) plus what the whole step spends on
-# each box entry (the measured break-even, BENCH_active_box.json).  Between box steps
-# the boxes are looked for after whole-stack steps 1, 2, 4, ..., BOX_SCAN_STEPS and
-# every BOX_SCAN_STEPS-th after that, since a look costs about a fifth of a step.
+# the stack: a box step costs what the whole-stack step spends on its box entries
+# plus a fixed 7,600 to 12,800 entries' worth (its numpy calls; the measured
+# break-even, BENCH_active_box.json).  Between box steps the boxes are looked for
+# after whole-stack steps 1, 2, 4, ..., BOX_SCAN_STEPS and every BOX_SCAN_STEPS-th
+# after that, since a look costs up to a quarter of a whole-stack step.
 BOX_STEP_ENTRIES = 14000
 BOX_SCAN_STEPS = 32
 _ZERO = np.array(0.0)  # with _ONE, the 0-d bounds of a step's clip
