@@ -158,6 +158,24 @@ def ensure_prob_matrix(X, size: int) -> np.ndarray:
     A = np.asarray(X, dtype=float)
     if A.shape != (size, size):
         raise ValueError(f"matrix has shape {A.shape}, expected {(size, size)}")
+    return _unit_entries(A)
+
+
+def _ensure_prob_stack(matrices, size: int) -> np.ndarray:
+    """ensure_prob_matrix over a sequence of matrices, as one stack (k, size, size): a
+    stack of the right shape takes one range check, any other sequence the per-matrix
+    checks, which raise ensure_prob_matrix's message for the first bad matrix."""
+    try:
+        A = np.asarray(matrices, dtype=float)
+    except ValueError:                          # ragged
+        A = None
+    if A is None or A.shape[1:] != (size, size):
+        return np.stack([ensure_prob_matrix(X, size) for X in matrices])
+    return _unit_entries(A)
+
+
+def _unit_entries(A: np.ndarray) -> np.ndarray:
+    """A clipped to [0, 1] once every entry passed the range check, NaN failing it."""
     if not (A.min() >= -1e-12 and A.max() <= 1.0 + 1e-12):
         raise ValueError("matrix entries must lie in [0, 1]")
     return np.clip(A, 0.0, 1.0)
@@ -165,12 +183,17 @@ def ensure_prob_matrix(X, size: int) -> np.ndarray:
 
 def weight_matrix(spec: GameSpec) -> np.ndarray:
     """Tridiagonal matrix P with P[i, i-1] = p_m1, P[i, i] = p_0, P[i, i+1] = p_1."""
-    n = spec.size
-    P = np.zeros((n, n))
+    return _weight_matrices([spec])[0]
+
+
+def _weight_matrices(specs: list) -> np.ndarray:
+    """The weight_matrix of each spec, stacked (specs, n, n)."""
+    n = specs[0].size
+    P = np.zeros((len(specs), n, n))
     idx = np.arange(n)
-    P[idx, idx] = spec.law.p_0
-    P[idx[:-1], idx[:-1] + 1] = spec.law.p_1
-    P[idx[1:], idx[1:] - 1] = spec.law.p_minus1
+    for i, j, name in ((idx, idx, "p_0"), (idx[:-1], idx[:-1] + 1, "p_1"),
+                       (idx[1:], idx[1:] - 1, "p_minus1")):
+        P[:, i, j] = np.array([getattr(s.law, name) for s in specs])[:, None]
     return P
 
 
@@ -255,17 +278,24 @@ def apply_h(spec: GameSpec, X) -> np.ndarray:
     Kept deliberately independent of apply_g so the identity h = g(g(.)) can
     serve as a cross-check of both implementations.
     """
-    X = ensure_prob_matrix(X, spec.size)
-    n = spec.size
-    P = weight_matrix(spec)
+    return _h_stack([spec], ensure_prob_matrix(X, spec.size)[None, None])[0, 0]
+
+
+def _h_stack(specs: list, X: np.ndarray) -> np.ndarray:
+    """apply_h's matrix expression for a stack X of shape (specs, k, n, n), k matrices
+    per spec, in batched matrix products with each spec's P.  A matrix product of
+    the stack gives each matrix the bits of its own product."""
+    n = X.shape[-1]
+    P = _weight_matrices(specs)[:, None]
+    pm1 = np.array([s.law.p_minus1 for s in specs]).reshape(-1, 1, 1, 1)
     J = np.ones((n, n))
     e1_row = np.zeros((n, n))
     e1_row[0, :] = 1.0   # e1 1^T
     e1_col = np.zeros((n, n))
     e1_col[:, 0] = 1.0   # 1 e1^T
-    pm1 = spec.law.p_minus1
-    inner = spec.dist.pgf(pm1 * e1_col + (J - X) @ P.T)
-    return spec.dist.pgf(pm1 * e1_row + P @ (J - inner))
+    pgf = specs[0].dist.pgf
+    inner = pgf(pm1 * e1_col + (J - X) @ P.swapaxes(-1, -2))
+    return pgf(pm1 * e1_row + P @ (J - inner))
 
 
 @dataclass
@@ -297,24 +327,27 @@ def _stacks(specs: list, copies: int):
     return (specs[lo:lo + per_stack] for lo in range(0, len(specs), per_stack))
 
 
-def _law_columns(specs: list, ndim: int, repeat: int = 1) -> tuple:
-    """p_1, p_0 and p_m1 per stack row, each spec's value `repeat` times, as arrays of
-    shape (rows, 1, ..., 1) that broadcast over the batch axes of an ndim-dimensional
-    rows-first stack (n, rows, ..., n); a value every spec shares is a 0-d array, the
-    cheapest operand of a ufunc."""
+def _law_columns(specs: list, shape: tuple, repeat: int = 1) -> tuple:
+    """p_1, p_0 and p_m1 of each row of a rows-first stack of `shape`, (n, rows, ..., n),
+    whose rows run over the specs, each spec `repeat` times.  An operand is a
+    C-contiguous array of the stack's shape, so that each multiply of the stencil is
+    one flat loop; a value every spec shares is a 0-d array, the cheapest operand of
+    a ufunc."""
     columns = []
     for name in ("p_1", "p_0", "p_minus1"):
         values = [getattr(s.law, name) for s in specs]
         if values.count(values[0]) == len(values):
             columns.append(np.array(values[0]))
         else:
-            columns.append(np.repeat(values, repeat).reshape((-1,) + (1,) * (ndim - 2)))
+            column = np.empty(shape)
+            column[...] = np.repeat(values, repeat).reshape((-1,) + (1,) * (len(shape) - 2))
+            columns.append(column)
     return tuple(columns)
 
 
 def _rows(columns: tuple, keep: np.ndarray) -> tuple:
     """The law columns of the stack rows where keep is True."""
-    return tuple(c if c.ndim == 0 else c[keep] for c in columns)
+    return tuple(c if c.ndim == 0 else c.compress(keep, 1) for c in columns)
 
 
 def iterate_from_below(spec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
@@ -381,8 +414,8 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
     """
     n = specs[0].size
     G = specs[0].dist._pgf_inplace
-    laws = _law_columns(specs, 4)
     B = np.empty((n, len(specs), 2, n))   # Z_it
+    laws = _law_columns(specs, B.shape)
     B[:, :, 0] = 1.0
     B[:, :, 1] = 0.0
     cells = list(range(len(specs)))     # the spec of each stack row
@@ -428,10 +461,7 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
                     boxes = None if whole & (whole - 1) and whole % BOX_SCAN_STEPS else [
                         _next_box(change[0, :, 1 - h], 0, 0, n) for h in (0, 1)]
             deltas = np.maximum.reduce(np.maximum(hi, 0.0 - lo), 2)
-            stops = None                                # each spec's stop step, if any
-            if np.minimum.reduce(deltas, None) < tol:
-                below = deltas < tol
-                stops = np.where(below.any(0), below.argmax(0), steps)
+            stops = _first_stops(deltas, tol)           # each spec's stop step, if any
             # a spec counts up to its stop step, which it reaches moving forwards
             if (np.maximum.reduce(hi[:, :, 0], None) > 1e-12
                     or np.minimum.reduce(lo[:, :, 1], None) < -1e-12):
@@ -504,9 +534,10 @@ def _box_step(G, laws: tuple, boxes: list, Z: np.ndarray, fill: np.ndarray, work
                 block[row] = edge
         size = rows * specs * cols
         out, outs = outs[:size].reshape(rows, specs, 1, cols), outs[size:]
-        _g_step(G, laws, fill[a:b, :, h:h + 1, c:d],
+        box = np.s_[a:b, :, h:h + 1, c:d]
+        _g_step(G, tuple(p if p.ndim == 0 else p[box] for p in laws), fill[box],
                 (block[:rows], block[1:rows + 1], block[2:], term[:size].reshape(out.shape)), out)
-        done.append((h, out, Z[a:b, :, h:h + 1, c:d], a, c))
+        done.append((h, out, Z[box], a, c))
     nxt = [(0, 0, 0, 0)] * 2
     for h, out, old, a, c in done:
         rows, _, _, cols = out.shape
@@ -586,22 +617,29 @@ def solve(spec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """
     specs, batched = _spec_stack(spec)
     runs = iterate_from_below(specs, tol=tol, max_iter=max_iter)
-    results = SolveResults(_solve_result(s, run, tol) for s, run in zip(specs, runs))
+    results = SolveResults()
+    for stack in _stacks(specs, 2):
+        results += _solve_results(stack, runs[len(results):len(results) + len(stack)], tol)
     return results if batched else results[0]
 
 
-def _solve_result(spec: GameSpec, run: IterationRun, tol: float) -> SolveResult:
-    L, W = run.ell, run.w
+def _solve_results(specs: list, runs: list, tol: float) -> list:
+    """The SolveResults of one stack of specs from their runs: the gap, D and the
+    residual check of L and 1 - W (_h_stack) each run once over the stack."""
+    L = np.stack([run.ell for run in runs])
+    W = np.stack([run.w for run in runs])
     gap = 1.0 - W - L
     if np.any(gap < -max(10 * tol, 1e-15)):
         raise InternalInconsistencyError("draw matrix has a significantly negative entry")
     D = np.where(np.abs(gap) <= DEFAULT_DRAW_EPSILON, 0.0, np.maximum(gap, 0.0))
-    ybar = 1.0 - W
-    residual = max(float(np.max(np.abs(apply_h(spec, L) - L))),
-                   float(np.max(np.abs(apply_h(spec, ybar) - ybar))))
-    converged = run.converged and residual <= 10 * tol
-    return SolveResult(spec=spec, L=L, W=W, D=D, gap=gap, iterations=run.iterations,
-                       residual=residual, converged=converged, tol=tol)
+    X = np.stack([L, 1.0 - W], axis=1)       # (specs, 2, n, n)
+    residuals = np.maximum.reduce(np.abs(_h_stack(specs, X) - X).reshape(len(specs), -1), 1)
+    results = []
+    for k, (spec, run, residual) in enumerate(zip(specs, runs, residuals.tolist())):
+        results.append(SolveResult(spec=spec, L=L[k], W=W[k], D=D[k], gap=gap[k],
+                                   iterations=run.iterations, residual=residual,
+                                   converged=run.converged and residual <= 10 * tol, tol=tol))
+    return results
 
 
 def default_seed_matrices(kappa: int) -> list:
@@ -631,7 +669,7 @@ def find_fixed_points(spec, seeds: Optional[Sequence] = None,
         seeds = default_seed_matrices(specs[0].kappa)
     found = [[] for _ in specs]
     if specs and len(seeds):
-        starts = np.stack([ensure_prob_matrix(seed_matrix, specs[0].size) for seed_matrix in seeds])
+        starts = _ensure_prob_stack(seeds, specs[0].size)
         found = [points for stack in _stacks(specs, len(starts))
                  for points in _multi_start(stack, starts, tol, max_iter)]
     return found if batched else found[0]
@@ -639,42 +677,64 @@ def find_fixed_points(spec, seeds: Optional[Sequence] = None,
 
 def _multi_start(specs: list, starts: np.ndarray, tol: float, max_iter: int) -> list:
     """find_fixed_points for one stack: every spec from every start, a row per pair, in
-    a rows-first stack (n, rows, n)."""
+    a rows-first stack (n, rows, n).  A seed freezes at its first h-step changing
+    less than tol.  As in _iterate_stack, a block of K h-steps (_block_steps) writes
+    its iterates into a ring of K + 1 stacks, walked one way per block, and the freeze
+    test then runs over the block's changes, written row-major so that each is one
+    flat reduction; a row that freezes in the block leaves with its iterate of that
+    step, and the others go on from the block's last iterate in a smaller ring."""
     G = specs[0].dist._pgf_inplace
-    n_seeds = len(starts)
-    laws = _law_columns(specs, 3, repeat=n_seeds)
+    n_seeds, n = len(starts), specs[0].size
     # spec-major, then seed order
-    X = np.concatenate([starts.transpose(1, 0, 2)] * len(specs), axis=1)
-    settled = np.zeros(X.shape[1], dtype=bool)
-    rows = np.arange(X.shape[1])                  # the row of X each live orbit belongs to
-    live = X.copy()
-    buffers = _stencil_buffers(live.shape)
-    half, spare = np.empty(live.shape), np.empty(live.shape)
-    # a seed freezes at its first h-step changing less than tol
-    for _ in range(max_iter):
-        _g_step(G, laws, live.swapaxes(0, -1), buffers, half)
-        nxt = _g_step(G, laws, half.swapaxes(0, -1), buffers, spare)
-        np.abs(np.subtract(nxt, live, half), half)
-        moving = ~(np.maximum.reduce(np.maximum.reduce(half, 0), 1) < tol)
-        live, spare = nxt, live
-        if moving.all():
-            continue
-        frozen = rows[~moving]
-        X[:, frozen] = live[:, ~moving]
-        settled[frozen] = True
-        rows, live, laws = rows[moving], live[:, moving], _rows(laws, moving)
-        if not rows.size:
+    B = np.concatenate([starts.transpose(1, 0, 2)] * len(specs), axis=1)
+    laws = _law_columns(specs, B.shape, repeat=n_seeds)
+    limits = np.empty((B.shape[1], n, n))
+    settled = np.zeros(B.shape[1], dtype=bool)
+    rows = np.arange(B.shape[1])                  # the row of the limits each live orbit fills
+    it = 0
+    while rows.size and it < max_iter:
+        K = _block_steps(B.size)
+        path = np.empty((K + 1,) + B.shape)
+        path[0] = B
+        buffers, half = _stencil_buffers(B.shape), np.empty(B.shape)
+        change = np.empty((K, rows.size, n, n))
+        while True:
+            steps = min(K, max_iter - it)
+            for k in range(steps):
+                _g_step(G, laws, path[k].swapaxes(0, -1), buffers, half)
+                _g_step(G, laws, half.swapaxes(0, -1), buffers, path[k + 1])
+            flat = change[:steps]
+            np.subtract(path[1:steps + 1], path[:steps], out=flat.transpose(0, 2, 1, 3))
+            flat = np.abs(flat, flat).reshape(steps, rows.size, n * n)
+            stops = _first_stops(np.maximum.reduce(flat, 2), tol)
+            it += steps
+            if stops is not None or it == max_iter:
+                break
+            path = path[::-1]
+        if stops is None:                   # max_iter reached
             break
-        buffers = _stencil_buffers(live.shape)
-        half, spare = np.empty(live.shape), np.empty(live.shape)
+        frozen = np.flatnonzero(stops < steps)
+        limits[rows[frozen]] = path[stops[frozen] + 1, :, frozen]
+        settled[rows[frozen]] = True
+        keep = stops == steps
+        B, rows, laws = path[steps][:, keep], rows[keep], _rows(laws, keep)
     found = []
-    for limits, ok in zip(X.transpose(1, 0, 2).reshape((len(specs),) + starts.shape),
+    for points, ok in zip(limits.reshape((len(specs),) + starts.shape),
                           settled.reshape(len(specs), n_seeds)):
         dropped = n_seeds - np.count_nonzero(ok)
         if dropped:
             logger.warning("find_fixed_points: dropped %d non-converging seed(s)", dropped)
-        found.append(_merge(limits[ok]))
+        found.append(_merge(points[ok]))
     return found
+
+
+def _first_stops(deltas: np.ndarray, tol: float):
+    """Each row's first step of a block whose change (deltas, steps x rows) is below tol,
+    the block's length for a row with none; None when no row has one."""
+    if not np.minimum.reduce(deltas, None) < tol:
+        return None
+    below = deltas < tol
+    return np.where(below.any(0), below.argmax(0), len(deltas))
 
 
 def _merge(limits: np.ndarray) -> list:

@@ -3,7 +3,8 @@
     python tests/mutants.py [NAME ...]
 
 Each mutant is one textual change to `src/` (an operator swap, a comparison off by
-one or a constant nudge) in the box bookkeeping of `_iterate_stack`, `sample_forest`,
+one or a constant nudge) in the box bookkeeping of `_iterate_stack`, the law operands,
+stacked residual and block-tested `_multi_start` of a sweep's stacks, `sample_forest`,
 `_row_dtype`, `_forest_root_counts`, `_check_unit_interval`, `kappa3_bounds`,
 `kappa3_p0_zero_check`, the `pgf_derivative` bodies, `params`, `duration_criterion` or
 `DurationReport.to_json_dict`.  It is
@@ -53,6 +54,15 @@ MUTANTS = [
      "moved = moved[0]"),
     ("box-rule-inverted", FIXPOINT, "_box_entries(boxes) + BOX_STEP_ENTRIES <= B.size",
      "_box_entries(boxes) + BOX_STEP_ENTRIES > B.size"),
+    # the sweep's stacks: law operands, the stacked residual and the block-tested multi-start
+    ("stop-at-block-end", FIXPOINT, "below.argmax(0), len(deltas))",
+     "len(deltas) - 1, len(deltas))"),
+    ("freeze-one-step-early", FIXPOINT, "= path[stops[frozen] + 1, :, frozen]",
+     "= path[stops[frozen], :, frozen]"),
+    ("residual-P-untransposed", FIXPOINT, "(J - X) @ P.swapaxes(-1, -2)", "(J - X) @ P"),
+    ("law-rows-rolled", FIXPOINT, "= np.repeat(values, repeat).reshape(",
+     "= np.roll(np.repeat(values, repeat), 1).reshape("),
+    ("law-rows-kept-off-by-one", FIXPOINT, "c.compress(keep, 1)", "c.compress(np.roll(keep, 1), 1)"),
     # sample_forest
     ("forest-cap-ge", ORACLE, "aborted |= cum > node_cap", "aborted |= cum >= node_cap"),
     ("forest-cum-zeros", ORACLE, "cum = np.ones(n_samples", "cum = np.zeros(n_samples"),

@@ -656,7 +656,8 @@ def _law_stack(kappa, batch):
     specs = [GameSpec(kappa, Dirac(2), EdgeWeightLaw.from_p0_p1(p0, p1))
              for p0, p1 in zip(rng.uniform(0.1, 0.6, rows), rng.uniform(0.05, 0.3, rows))]
     n = kappa - 1
-    return rng.random((n,) + batch + (n,)), _law_columns(specs, len(batch) + 2)
+    C = rng.random((n,) + batch + (n,))
+    return C, _law_columns(specs, C.shape)
 
 
 @pytest.mark.parametrize("batch", [(), (7,), (3, 2)], ids=str)
@@ -683,9 +684,9 @@ def _stencil_stacks(kappa):
     n = kappa - 1
     specs = [GameSpec(kappa, Poisson(5.0), EdgeWeightLaw.from_p0_p1(p0, 0.1))
              for p0 in (0.3, 0.4, 0.5, 0.6, 0.7)]
-    return [(rng.random((n, 1, 2, n)), _law_columns(specs[:1], 4)),
-            (rng.random((n, 5, 2, n)), _law_columns(specs, 4)),
-            (rng.random((n, 12, n)), _law_columns(specs[:3], 3, repeat=4))]
+    shapes = ((n, 1, 2, n), (n, 5, 2, n), (n, 12, n))
+    return [(rng.random(shape), _law_columns(specs[:rows], shape, repeat=repeat))
+            for shape, rows, repeat in zip(shapes, (1, 5, 3), (1, 1, 4))]
 
 
 @pytest.mark.parametrize("kappa", (2, 3, 41))
@@ -701,11 +702,41 @@ def test_stencil_results_are_c_contiguous(kappa):
                        _g_fast(Poisson(5.0).pgf, *laws, C),
                        _g_fast(Poisson(5.0)._pgf_inplace, *laws, C, buffers, out)):
             assert result.shape == C.shape and result.flags.c_contiguous
-    # a value every spec shares is a 0-d array, others a column per stack row
-    (_, one), (_, listed), (_, starts) = _stencil_stacks(kappa)
+    # a value every spec shares is a 0-d array, others a C-contiguous operand of the
+    # stack's shape, so that each stencil multiply is one flat loop
+    (C1, one), (C5, listed), (C12, starts) = _stencil_stacks(kappa)
     assert [c.shape for c in one] == [()] * 3
-    assert [c.shape for c in listed] == [(), (5, 1, 1), (5, 1, 1)]
-    assert [c.shape for c in starts] == [(), (12, 1), (12, 1)]
+    assert [c.shape for c in listed] == [(), C5.shape, C5.shape]
+    assert [c.shape for c in starts] == [(), C12.shape, C12.shape]
+    for c in listed[1:] + starts[1:]:
+        assert c.flags.c_contiguous
+    # each row holds its own spec's value, the starts' rows spec-major
+    p0 = listed[1][0, :, 0, 0]
+    assert p0.tolist() == [0.3, 0.4, 0.5, 0.6, 0.7]
+    assert np.all(listed[1] == p0[None, :, None, None])
+    assert starts[1][0, :, 0].tolist() == np.repeat([0.3, 0.4, 0.5], 4).tolist()
+    # compacting the rows keeps them C-contiguous and in order
+    keep = np.array([True, False, True, True, False])
+    kept = fixpoint._rows(listed, keep)
+    assert kept[0] is listed[0] and kept[1].flags.c_contiguous
+    assert kept[1][0, :, 0, 0].tolist() == [0.3, 0.5, 0.6]
+
+
+@pytest.mark.parametrize("kappa", (2, 3, 41))
+def test_stacked_step_over_row_laws_equals_each_specs_own_step(kappa):
+    # one _g_step over a stack whose rows carry their own laws gives every row the bits
+    # of that spec's own step on its one matrix, with 0-d laws
+    specs = [GameSpec(kappa, Poisson(5.0), EdgeWeightLaw.from_p0_p1(p0, 0.1))
+             for p0 in (0.3, 0.4, 0.5, 0.6, 0.7)]       # as in _stencil_stacks
+    (listed, listed_laws), (starts, starts_laws) = _stencil_stacks(kappa)[1:]
+    for C, laws, row_specs in ((listed, listed_laws, specs),
+                               (starts, starts_laws, [s for s in specs[:3] for _ in range(4)])):
+        got = fixpoint._g_step(Poisson(5.0)._pgf_inplace, laws, C.swapaxes(0, -1),
+                               _stencil_buffers(C.shape), np.empty(C.shape))
+        for row, spec in enumerate(row_specs):
+            own = _g_fast(spec.dist.pgf, spec.law.p_1, spec.law.p_0, spec.law.p_minus1,
+                          C[:, row:row + 1])
+            assert np.array_equal(got[:, row:row + 1], own)
 
 
 @pytest.mark.parametrize("kappa", (2, 3, 4, 6))
@@ -827,6 +858,80 @@ def test_list_solve_splits_at_the_stack_cap(monkeypatch):
     assert_same_results(solve(specs), expected)
 
 
+def reference_apply_h(spec, X):
+    """apply_h's matrix expression on one 2-D matrix, with P.T and P of that spec alone."""
+    n = spec.size
+    P = weight_matrix(spec)
+    J = np.ones((n, n))
+    e1_row, e1_col = np.zeros((n, n)), np.zeros((n, n))
+    e1_row[0, :] = 1.0
+    e1_col[:, 0] = 1.0
+    pm1 = spec.law.p_minus1
+    inner = spec.dist.pgf(pm1 * e1_col + (J - X) @ P.T)
+    return spec.dist.pgf(pm1 * e1_row + P @ (J - inner))
+
+
+def reference_solve_fields(spec, run, tol):
+    """(gap, D, residual, converged) of one run, each matrix checked apart."""
+    gap = 1.0 - run.w - run.ell
+    D = np.where(np.abs(gap) <= fixpoint.DEFAULT_DRAW_EPSILON, 0.0, np.maximum(gap, 0.0))
+    ybar = 1.0 - run.w
+    residual = max(float(np.max(np.abs(reference_apply_h(spec, run.ell) - run.ell))),
+                   float(np.max(np.abs(reference_apply_h(spec, ybar) - ybar))))
+    return gap, D, residual, run.converged and residual <= 10 * tol
+
+
+def assert_results_equal_reference(results, specs, **kwargs):
+    runs = [iterate_from_below(spec, **kwargs) for spec in specs]
+    tol = kwargs.get("tol", fixpoint.DEFAULT_TOL)
+    for result, spec, run in zip(results, specs, runs, strict=True):
+        gap, D, residual, converged = reference_solve_fields(spec, run, tol)
+        assert np.array_equal(result.L, run.ell) and np.array_equal(result.W, run.w)
+        assert np.array_equal(result.gap, gap) and np.array_equal(result.D, D)
+        assert result.residual == residual and type(result.residual) is float
+        assert result.converged is converged and result.iterations == run.iterations
+
+
+@pytest.mark.parametrize("kappa", (2, 3, 4, 12))
+@pytest.mark.parametrize("dist", FAMILIES.values(), ids=FAMILIES.keys())
+def test_stacked_residual_equals_per_matrix_residual(dist, kappa):
+    # solve forms the gap, D and the residual check once over a stack of specs; a list
+    # solve equals the one-spec solves, and both equal the per-matrix check
+    specs = grid_specs(kappa, dist, p0s=(0.3, 0.5, 0.75, 0.9))
+    got = solve(specs)
+    assert_same_results(got, [solve(spec) for spec in specs])
+    assert_results_equal_reference(got, specs)
+
+
+def test_list_solve_over_two_stacks_with_a_spec_at_max_iter(monkeypatch):
+    specs = grid_specs(12, Poisson(5.0))
+    counts = sorted(iterate_from_below(spec).iterations for spec in specs)
+    max_iter = counts[-1] - 1                    # the slowest spec stops at max_iter
+    expected = [solve(spec, max_iter=max_iter) for spec in specs]
+    stacks = []
+    solve_results = fixpoint._solve_results
+    monkeypatch.setattr(fixpoint, "_solve_results",
+                        lambda specs, runs, tol: stacks.append(len(specs))
+                        or solve_results(specs, runs, tol))
+    monkeypatch.setattr(fixpoint, "MAX_STACK_ENTRIES", 2 * 11**2 * 7)  # stacks of 7 and 5
+    got = solve(specs, max_iter=max_iter)
+    assert stacks == [7, 5]
+    assert_same_results(got, expected)
+    assert_results_equal_reference(got, specs, max_iter=max_iter)
+    assert not got.converged and sum(r.converged for r in got) == len(specs) - 1
+
+
+@pytest.mark.parametrize("kappa", (2, 3, 4, 12))
+@pytest.mark.parametrize("dist", FAMILIES.values(), ids=FAMILIES.keys())
+def test_apply_h_equals_its_matrix_expression(dist, kappa):
+    rng = np.random.default_rng(kappa)
+    spec = GameSpec(kappa, dist, EdgeWeightLaw.from_p0_p1(0.5, 0.2))
+    for X in (rng.random((kappa - 1, kappa - 1)), np.zeros((kappa - 1, kappa - 1)),
+              np.ones((kappa - 1, kappa - 1))):
+        got = apply_h(spec, X.tolist())
+        assert got.shape == X.shape and np.array_equal(got, reference_apply_h(spec, X))
+
+
 @pytest.mark.parametrize("specs", [
     [spec_d2(0.9, 0.05), spec_d2(0.9, 0.05, kappa=4)],
     [spec_d2(0.9, 0.05), GameSpec(3, Dirac(3), EdgeWeightLaw.from_p0_p1(0.9, 0.05))],
@@ -859,6 +964,64 @@ def test_list_find_fixed_points_equals_per_spec(dist, caplog, monkeypatch):
             assert len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
     assert any(len(points) > 1 for points in expected)
     assert find_fixed_points([]) == [] and find_fixed_points(specs, []) == [[]] * len(specs)
+
+
+MULTI_START_SPECS = grid_specs(3, Poisson(5.0), p0s=(0.3, 0.75, 0.875, 0.9), p1s=(0.025, 0.05))
+
+
+@pytest.mark.parametrize("max_iter", (0, 1, 5, 33, 50, None), ids=str)
+@pytest.mark.parametrize("kappa", (2, 3))
+def test_block_tested_multi_start_equals_per_spec_and_per_seed(kappa, max_iter, caplog):
+    # the freeze test runs once per block of h-steps; a list of 8 specs at kappa 3 takes
+    # blocks of 6 h-steps and one spec blocks of 32, so max_iter 5, 33 and 50 end inside
+    # a block, while each seed still freezes at its first h-step below tol
+    specs = [dataclasses.replace(spec, kappa=kappa) for spec in MULTI_START_SPECS]
+    seeds = default_seed_matrices(kappa)
+    kwargs = {} if max_iter is None else {"max_iter": max_iter}
+    expected, warnings = [], []
+    with caplog.at_level(logging.WARNING, logger="percgame.fixpoint"):
+        for spec in specs:
+            caplog.clear()
+            expected.append(find_fixed_points(spec, seeds, **kwargs))
+            reference, dropped = reference_find_fixed_points(spec, seeds, **kwargs)
+            warnings += [dropped] if dropped else []
+            assert dropped_counts(caplog) == ([dropped] if dropped else [])
+            assert len(expected[-1]) == len(reference)
+            assert all(map(np.array_equal, expected[-1], reference))
+        caplog.clear()
+        got = find_fixed_points(specs, seeds, **kwargs)
+    assert dropped_counts(caplog) == warnings
+    for mine, theirs in zip(got, expected, strict=True):
+        assert len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
+    if max_iter == 0:
+        assert got == [[]] * len(specs) and warnings == [len(seeds)] * len(specs)
+
+
+def test_seed_grid_is_checked_once_with_the_matrix_messages(monkeypatch):
+    spec = GameSpec(3, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.875, 0.025))
+    good = np.full((2, 2), 0.5)
+    cases = [[good, np.zeros((3, 3))], [np.zeros((3, 3)), good], [good, [0.5, 0.5]],
+             [good, np.full((2, 2), np.nan)], [good, np.full((2, 2), 1.5)],
+             [np.full((2, 2), -0.1), np.zeros((3, 3))], [[[0.5, 0.5], [0.5]]],
+             np.zeros((4, 3, 3)), [np.zeros((2, 2, 1))]]
+    for seeds in cases:
+        with pytest.raises(ValueError) as expected:
+            for seed in seeds:                     # the first bad seed's message
+                ensure_prob_matrix(seed, 2)
+        for specs in (spec, [spec, spec]):
+            with pytest.raises(ValueError) as got:
+                find_fixed_points(specs, seeds)
+            assert str(got.value) == str(expected.value)
+    # a grid of the right shape takes one range check, not one per seed
+    calls = []
+    check = fixpoint.ensure_prob_matrix
+    monkeypatch.setattr(fixpoint, "ensure_prob_matrix", lambda *a: calls.append(a) or check(*a))
+    assert len(find_fixed_points(spec)) == 6 and not calls
+    # the checked grid is clipped to [0, 1] as each matrix is
+    edge = [np.full((2, 2), 1.0 + 1e-13), np.full((2, 2), -1e-13)]
+    assert np.array_equal(fixpoint._ensure_prob_stack(edge, 2),
+                          np.stack([check(X, 2) for X in edge]))
+    assert find_fixed_points(spec, []) == [] and find_fixed_points([spec], []) == [[]]
 
 
 def test_dropped_seed_warning_format(caplog):
