@@ -113,7 +113,7 @@ class Kappa3Bounds:
     A[i, j] bounds the loss probability from below, B[i, j] bounds one minus
     the win probability from above, and E[i, j] is the per-variable
     contraction coefficient assembled from derivative maxima over the
-    [A, B] box.
+    [A, B] box.  Bounds of many laws stack them on a leading axis, (laws, 2, 2).
     """
 
     A: np.ndarray
@@ -129,18 +129,22 @@ class Kappa3Bounds:
             raise InternalInconsistencyError("contraction coefficients must be non-negative")
 
 
-def kappa3_bounds(dist: OffspringDistribution, law: EdgeWeightLaw) -> Kappa3Bounds:
+def kappa3_bounds(dist: OffspringDistribution, law) -> Kappa3Bounds:
     """Compute the A/B probability bounds and the coefficients E at kappa = 3.
 
     The A entries arise from explicit forced-loss events (for instance every
     root edge carrying weight -1), the B entries from forced-win events, and
     E[i, j] sums, over the four composed-map components, the product of the
     inner derivative maximum (attained at A) and the outer derivative maximum
-    (attained at B).
+    (attained at B).  `law` is one EdgeWeightLaw, or a sequence of them whose
+    bounds come stacked (laws, 2, 2) from the same array operations: each G and
+    G' below is one pgf call over every law.
     """
     G = dist.pgf
     Gp = dist.pgf_derivative
-    p0, p1, pm1 = law.p_0, law.p_1, law.p_minus1
+    laws = [law] if isinstance(law, EdgeWeightLaw) else law
+    p0, p1, pm1 = (np.array([getattr(lw, name) for lw in laws])
+                   for name in ("p_0", "p_1", "p_minus1"))
 
     # every G value that the bounds share, evaluated once; g_m = G(pm1), g_q = G(1 - p1)
     g_m = G(pm1)
@@ -159,8 +163,8 @@ def kappa3_bounds(dist: OffspringDistribution, law: EdgeWeightLaw) -> Kappa3Boun
     A22 = G(pm1 * (1.0 - g_1_gm)) + g_q_gq - G(pm1 * (1.0 - g_q - g_1_gm + g_q_gm))
     B11 = g_lose - G(mix) + G(mix - p1 * g_1_gq + p1 * g_m_gq)
     B12 = G(1.0 - p1 * g_q_gq)
-    A = np.array([[A11, A12], [A21, A22]], dtype=float)
-    B = np.array([[B11, B12], [B21, B22]], dtype=float)
+    A = np.stack([A11, A12, A21, A22], -1).reshape(-1, 2, 2)
+    B = np.stack([B11, B12, B21, B22], -1).reshape(-1, 2, 2)
 
     # f1(x1, x2) = G(1 - p1 x2 - p0 x1) and f2(x1, x2) = G(p0 + pm1 - p0 x2 - pm1 x1) at B
     f1B2, f1B1 = G(1.0 - p1 * B22 - p0 * B21), G(1.0 - p1 * B12 - p0 * B11)
@@ -173,25 +177,29 @@ def kappa3_bounds(dist: OffspringDistribution, law: EdgeWeightLaw) -> Kappa3Boun
     # (p0, pm1) and (p1, p0): the weights of the row-i inner block inside the two outer
     # layers, and the chain factors of |partial_j f1| and |partial_j f2|
     weights = ((p0, pm1), (p1, p0))
-    E = np.zeros((2, 2))
+    E = np.empty((len(laws), 2, 2))
     for i, (x1, x2) in enumerate(((A11, A12), (A21, A22))):
         w_first, w_second = weights[i]
         gp1 = Gp(1.0 - p1 * x2 - p0 * x1)
         gp2 = Gp(p0 + pm1 - p0 * x2 - pm1 * x1)
         for j, (c1, c2) in enumerate(weights):
             d1, d2 = c1 * gp1, c2 * gp2
-            E[i, j] = (w_first * d1 * outer[0] + w_first * d2 * outer[1]
-                       + w_second * d1 * outer[2] + w_second * d2 * outer[3])
+            E[:, i, j] = (w_first * d1 * outer[0] + w_first * d2 * outer[1]
+                          + w_second * d1 * outer[2] + w_second * d2 * outer[3])
+    if isinstance(law, EdgeWeightLaw):
+        return Kappa3Bounds(A=A[0], B=B[0], E=E[0])
     return Kappa3Bounds(A=A, B=B, E=E)
 
 
-def kappa3_contraction_holds(bounds: Kappa3Bounds) -> bool:
-    """True when every contraction coefficient is below 1.
+def kappa3_contraction_holds(bounds: Kappa3Bounds):
+    """True when every contraction coefficient is below 1; for stacked bounds, a
+    boolean array with one such verdict per law.
 
     Sufficient for all four draw probabilities at kappa = 3 to vanish; the
     converse does not hold.
     """
-    return bool(np.max(bounds.E) < 1.0)
+    holds = np.max(bounds.E, axis=(-2, -1)) < 1.0
+    return bool(holds) if holds.ndim == 0 else holds
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,9 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy._core.umath import clip as _clip   # the ufunc that ndarray.clip ends in
 
 from .offspring import _ONE, OffspringDistribution, distribution_from_json
-
-try:                                       # the ufunc that ndarray.clip ends in
-    from numpy._core.umath import clip as _clip
-except ImportError:                        # numpy 1.x
-    from numpy.core.umath import clip as _clip
 
 logger = logging.getLogger(__name__)
 
@@ -68,6 +64,10 @@ MAX_BLOCK_STEPS = 32
 # after that, since a look costs up to a quarter of a whole-stack step.
 BOX_STEP_ENTRIES = 14000
 BOX_SCAN_STEPS = 32
+# the contraction certificate of find_fixed_points (_unique_fixed_point): the box after
+# CERT_BOX_STEPS h-steps, and at most CERT_POWERS products with its bound M of h'
+CERT_BOX_STEPS = 8
+CERT_POWERS = 64
 _ZERO = np.array(0.0)  # with _ONE, the 0-d bounds of a step's clip
 
 
@@ -327,12 +327,12 @@ def _stacks(specs: list, copies: int):
     return (specs[lo:lo + per_stack] for lo in range(0, len(specs), per_stack))
 
 
-def _law_columns(specs: list, shape: tuple, repeat: int = 1) -> tuple:
+def _law_columns(specs: list, shape: tuple, repeat=1) -> tuple:
     """p_1, p_0 and p_m1 of each row of a rows-first stack of `shape`, (n, rows, ..., n),
-    whose rows run over the specs, each spec `repeat` times.  An operand is a
-    C-contiguous array of the stack's shape, so that each multiply of the stencil is
-    one flat loop; a value every spec shares is a 0-d array, the cheapest operand of
-    a ufunc."""
+    whose rows run over the specs, each spec `repeat` times (spec k repeat[k] times,
+    for a sequence).  An operand is a C-contiguous array of the stack's shape, so that
+    each multiply of the stencil is one flat loop; a value every spec shares is a 0-d
+    array, the cheapest operand of a ufunc."""
     columns = []
     for name in ("p_1", "p_0", "p_minus1"):
         values = [getattr(s.law, name) for s in specs]
@@ -659,9 +659,13 @@ def find_fixed_points(spec, seeds: Optional[Sequence] = None,
     Limits closer than DEFAULT_CLUSTER_RADIUS in max-norm are merged.  Seeds
     whose orbit fails to settle within max_iter are dropped with a warning.
     The distinct limits are returned sorted lexicographically by their
-    entries, an order that extends the entrywise partial order.  A list of
-    specs sharing kappa and offspring law starts every spec from the same seeds
-    in one stack and gives the list of the points each spec gets alone.
+    entries, an order that extends the entrywise partial order.  A spec whose
+    h has exactly one fixed point by the contraction certificate
+    (_unique_fixed_point) iterates its first seed alone and gives that seed's
+    limit, the point that the merge keeps first; if that seed does not settle,
+    the spec iterates every seed.  A list of specs sharing kappa and offspring
+    law starts every spec from the same seeds in one stack and gives the list
+    of the points each spec gets alone.
     """
     _check_nonnegative(tol=tol, max_iter=max_iter)
     specs, batched = _spec_stack(spec)
@@ -671,23 +675,98 @@ def find_fixed_points(spec, seeds: Optional[Sequence] = None,
     if specs and len(seeds):
         starts = _ensure_prob_stack(seeds, specs[0].size)
         found = [points for stack in _stacks(specs, len(starts))
-                 for points in _multi_start(stack, starts, tol, max_iter)]
+                 for points in _stack_fixed_points(stack, starts, tol, max_iter)]
     return found if batched else found[0]
 
 
-def _multi_start(specs: list, starts: np.ndarray, tol: float, max_iter: int) -> list:
-    """find_fixed_points for one stack: every spec from every start, a row per pair, in
-    a rows-first stack (n, rows, n).  A seed freezes at its first h-step changing
-    less than tol.  As in _iterate_stack, a block of K h-steps (_block_steps) writes
-    its iterates into a ring of K + 1 stacks, walked one way per block, and the freeze
-    test then runs over the block's changes, written row-major so that each is one
-    flat reduction; a row that freezes in the block leaves with its iterate of that
-    step, and the others go on from the block's last iterate in a smaller ring."""
+def _stack_fixed_points(specs: list, starts: np.ndarray, tol: float, max_iter: int) -> list:
+    """find_fixed_points for one stack: one _multi_start over the first start of each
+    certified spec and every start of the others, then one over every start of each
+    certified spec whose first start did not settle; then the merge of each spec's limits."""
+    certified = _unique_fixed_point(specs)
+    counts = np.where(certified, 1, len(starts))
+    limits, settled = _multi_start(specs, starts, counts, tol, max_iter)
+    ends = np.cumsum(counts)[:-1]
+    runs = list(zip(np.split(limits, ends), np.split(settled, ends)))
+    retry = [k for k in np.flatnonzero(certified) if not runs[k][1][0]]
+    if retry:
+        limits, settled = _multi_start([specs[k] for k in retry], starts,
+                                       [len(starts)] * len(retry), tol, max_iter)
+        for k, points, ok in zip(retry, np.split(limits, len(retry)),
+                                 np.split(settled, len(retry))):
+            runs[k] = points, ok
+    found = []
+    for points, ok in runs:
+        dropped = len(ok) - np.count_nonzero(ok)
+        if dropped:
+            logger.warning("find_fixed_points: dropped %d non-converging seed(s)", dropped)
+        found.append(_merge(points[ok]))
+    return found
+
+
+def _unique_fixed_point(specs: list) -> np.ndarray:
+    """Which specs of one stack have exactly one fixed point of h, by a contraction
+    certificate on the box [lo, up] = [h^k(0), h^k(J)], k = CERT_BOX_STEPS, which holds
+    every fixed point (iterate_from_below's 2k-step run).
+
+    h'(X) v = a(g(X)) * mix0(a(X) * mix0(v)), where a(X) = G'(clip(_edge_mix(1 - X)))
+    and mix0 is the stencil with zero padding.  G' increases and g is antitone, so on
+    the box a(X) <= a(lo) and a(g(X)) <= a(g(up)), and M v = a(g(up)) * mix0(a(lo) *
+    mix0(v)) bounds |h'(X)| entrywise.  A spec is certified at the first J <=
+    CERT_POWERS with max M^J 1 <= 1 - 1e-9: then w = sum_{j<J} M^j 1 >= 1 has M w < w,
+    so rho(M) < 1 (Collatz-Wielandt; Berman & Plemmons 1994), h contracts the box in
+    the w-weighted max norm, and it has one fixed point.  A spec gives up at the first
+    product whose max M^j 1 does not fall, so its verdict is the one it gets alone.
+
+    M is formed from rounded iterates and a rounded G'.  Until the float error of a
+    step is bounded, the slack for that is the margin 1e-9 and the box widened
+    outwards by 1e-12 (lo and g(up) down, up up).
+    """
+    runs = iterate_from_below(specs, tol=0.0, max_iter=2 * CERT_BOX_STEPS)
+    lo = np.stack([run.ell for run in runs], 1)          # rows-first (n, specs, n)
+    up = np.clip(1e-12 + (1.0 - np.stack([run.w for run in runs], 1)), 0.0, 1.0)
+    laws = _law_columns(specs, lo.shape)
+    dist = specs[0].dist
+
+    def a(X):
+        X = np.clip(X - 1e-12, 0.0, 1.0)
+        mix = _edge_mix(1.0 - X, *laws)
+        return dist._pgf_derivative(_clip(mix, _ZERO, _ONE, mix))
+
+    a_inner = a(lo)
+    a_outer = a(_g_fast(dist._pgf_inplace, *laws, up))
+    zero_pad = _stencil_buffers(lo.shape)
+    zero_pad[0][0] = 0.0                                  # the row above the stencil
+    v = np.ones(lo.shape)
+    certified = np.zeros(len(specs), dtype=bool)
+    live, last = ~certified, np.inf
+    for _ in range(CERT_POWERS):
+        _edge_mix(v, *laws, zero_pad, v)
+        v *= a_inner
+        _edge_mix(v, *laws, zero_pad, v)
+        v *= a_outer
+        top = np.maximum.reduce(np.maximum.reduce(v, 2), 0)     # max M^j 1 per spec
+        certified |= live & (top <= 1.0 - 1e-9)
+        live &= ~certified & (top < last)
+        if not live.any():
+            break
+        last = top
+    return certified
+
+
+def _multi_start(specs: list, starts: np.ndarray, counts, tol: float, max_iter: int) -> tuple:
+    """Spec k of one stack from its first counts[k] starts, a row per pair, in a rows-first
+    stack (n, rows, n), spec-major: the limit of each row, (rows, n, n), and whether it
+    settled.  A seed freezes at its first h-step changing less than tol.  As in
+    _iterate_stack, a block of K h-steps (_block_steps) writes its iterates into a ring
+    of K + 1 stacks, walked one way per block, and the freeze test then runs over the
+    block's changes, written row-major so that each is one flat reduction; a row that
+    freezes in the block leaves with its iterate of that step, and the others go on
+    from the block's last iterate in a smaller ring."""
     G = specs[0].dist._pgf_inplace
-    n_seeds, n = len(starts), specs[0].size
-    # spec-major, then seed order
-    B = np.concatenate([starts.transpose(1, 0, 2)] * len(specs), axis=1)
-    laws = _law_columns(specs, B.shape, repeat=n_seeds)
+    n = specs[0].size
+    B = np.concatenate([starts[:count].transpose(1, 0, 2) for count in counts], axis=1)
+    laws = _law_columns(specs, B.shape, repeat=counts)
     limits = np.empty((B.shape[1], n, n))
     settled = np.zeros(B.shape[1], dtype=bool)
     rows = np.arange(B.shape[1])                  # the row of the limits each live orbit fills
@@ -718,14 +797,7 @@ def _multi_start(specs: list, starts: np.ndarray, tol: float, max_iter: int) -> 
         settled[rows[frozen]] = True
         keep = stops == steps
         B, rows, laws = path[steps][:, keep], rows[keep], _rows(laws, keep)
-    found = []
-    for points, ok in zip(limits.reshape((len(specs),) + starts.shape),
-                          settled.reshape(len(specs), n_seeds)):
-        dropped = n_seeds - np.count_nonzero(ok)
-        if dropped:
-            logger.warning("find_fixed_points: dropped %d non-converging seed(s)", dropped)
-        found.append(_merge(points[ok]))
-    return found
+    return limits, settled
 
 
 def _first_stops(deltas: np.ndarray, tol: float):

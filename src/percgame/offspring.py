@@ -34,10 +34,9 @@ def _check_unit_interval(x: ArrayLike) -> ArrayLike:
     """Validate pgf arguments, tolerating tiny floating-point overshoot; NaN is rejected.
 
     An array argument comes back as a fresh clipped copy that the caller may
-    overwrite (a numpy scalar for a 0-d array), anything else as a float, so
-    augmented assignments on the result serve every kind of argument.  It runs once
-    per public pgf or pgf_derivative call; the operator loops clip their own stencil
-    mix instead (fixpoint._g_step).
+    overwrite (a numpy scalar for a 0-d array), anything else as a float.  It runs
+    once per public pgf or pgf_derivative call; the operator loops clip their own
+    stencil mix instead (fixpoint._g_step).
     """
     arr = np.asarray(x, dtype=float)
     if arr.size and not (np.minimum.reduce(arr, None) >= -_PGF_DOMAIN_SLACK
@@ -58,16 +57,21 @@ def _power(e: int) -> tuple:
     return np.power, (np.array(float(e)),)
 
 
-def _horner(coeffs, x: ArrayLike) -> ArrayLike:
-    """sum_k coeffs[k] x^k by Horner's rule, written over an array x and returned."""
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k by Horner's rule, written over the array x and returned."""
     acc = 0.0 * x
     for c in reversed(coeffs):
         acc *= x
         acc += c
-    if isinstance(x, np.ndarray):
-        x[...] = acc
-        return x
-    return acc
+    x[...] = acc
+    return x
+
+
+def _on_array(body, x: ArrayLike) -> ArrayLike:
+    """A family's body of G or G' on x, checked and clipped (_check_unit_interval): an
+    array as its fresh copy, anything else as a one-element array, giving a numpy float."""
+    x = _check_unit_interval(x)
+    return body(x) if isinstance(x, np.ndarray) else body(np.array([x]))[0]
 
 
 class OffspringDistribution:
@@ -80,25 +84,25 @@ class OffspringDistribution:
 
     def pgf(self, x: ArrayLike) -> ArrayLike:
         """G(x): arguments up to 1e-9 outside [0, 1] are clipped, NaN and anything
-        further out raise DistributionError; an array gives a fresh array.  Each
-        family binds this in its own class, where the traced benchmark wraps it."""
-        return self._pgf_inplace(_check_unit_interval(x))
+        further out raise DistributionError; an array gives a fresh array and a
+        scalar a numpy float, from a one-element array (_on_array).  Each family
+        binds this in its own class, where the traced benchmark wraps it."""
+        return _on_array(self._pgf_inplace, x)
 
-    def _pgf_inplace(self, x: ArrayLike) -> ArrayLike:
-        """The family's one body of G for x already in [0, 1]: an array x is
-        overwritten with G(x) and returned, a float gives a float.  On an array the
-        body is its ufunc calls alone, each writing into x and taking the family's
-        constants as the 0-d arrays of `_operands`, built once per distribution (the
-        two Horner families still go through _horner); a scalar takes the same
-        operations in the same order, on Python numbers."""
+    def _pgf_inplace(self, x: np.ndarray) -> np.ndarray:
+        """The family's one body of G, for an array x already in [0, 1]: x is
+        overwritten with G(x) and returned.  The body is its ufunc calls alone, each
+        writing into x and taking the family's constants as the 0-d arrays of
+        `_operands`, built once per distribution (the two Horner families still go
+        through _horner)."""
         raise NotImplementedError
 
     def pgf_derivative(self, x: ArrayLike) -> ArrayLike:
-        """G'(x), its argument checked and clipped as `pgf` checks and clips it."""
-        return self._pgf_derivative(_check_unit_interval(x))
+        """G'(x), its argument checked and clipped, and a scalar taken, as `pgf` does."""
+        return _on_array(self._pgf_derivative, x)
 
-    def _pgf_derivative(self, x: ArrayLike) -> ArrayLike:
-        """The family's one body of G' for x already in [0, 1]; an array x may be overwritten."""
+    def _pgf_derivative(self, x: np.ndarray) -> np.ndarray:
+        """The family's one body of G' for an array x already in [0, 1]; x may be overwritten."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -134,9 +138,6 @@ class Dirac(OffspringDistribution):
         return _power(self.m)
 
     def _pgf_inplace(self, x):
-        if not isinstance(x, np.ndarray):
-            x **= self.m
-            return x
         power, exponent = self._operands
         return power(x, *exponent, x)
 
@@ -201,11 +202,6 @@ class Binomial(OffspringDistribution):
         return np.array(self.pi), np.array(1.0 - self.pi), _power(self.n)
 
     def _pgf_inplace(self, x):
-        if not isinstance(x, np.ndarray):
-            x *= self.pi
-            x += 1.0 - self.pi
-            x **= self.n
-            return x
         pi, q, (power, exponent) = self._operands
         np.multiply(x, pi, x)
         np.add(x, q, x)
@@ -239,10 +235,6 @@ class Poisson(OffspringDistribution):
         return np.array(self.lam)
 
     def _pgf_inplace(self, x):
-        if not isinstance(x, np.ndarray):
-            x -= 1.0
-            x *= self.lam
-            return np.exp(x)
         np.subtract(x, _ONE, x)
         np.multiply(x, self._operands, x)
         return np.exp(x, x)
@@ -284,12 +276,7 @@ class NegBinomial(OffspringDistribution):
         return np.array(self.pi - 1.0), _power(-self.r), np.array(self.pi**self.r)
 
     def _pgf_inplace(self, x):
-        if not isinstance(x, np.ndarray):
-            x *= self.pi - 1.0      # fl(pi - 1) = -fl(1 - pi): the same roundings as 1 - (1 - pi) x
-            x += 1.0
-            x **= -self.r
-            x *= self.pi**self.r
-            return x
+        # x (pi - 1) + 1: fl(pi - 1) = -fl(1 - pi), the same roundings as 1 - (1 - pi) x
         slope, (power, exponent), scale = self._operands
         np.multiply(x, slope, x)
         np.add(x, _ONE, x)
@@ -332,11 +319,6 @@ class TwoPoint(OffspringDistribution):
         return _power(self.d), np.array(self.pi), np.array(1.0 - self.pi)
 
     def _pgf_inplace(self, x):
-        if not isinstance(x, np.ndarray):
-            x **= self.d
-            x *= self.pi
-            x += 1.0 - self.pi
-            return x
         (power, exponent), pi, q = self._operands
         power(x, *exponent, x)
         np.multiply(x, pi, x)

@@ -4,10 +4,11 @@
 
 Each mutant is one textual change to `src/` (an operator swap, a comparison off by
 one or a constant nudge) in the box bookkeeping of `_iterate_stack`, the law operands,
-stacked residual and block-tested `_multi_start` of a sweep's stacks, `sample_forest`,
-`_row_dtype`, `_forest_root_counts`, `_check_unit_interval`, `kappa3_bounds`,
-`kappa3_p0_zero_check`, the `pgf_derivative` bodies, `params`, `duration_criterion` or
-`DurationReport.to_json_dict`.  It is
+stacked residual and block-tested `_multi_start` of a sweep's stacks, the operator step
+`_g_step`, the contraction certificate `_unique_fixed_point`, `sample_forest`,
+`_row_dtype`, `_forest_root_counts`, the `_pgf_inplace` bodies, `_check_unit_interval`,
+`kappa3_bounds`, `kappa3_p0_zero_check`, the `pgf_derivative` bodies, `params`,
+`duration_criterion` or `DurationReport.to_json_dict`.  It is
 applied to a copy of `src/`, `tests/`, `perfbench/`, `pyproject.toml` and
 `BENCHMARK.json` in the system's temporary directory, never to the working tree.
 Two pytest runs (`-x`, no cache, no bytecode) go side by side on the copy: the suite
@@ -63,6 +64,18 @@ MUTANTS = [
     ("law-rows-rolled", FIXPOINT, "= np.repeat(values, repeat).reshape(",
      "= np.roll(np.repeat(values, repeat), 1).reshape("),
     ("law-rows-kept-off-by-one", FIXPOINT, "c.compress(keep, 1)", "c.compress(np.roll(keep, 1), 1)"),
+    # the operator step _g_step
+    ("step-one-minus-swapped", FIXPOINT, "np.subtract(_ONE, fill, buffers[1])",
+     "np.subtract(fill, _ONE, buffers[1])"),
+    ("step-laws-reversed", FIXPOINT, "mix = _edge_mix(buffers[1], *laws, buffers, out)",
+     "mix = _edge_mix(buffers[1], *laws[::-1], buffers, out)"),
+    ("step-no-clip", FIXPOINT, "return G(_clip(mix, _ZERO, _ONE, mix))", "return G(mix)"),
+    # the contraction certificate of find_fixed_points (_unique_fixed_point)
+    ("cert-inner-at-up", FIXPOINT, "a_inner = a(lo)", "a_inner = a(up)"),
+    ("cert-outer-at-up", FIXPOINT, "a_outer = a(_g_fast(dist._pgf_inplace, *laws, up))",
+     "a_outer = a(up)"),
+    ("cert-margin-flipped", FIXPOINT, "(top <= 1.0 - 1e-9)", "(top <= 1.0 + 1e-9)"),
+    ("cert-one-zero-padding", FIXPOINT, "zero_pad[0][0] = 0.0", "zero_pad[0][0] = 1.0"),
     # sample_forest
     ("forest-cap-ge", ORACLE, "aborted |= cum > node_cap", "aborted |= cum >= node_cap"),
     ("forest-cum-zeros", ORACLE, "cum = np.ones(n_samples", "cum = np.zeros(n_samples"),
@@ -86,6 +99,19 @@ MUTANTS = [
      "keep = (~forest.aborted)"),
     ("kernel-fold-one-short", ORACLE, "range(H - step + 1 if step > 1 else 0)",
      "range(H - step if step > 1 else 0)"),
+    # the array bodies _pgf_inplace of G
+    ("pgf-dirac-identity", OFFSPRING,
+     "power, exponent = self._operands\n        return power(x, *exponent, x)",
+     "power, exponent = self._operands\n        return x"),
+    ("pgf-uniform-divisor", OFFSPRING, "x /= self.m", "x /= self.m + 1"),
+    ("pgf-binomial-constants-swapped", OFFSPRING, "pi, q, (power, exponent) = self._operands",
+     "q, pi, (power, exponent) = self._operands"),
+    ("pgf-poisson-plus-one", OFFSPRING, "np.subtract(x, _ONE, x)", "np.add(x, _ONE, x)"),
+    ("pgf-negbinomial-unscaled", OFFSPRING, "return np.multiply(x, scale, x)", "return x"),
+    ("pgf-twopoint-constants-swapped", OFFSPRING, "(power, exponent), pi, q = self._operands",
+     "(power, exponent), q, pi = self._operands"),
+    ("pgf-explicit-reversed", OFFSPRING, "return _horner(self.pmf_values, x)",
+     "return _horner(self.pmf_values[::-1], x)"),
     # _check_unit_interval
     ("check-low-gt", OFFSPRING, "arr, None) >= -_PGF_DOMAIN_SLACK",
      "arr, None) > -_PGF_DOMAIN_SLACK"),
@@ -128,7 +154,7 @@ MUTANTS = [
      "return (1.0 - self.pi) * self.d * x"),
     ("gp-explicit-shift", OFFSPRING, "enumerate(self.pmf_values)][1:]",
      "enumerate(self.pmf_values)][:-1]"),
-    ("gp-public-unchecked", OFFSPRING, "return self._pgf_derivative(_check_unit_interval(x))",
+    ("gp-public-unchecked", OFFSPRING, "return _on_array(self._pgf_derivative, x)",
      "return self._pgf_derivative(x)"),
     ("params-sorted", OFFSPRING, "for name in _FAMILIES[self.family][1]}",
      "for name in sorted(_FAMILIES[self.family][1])}"),

@@ -610,6 +610,18 @@ def test_nonconvergence_exit_code(capsys):
     assert json.loads(out)["rows"][0]["fixed_point_count"] == 0
 
 
+def test_count_fixed_points_at_a_certified_law(capsys):
+    # Poisson(5) at p0 = 0.3, p1 = 0.02 has one fixed point by the contraction certificate.
+    # A --max-iter too small for the first seed goes back to every seed: none settles in
+    # 30 h-steps, and 3 of 75 settle in 40, one point.  At --tol 1e-5 the seeds stop in
+    # ten clusters, which the search reported before it was certified; now it reports 1.
+    law = ["--family", "poisson", "--lam", "5", "--p0", "0.3", "--p1", "0.02"]
+    for flags, count, status in ((["--max-iter", "30"], 0, 3), (["--max-iter", "40"], 1, 0),
+                                 (["--tol", "1e-5"], 1, 0), ([], 1, 0)):
+        code, out, _ = run_cli(capsys, "check-kappa3", *law, "--count-fixed-points", *flags)
+        assert (code, json.loads(out)["fixed_point_count"]) == (status, count), flags
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"family": "dirac", "m": 2, "kappa": 3,

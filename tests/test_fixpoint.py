@@ -622,6 +622,17 @@ def assert_same_as_reference(spec, seeds, caplog, **kwargs):
     return got, dropped
 
 
+def test_step_clips_a_mix_above_one():
+    # EdgeWeightLaw takes probabilities that sum to 1 within 1e-12, so a mix of ones can
+    # exceed 1; the step clips it before G, as the public pgf's check would
+    law = EdgeWeightLaw(0.3 + 4e-13, 0.4, 0.3)
+    assert law.p_minus1 + law.p_0 + law.p_1 > 1.0
+    spec = GameSpec(4, Dirac(2), law)
+    assert apply_g(spec, np.zeros((3, 3))).max() == 1.0
+    run = iterate_from_below(spec)
+    assert run.ell.max() <= 1.0 and run.w.min() >= 0.0
+
+
 @pytest.mark.parametrize("dist", FAMILIES.values(), ids=FAMILIES.keys())
 def test_g_fast_batch_equals_per_slice(dist):
     rng = np.random.default_rng(5)
@@ -1035,6 +1046,131 @@ def test_dropped_seed_warning_format(caplog):
     assert record.msg == "find_fixed_points: dropped %d non-converging seed(s)"
     assert record.args == (21,)
     assert record.getMessage() == "find_fixed_points: dropped 21 non-converging seed(s)"
+
+
+# The contraction certificate of find_fixed_points (_unique_fixed_point)
+
+def reference_certified(spec):
+    """_unique_fixed_point for one spec with dense matrices: the box from
+    reference_iterate_from_below, the bound of |g'| above a point as an n^2 x n^2 matrix
+    written entry by entry, M as the product of two of them, and the same widening,
+    margin, cap and give-up rule."""
+    n = spec.size
+    p1, p0, pm1 = spec.law.p_1, spec.law.p_0, spec.law.p_minus1
+    weights = ((-1, pm1), (0, p0), (1, p1))
+    run = reference_iterate_from_below(spec, tol=0.0, max_iter=2 * fixpoint.CERT_BOX_STEPS)[0]
+    up = np.clip(1e-12 + (1.0 - run.w), 0.0, 1.0)
+
+    def bound(X):
+        # g(X)[i, j] = G(sum_d p_d c[j, i + d]), c = 1 - X padded with 1 and 0, so
+        # |d g(Y)[i, j] / d Y[j, i + d]| = p_d G'(mix) <= this at every Y >= X
+        X = np.clip(X - 1e-12, 0.0, 1.0)
+        K = np.zeros((n * n, n * n))
+        for i in range(n):
+            for j in range(n):
+                c = [1.0 if k < 0 else 0.0 if k >= n else 1.0 - X[j, k] for k in (i - 1, i, i + 1)]
+                mix = pm1 * c[0] + p0 * c[1] + p1 * c[2]
+                slope = spec.dist.pgf_derivative(min(max(mix, 0.0), 1.0))
+                for d, p in weights:
+                    if 0 <= i + d < n:
+                        K[i * n + j, j * n + i + d] = p * slope
+        return K
+
+    M = bound(_g_fast(spec.dist.pgf, p1, p0, pm1, up)) @ bound(run.ell)
+    v, last = np.ones(n * n), np.inf
+    for _ in range(fixpoint.CERT_POWERS):
+        v = M @ v
+        if v.max() <= 1.0 - 1e-9:
+            return True
+        if not v.max() < last:
+            return False
+        last = v.max()
+    return False
+
+
+@pytest.mark.parametrize("kappa", (2, 3, 4))
+@pytest.mark.parametrize("dist", FAMILIES.values(), ids=FAMILIES.keys())
+def test_certificate_equals_dense_reference(dist, kappa):
+    specs = grid_specs(kappa, dist, p0s=(0.1, 0.3, 0.5, 0.7, 0.85), p1s=(0.02, 0.1))
+    expected = [reference_certified(spec) for spec in specs]
+    assert fixpoint._unique_fixed_point(specs).tolist() == expected
+    assert [fixpoint._unique_fixed_point([spec])[0] for spec in specs] == expected
+    assert any(expected)
+
+
+def test_certificate_refuses_the_identity_operator():
+    # with one child and every edge weight 0, g(X) = 1 - X^T and h is the identity up to
+    # rounding: every matrix is a fixed point, M is I, and every seed is its own limit
+    spec = GameSpec(3, Dirac(1), EdgeWeightLaw(0.0, 1.0, 0.0))
+    assert not fixpoint._unique_fixed_point([spec])[0]
+    assert not reference_certified(spec)
+    assert len(find_fixed_points(spec)) == len(default_seed_matrices(3))
+
+
+# the five families with a closed-form capital-2 test, at laws either side of it
+KAPPA2_FAMILIES = [Binomial(10, 0.6), Dirac(2), Dirac(5), Poisson(5.0), NegBinomial(2, 0.1),
+                   TwoPoint(0.9, 4)]
+
+
+@pytest.mark.parametrize("dist", KAPPA2_FAMILIES, ids=repr)
+def test_certified_specs_have_no_kappa2_draw(dist):
+    specs = [GameSpec(2, dist, EdgeWeightLaw.from_p0_p1(p0, p1))
+             for p1 in (0.0, 0.01, 0.05, 0.2) for p0 in np.linspace(0.0, 1.0 - p1, 41)]
+    certified = fixpoint._unique_fixed_point(specs)
+    zero = np.array([criteria.kappa2_draw_zero(dist, spec.law) for spec in specs])
+    assert not np.any(certified & ~zero)
+    assert certified.any() and not zero.all()        # the grid crosses the boundary
+
+
+@pytest.mark.parametrize("kappa", (3, 4, 5, 6))
+@pytest.mark.parametrize("dist", [Poisson(5.0), Binomial(10, 0.6), Dirac(2)], ids=repr)
+def test_certified_specs_have_no_draw_and_one_fixed_point(dist, kappa, monkeypatch):
+    specs = grid_specs(kappa, dist, p0s=(0.05, 0.1, 0.45, 0.9), p1s=(0.02, 0.1))
+    certified = [spec for spec, ok in zip(specs, fixpoint._unique_fixed_point(specs)) if ok]
+    assert 0 < len(certified) < len(specs)
+    for result in solve(certified):
+        assert result.converged and np.all(result.D == 0.0)
+    monkeypatch.setattr(fixpoint, "_unique_fixed_point", lambda specs: np.zeros(len(specs), bool))
+    assert [len(points) for points in find_fixed_points(certified)] == [1] * len(certified)
+
+
+@pytest.mark.parametrize("kappa", (2, 3))
+def test_certified_points_equal_the_full_grid_reference(kappa):
+    # the list's specs certify apart; test_block_tested_multi_start_equals_per_spec_and_per_seed
+    # runs the same list at other max_iter
+    specs = [dataclasses.replace(spec, kappa=kappa) for spec in MULTI_START_SPECS]
+    certified = fixpoint._unique_fixed_point(specs)
+    assert 0 < certified.sum() < len(specs)
+    seeds = default_seed_matrices(kappa)
+    for spec, points, ok in zip(specs, find_fixed_points(specs), certified):
+        if ok:
+            expected, dropped = reference_find_fixed_points(spec, seeds)
+            assert dropped == 0 and len(points) == len(expected) == 1
+            assert np.array_equal(points[0], expected[0])
+            assert np.array_equal(find_fixed_points(spec)[0], expected[0])
+
+
+def test_certified_spec_whose_first_seed_does_not_settle_takes_every_seed(caplog):
+    # the zero seed is among this spec's slowest: at 40 h-steps it has not settled and the spec
+    # iterates every seed, as without the certificate, dropping the same seeds
+    spec = GameSpec(3, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.3, 0.02))
+    assert fixpoint._unique_fixed_point([spec])[0]
+    seeds = default_seed_matrices(3)
+    for max_iter, count in ((30, 0), (40, 1), (48, 1)):
+        points, dropped = assert_same_as_reference(spec, seeds, caplog, max_iter=max_iter)
+        assert len(points) == count and (dropped > 0) == (max_iter < 48)
+
+
+def test_loose_tol_reports_one_point_where_certified():
+    # at tol 1e-5 the seeds stop up to ~1e-5 from the one fixed point, in ten clusters
+    # of DEFAULT_CLUSTER_RADIUS; the certified search reports the first seed's limit alone
+    spec = GameSpec(3, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.3, 0.02))
+    seeds = default_seed_matrices(3)
+    clusters, _ = reference_find_fixed_points(spec, seeds, tol=1e-5)
+    first, _ = reference_find_fixed_points(spec, seeds[:1], tol=1e-5)
+    points = find_fixed_points(spec, tol=1e-5)
+    assert len(clusters) == 10 and len(points) == 1
+    assert np.array_equal(points[0], first[0])
 
 
 def test_default_seed_matrices_shape_and_determinism():
