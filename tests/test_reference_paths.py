@@ -5,12 +5,15 @@
   equal them, not be close.
 * `reference_sweep` runs `percgame sweep` cell by cell, one row call per grid cell; the
   batched sweep must print the same bytes.
+* `FORMER_DIGESTS` keeps what the operator step and pgf bodies that the lean step
+  replaced gave, as sha256 digests; the lean step must give the same bytes.
 
 The other layers' references live with their tests (README, "Tests").
 """
 
 import concurrent.futures
 import functools
+import hashlib
 import io
 import tracemalloc
 from contextlib import redirect_stdout
@@ -297,6 +300,170 @@ def test_batched_sweep_equals_per_cell_reference(case, fmt, capsys, monkeypatch)
     cells = len(cli._sweep_tasks(cli._resolve_config(cli._build_parser().parse_args(
         ["sweep", *argv]))))
     assert InlinePool.sizes == [cells]
+
+
+# The operator step and the pgf bodies that the lean step replaced, kept as sha256 digests
+# of what they gave: the former step (keyword outputs, augmented operators with
+# Python-float operands and ndarray.clip) gave the bytes of `operator_outputs` at each
+# kappa, and the former `_pgf_inplace` bodies gave the bytes of `body_outputs` ("body").
+# Like the CLI golden digests, they hold for one numpy build (2.4 here) and its libm.
+FORMER_DIGESTS = {
+    "Dirac(m=1)": {
+        2: "800f146feaaf0dd087021ab913b274b6f00f355976307347eab6fc1695469417",
+        3: "58b02a6a1dda13a2cd8e90c28db64a9f41a264c5a97d3c76fcd00e724915c89a",
+        12: "d3bcbd8f9a45827cafc4552789bfe71b81b84628ba3fb66d0cdbe5e9f6f5f001",
+        41: "086ac230e4d879df8d95f05d5849d028dd619c4454e1f023482ea848e3a42f68",
+        "body": "fb7a3c2ad3c3769618ed76443615c72291ffbe75bcd5f77b6d65a0d4f7e970aa",
+    },
+    "Dirac(m=2)": {
+        2: "dbc49f3867f81fca2cfb55b91ff8effc96dbb88630c3a15a076c2333f72c308f",
+        3: "e000aec391bd71fd4b2872d237701106ca6f9acceb9083b023c683633a82e4e0",
+        12: "210e9880fe3bb3ffd07cbb468477b7696b55d1c0cc46e971221e053ee32f8405",
+        41: "b06173653c2c9ebd2868c9c44cf91a5297a5efab62fcd1053707af682b0a890a",
+        "body": "183ebabe8abd90a0af6fc0f728dbba4154566ba46ae0444392a16c62db7fb827",
+    },
+    "Dirac(m=3)": {
+        2: "2f1e8761ae82203f307a7a7cc06cc244e941ab091efc9024dafd47a2407ca0fc",
+        3: "fc6da1438fb512dc18655e3858c52950886b80806fa99eec33bb3025ec4a5b23",
+        12: "b780261027d970e3b708b65605655944658671b418436e2ae8b0f21e64acff30",
+        41: "95b2611cf15204520cdee22a995bd4375124f8a336d47cc7e4bd5917ae0e83d6",
+        "body": "bfebc4d1c2258258b76c65e9aeab3ff15940fb1b68f9cbdf20cfb26b70b1df70",
+    },
+    "UniformRange(m=3)": {
+        2: "c3db24c72a9b3da2ddcecdb452c4d82354f6910dfdb7f65b2cffa4107e63d9fa",
+        3: "dff88378f17a97a40ef8d1cc38617d44d742504a42d7b42118b733bdfdd430bd",
+        12: "05ddc726871cc4f6263625e21ed508d375ac961a4cc1850942932c25af2179f1",
+        41: "5a6e6cecadb5ad916adb3ab1ff734bcf77c9faf98051a0d046a6322815b8521e",
+        "body": "887bae6f86c772edf2b1225a10d8db4b2e0dcbe3e2a2fd6e15de3f8afe9adf06",
+    },
+    "Binomial(n=2, pi=0.7)": {
+        2: "3106842b84583b964ffa22e0b0f51b3dfb1e0f0edb2f31f6e29a7311c9b6006b",
+        3: "3fd66a48aaac272cd0addcc54c5f33cdde7a943a28c6f63c849688a0c0b729fa",
+        12: "29a11836f75eae192e5c97dc8ef2911d1c0b7477a6e5695b8983b5e6885ea3f5",
+        41: "d1b17ee9ad1e44c1daff21d3b75bb82ca92fb495a2ab50f63cba4aa294be3aa1",
+        "body": "fe9e29356790d6519500d4d681517b75a4442252e68bf6ad4e7e9372ea7071b1",
+    },
+    "Binomial(n=10, pi=0.6)": {
+        2: "0ebe237379d188bd8bbe9dc0e1b490c573ba2005e91118b1160dce3543151170",
+        3: "4a0fae46c54cf5c934043e4d96feac13631c462d93c9a88b69b6e597b209b5bf",
+        12: "9cea7149be0faae50e8c175aa24130528da0e0688faf3d1173f42ec6cbd91f59",
+        41: "589d37de6c4b220263fda9dd1822a1b3617fda4d70e22041b64da4cc58f56ee5",
+        "body": "c8142500ac9ccfd625de3daeb38e75d1cac4a1a24a8ba73bf6430db4ba811972",
+    },
+    "Poisson(lam=5.0)": {
+        2: "363a8d4fde26c91a3969eeca2e21e7603dea45eb7c1a56fdc67f113c30edd5a9",
+        3: "87fa6b101638e08aae9c70480f2d7d020b07d2537484e932b2a2af2cf563e1da",
+        12: "fe8b836aed21e902dcfc1d275a3bbc55fc954b9ed8005e60514016c17a6ab216",
+        41: "f6500a7776069e20fed5ebcd6dfca42bae4c895bf4de79eea06c1f07f1956b0a",
+        "body": "409c6b9145ecb27fbb59a870c51de5105fe89071aad8d0303c50b8441d4ec1ba",
+    },
+    "NegBinomial(r=1, pi=0.3)": {
+        2: "643bb2c357d9fea749cbc24e5d2d2282154a8bd84aafe86e8a8a1a19bed5cf40",
+        3: "52befb880d50a3de7f4b5062287d1012d3438de878c0d63d8b215fbcd769b040",
+        12: "b91967913e5f8fb2d9aa9e7e56d289971ad767582cd47ff01c559fe689ff7747",
+        41: "e51bfc288ab52b56dff411d39f2df125568b900bb14c726035eeefca3cde942e",
+        "body": "5f1becb02e10e9c3d13a6807e2c312d97ac8201bba75ce5c171f90298ffbeee8",
+    },
+    "NegBinomial(r=2, pi=0.1)": {
+        2: "342dac0f2515a0bc54f0fe4d824b84c8ef91ef64986c02df6d1b2a367dfaf115",
+        3: "b9fe37354b4fe1a0cf5aec2ebfcf93c9d0bc6719c0e40779cc20db3775651d05",
+        12: "2c701ebe6a3168bc1f37dd48d0a6dacfa2689a401bfeae49566e2f1cd3225cff",
+        41: "c1db4d3556d3c356e0db5e2ec9812228deee209464f514ea4db6ca23b9cdd761",
+        "body": "df178d8057b47cdbb46e04c93834c24dcd912eef03103a524fecd74bf0ccc330",
+    },
+    "TwoPoint(pi=0.5, d=2)": {
+        2: "fe5268556335234ce31b9947a718721a8fc5d2443f29dfb26e16310fa7d03c77",
+        3: "13c5250d978d659f03d19100a265407b03e09c8c7a842ae26c820c31e2e9d948",
+        12: "c7b914dfde154ae4003681ae2e5ac9d98d3ef97835ab5f47f69b40a0515abb4d",
+        41: "b38486fe10d289abe57af6e427e44901f141d61f74e59c8fcbefa9a7fd14162a",
+        "body": "2387640636159f6cfe7a0ad592498c0387eff9314988fea71ba30393ed2b2a50",
+    },
+    "TwoPoint(pi=0.5, d=3)": {
+        2: "665e57a5734bb18fcaa32f75689cb91cab8510807f2c8d71c61df70349c248e0",
+        3: "f1a697fc95350186489c2708479427d13b6c278f468882a8293144bff8636dd6",
+        12: "1b808661a9447c44ac15fa72620b8e7a7a7dd4c37fb8ac398e8540215e94477f",
+        41: "d23528acecb92c28525ea560a7d10e785d4df43df15ed064b69ba313ec3c2859",
+        "body": "68239d64a06ccb73be0d9ee892718c20209328205444140e41e1129f95906cae",
+    },
+    "Explicit(pmf_values=(0.1, 0.2, 0.3, 0.15, 0.25))": {
+        2: "574bff942db2b8cd84aa3118723f9eb84726ca8d05cf2abe0c05b19c9f62a985",
+        3: "1db8a143645b77b6de9360044d6ad501f902afa8564823e35e20ecd219328210",
+        12: "669a01248534a849fb702138adb112ea155e16637073fe89f7a337df93361738",
+        41: "ef09a29e5ef5184579bfe17d2e11aca1cc836674b34085483115712dc43000ef",
+        "body": "5f93f3666a4ce8c5792e9be964926a9f2e85d6db814377e4b6cda9d8eeff9148",
+    },
+}
+# every family, with the exponents that numpy's scalar power sends to square (2) and
+# reciprocal (-1), the identity exponent 1, and exponents that go to power
+STEP_DISTS = [Dirac(1), Dirac(2), Dirac(3), UniformRange(3), Binomial(2, 0.7),
+              Binomial(10, 0.6), Poisson(5.0), NegBinomial(1, 0.3), NegBinomial(2, 0.1),
+              TwoPoint(0.5, 2), TwoPoint(0.5, 3), Explicit([0.1, 0.2, 0.3, 0.15, 0.25])]
+STEP_LAWS = [EdgeWeightLaw.from_p0_p1(p0, p1) for p0, p1 in ((0.8, 0.1), (0.4, 0.3), (0.5, 0.2))]
+
+
+def digest(items):
+    """The sha256 of a list of bytes and of the reprs of what is not bytes."""
+    h = hashlib.sha256()
+    for item in items:
+        h.update(item if isinstance(item, bytes) else repr(item).encode())
+    return h.hexdigest()
+
+
+def operator_outputs(dist, kappa):
+    """The bytes of every operator entry point at one law and kappa: list and single
+    iterate_from_below and find_fixed_points, apply_g and horizon_iterates."""
+    specs = [fixpoint.GameSpec(kappa, dist, law) for law in STEP_LAWS]
+    n = kappa - 1
+    rng = np.random.default_rng(kappa)
+    seeds = [np.zeros((n, n)), np.ones((n, n)), rng.random((n, n))]
+    out = []
+    for run in (fixpoint.iterate_from_below(specs, max_iter=2000)
+                + [fixpoint.iterate_from_below(specs[1], max_iter=2000)]):
+        out += [run.ell.tobytes(), run.w.tobytes(), (run.iterations, run.delta, run.converged)]
+    for points in (fixpoint.find_fixed_points(specs, seeds, max_iter=200)
+                   + [fixpoint.find_fixed_points(specs[0], seeds, max_iter=200)]):
+        out += [point.tobytes() for point in points] + ["|"]
+    out += [fixpoint.apply_g(spec, rng.random((n, n))).tobytes() for spec in specs]
+    ells, ws = fixpoint.horizon_iterates(specs[2], 5)
+    return out + [a.tobytes() for a in ells + ws]
+
+
+def body_inputs():
+    draws = np.random.default_rng(11).random(2000)
+    return [draws, np.array(GRID[:41]), np.random.default_rng(12).random(200_000),
+            ARRAY.copy(), np.array(0.37)]
+
+
+@pytest.mark.parametrize("kappa", (2, 3, 12, 41))
+@pytest.mark.parametrize("dist", STEP_DISTS, ids=repr)
+def test_operator_step_equals_former_step_bitwise(dist, kappa, monkeypatch):
+    steps = []
+    step = fixpoint._g_step
+
+    def counted(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(fixpoint, "_g_step", counted)
+    assert digest(operator_outputs(dist, kappa)) == FORMER_DIGESTS[repr(dist)][kappa]
+    assert steps                                   # the step ran
+
+
+@pytest.mark.parametrize("dist", STEP_DISTS, ids=repr)
+def test_pgf_bodies_keep_their_scalar_path_and_array_bits(dist):
+    # the array path writes in place and gives the former bits
+    outputs = []
+    for x in body_inputs():
+        assert dist._pgf_inplace(x) is x
+        outputs.append(x.tobytes())
+    assert digest(outputs) == FORMER_DIGESTS[repr(dist)]["body"]
+    # the scalar path is the array path on a one-element array
+    for x in [float(v) for v in body_inputs()[0][:1000]] + GRID[:41]:
+        new = dist.pgf(x)
+        assert type(new) is np.float64
+        assert new.tobytes() == dist._pgf_inplace(np.array([x]))[0].tobytes()
+        if type(dist) is Poisson:
+            assert dist.pgf_derivative(x).tobytes() == (dist.lam * new).tobytes()
 
 
 def test_step_clip_equals_ndarray_clip_bitwise():
