@@ -265,10 +265,11 @@ class DurationReport:
 
     def to_json_dict(self) -> dict:
         rows, cols = self.row_sums.shape
+        ends = [f",{j}" for j in range(1, cols + 1)]     # each ",j" of the "i,j" keys once
         return {
             "alpha": self.alpha.tolist(),
             "beta": self.beta.tolist(),
-            "row_sums": dict(zip((f"{i},{j}" for i in range(1, rows + 1) for j in range(1, cols + 1)),
+            "row_sums": dict(zip((i + j for i in map(str, range(1, rows + 1)) for j in ends),
                                  self.row_sums.ravel().tolist())),
             "criterion_holds": self.criterion_holds,
             "draws_zero": self.draws_zero,

@@ -20,6 +20,7 @@ draw matrix D; D = 0 exactly when h has a unique fixed point.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import operator
 from dataclasses import dataclass
@@ -56,14 +57,14 @@ MAX_STACK_ENTRIES = 2**16
 BLOCK_ENTRIES = 2**14
 MAX_BLOCK_STEPS = 32
 # a stack that tests every step recomputes only the entries whose inputs changed
-# (_box_step) while they fit in boxes at least BOX_STEP_ENTRIES entries smaller than
-# the stack: a box step costs what the whole-stack step spends on its box entries
-# plus a fixed 7,600 to 12,800 entries' worth (its numpy calls; the measured
-# break-even, BENCH_active_box.json).  Between box steps the boxes are looked for
-# after whole-stack steps 1, 2, 4, ..., BOX_SCAN_STEPS and every BOX_SCAN_STEPS-th
-# after that, since a look costs up to a quarter of a whole-stack step.
-BOX_STEP_ENTRIES = 14000
-BOX_SCAN_STEPS = 32
+# (_box_step) while they fit in boxes whose blocks hold at least BOX_STEP_ENTRIES
+# entries fewer than the stack: a box step costs what the whole-stack step spends
+# on its box entries plus 4,800 to 9,500 entries' worth (the measured break-even
+# medians, BENCH_box_calls.json).  The boxes follow from the boxes of the step
+# before, one row and column larger each second step, and shrink to the entries
+# that changed in a scan of a step's changes every SCAN_STEPS box steps.
+BOX_STEP_ENTRIES = 10000
+SCAN_STEPS = 8
 # the contraction certificate of find_fixed_points (_unique_fixed_point): the box after
 # CERT_BOX_STEPS h-steps, and at most CERT_POWERS products with its bound M of h'
 CERT_BOX_STEPS = 8
@@ -244,6 +245,7 @@ def _g_step(G, laws: tuple, fill: np.ndarray, buffers: tuple, out: np.ndarray) -
     A step is nothing but ufunc calls, each passed its output positionally: the
     subtract, the stencil, the clip ufunc that ndarray.clip ends in, with 0-d bounds,
     and G's own; so it allocates nothing and every array it writes is contiguous.
+    With fill None the interior already holds 1 - X (_box_step).
 
     The mix is not range-checked.  For X in [0, 1] it is a convex combination of
     entries of 1 - X and the boundary values 1 and 0, with weights that sum to
@@ -251,7 +253,8 @@ def _g_step(G, laws: tuple, fill: np.ndarray, buffers: tuple, out: np.ndarray) -
     pgf's _check_unit_interval would do to it is this clip, and it gives the
     same bits.  Every X comes from a validated matrix or from G itself.
     """
-    np.subtract(_ONE, fill, buffers[1])
+    if fill is not None:
+        np.subtract(_ONE, fill, buffers[1])
     mix = _edge_mix(buffers[1], *laws, buffers, out)
     return G(_clip(mix, _ZERO, _ONE, mix))
 
@@ -406,11 +409,11 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
     (_box_step) while they pay (BOX_STEP_ENTRIES), and by the whole-stack step of
     the ring otherwise.  Entry [i, h, j] of g(Z) reads only Z[j, 1 - h, i-1..i+1]
     (_edge_mix), so an entry whose three inputs kept their bits keeps its own, and
-    a step recomputes, for each half h, only the box whose rows are the columns
-    that changed in half 1 - h, widened by one, and whose columns are the rows that
-    changed there (_next_box): the entries it skips are exact.  Each box comes from
-    the last step's changes, which a box step scans every time and a whole-stack
-    step on the schedule of BOX_SCAN_STEPS.
+    a step recomputes, for each half, only boxes that hold every entry whose inputs
+    changed (_next_boxes): the entries it skips are exact.  The boxes follow from
+    the boxes of the step before, and shrink to the entries that changed when a
+    step's changes are scanned: every SCAN_STEPS steps while the boxes fit, and
+    at gaps of 1, 2, 4, ..., 8 * SCAN_STEPS steps while they do not.
     """
     n = specs[0].size
     G = specs[0].dist._pgf_inplace
@@ -431,20 +434,26 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
         change = np.empty((K, len(cells), 2, n, n))
         change_rows = change.transpose(0, 3, 1, 2, 4)     # the ring's axis order
         buffers = _stencil_buffers(B.shape)
-        # the next step's boxes, if known, and the whole-stack steps since the last box
-        # step; box steps can pay only in a stack that tests every step and holds more
-        # than BOX_STEP_ENTRIES entries, where they take their padded blocks from `pad`
-        boxes, whole = None, 0 if K == 1 and B.size > BOX_STEP_ENTRIES else None
-        if whole is not None:
-            pad = np.empty((n + 2) * len(cells) * n)
+        # box steps can pay only in a stack that tests every step and holds more than
+        # BOX_STEP_ENTRIES entries, where they take their blocks and outputs from `pad`
+        # and each spec's law operands as (specs, 1)
+        track = K == 1 and B.size > BOX_STEP_ENTRIES
+        if track:
+            pad = np.empty((2, len(cells), B.size // len(cells)))
+            work = (*pad, buffers[3].reshape(len(cells), -1), change.reshape(len(cells), -1))
+            box_laws = tuple(p if p.ndim == 0 else p[0, :, 0, :1] for p in laws)
+        # the boxes (rows a:b, columns c:d, a list per half) that hold every entry whose
+        # inputs change in the next step, if known, and the steps to the next scan
+        boxes, box, gap, wait = None, False, 1, 1
+        fits = lambda boxes: len(cells) * _box_entries(boxes) + BOX_STEP_ENTRIES <= B.size
         while True:
             steps = min(K, max_iter - it)
-            if boxes is not None and len(cells) * _box_entries(boxes) + BOX_STEP_ENTRIES <= B.size:
-                # Z_it in place; the other slot, the stencil's term and the changes as work
-                lo, hi, boxes = _box_step(G, laws, boxes, slots[0], fills[0], (
-                    slots[1].reshape(-1), pad, buffers[3].reshape(-1), change.reshape(-1)))
+            if track:
+                wait -= 1
+                box, scan = boxes is not None and fits(boxes), not wait
+            if box:                     # Z_it in place
+                lo, hi, boxes = _box_step(G, box_laws, boxes, slots[0], work, scan)
                 path, slots, fills = path[::-1], slots[::-1], fills[::-1]   # Z_it is path[1]
-                whole = 0
             else:
                 for fill, Z in zip(fills[:steps], slots[1:steps + 1]):
                     _g_step(G, laws, fill, buffers, Z)
@@ -456,10 +465,14 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
                 flat = change[:steps].reshape(steps, len(cells), 2, n * n)
                 lo = np.minimum.reduce(flat, 3)
                 hi = np.maximum.reduce(flat, 3)
-                if whole is not None:       # after whole steps 1, 2, 4, ..., 32, 64, 96, ...
-                    whole += 1
-                    boxes = None if whole & (whole - 1) and whole % BOX_SCAN_STEPS else [
-                        _next_box(change[0, :, 1 - h], 0, 0, n) for h in (0, 1)]
+                if track:
+                    boxes = _next_boxes([[(0, n, 0, n)]] * 2, n, [[moved.T] for moved in (
+                        np.logical_or.reduce(np.not_equal(change[0], _ZERO), 0))]) if scan else None
+            if track and scan:
+                # the next scan in SCAN_STEPS steps where the boxes found fit, else at a
+                # gap doubling up to 8 * SCAN_STEPS: a scan of a whole-stack step's
+                # changes costs 0.5 to 0.7 of the step at kappa 66-85 (BENCH_box_calls.json)
+                gap = wait = SCAN_STEPS if fits(boxes) else min(2 * gap, 8 * SCAN_STEPS)
             deltas = np.maximum.reduce(np.maximum(hi, 0.0 - lo), 2)
             stops = _first_stops(deltas, tol)           # each spec's stop step, if any
             # a spec counts up to its stop step, which it reaches moving forwards
@@ -490,65 +503,92 @@ def _iterate_stack(specs: list, tol: float, max_iter: int) -> list:
 
 
 def _box_entries(boxes: list) -> int:
-    """The entries per spec of the boxes (rows a:b, columns c:d) of the two halves."""
-    return sum((b - a) * (d - c) for a, b, c, d in boxes)
+    """The entries per spec of a box step's block for the boxes of each half (rows a:b,
+    columns c:d): a run of b - a + 2 entries for each column of a box."""
+    return sum((d - c) * (b - a + 2) for half in boxes for a, b, c, d in half)
 
 
-def _next_box(change: np.ndarray, a: int, c: int, n: int) -> tuple:
-    """The box (rows, then columns, as ranges) of the half that reads the half whose
-    spec-major change over its box from row a, column c is `change`, (specs, rows,
-    columns): its rows are the columns that changed, widened by one, and its columns
-    the rows that changed, over every spec; (0, 0, 0, 0) when nothing changed."""
-    moved = np.not_equal(change, _ZERO)
-    moved = moved[0] if len(moved) == 1 else np.logical_or.reduce(moved, 0)
-    rows = np.logical_or.reduce(moved, 1).nonzero()[0]
-    if not rows.size:
-        return (0, 0, 0, 0)
-    top, bottom = int(rows[0]), int(rows[-1]) + 1
-    cols = np.logical_or.reduce(moved[top:bottom], 0).nonzero()[0]
-    left, right, top, bottom = c + int(cols[0]), c + int(cols[-1]) + 1, a + top, a + bottom
-    return (max(left - 1, 0), min(right + 1, n), top, bottom)
+def _next_boxes(boxes: list, n: int, moved: list = None) -> list:
+    """The boxes of the next step (_box_step) from a step's boxes, a list for each half
+    of boxes (rows a:b, columns c:d) that hold every entry that changed.  Half 1 - h
+    reads half h, so a box of half h whose columns widened by one give the rows and
+    whose rows give the columns is a box of half 1 - h.  With `moved`, for each box
+    whether each of its entries changed in any spec, as [column, row], the boxes
+    first shrink to the entries that changed, and a half's one box splits in two,
+    over the columns up to the middle of those that changed and over the rest, where
+    the two hold at most three quarters of its entries."""
+    nxt = [[], []]
+    for h, half in enumerate(boxes):
+        if moved is not None:
+            parts = []                  # per box, the boxes of its two column ranges
+            for (a, b, c, d), box in zip(half, moved[h]):
+                cols = np.logical_or.reduce(box, 1).nonzero()[0].tolist()
+                if cols:
+                    mid = bisect.bisect_left(cols, (cols[0] + cols[-1] + 1) // 2)
+                    parts.append([(a + rows[0], a + rows[-1] + 1, c + part[0], c + part[-1] + 1)
+                                  for part in (cols[:mid], cols[mid:]) if part for rows in [
+                                      np.logical_or.reduce(box[part[0]:part[-1] + 1], 0)
+                                      .nonzero()[0].tolist()]])
+            half = [(min(box[0] for box in two), max(box[1] for box in two), two[0][2],
+                     two[-1][3]) for two in parts]
+            if len(parts) == 1 and 4 * _box_entries(parts) <= 3 * _box_entries([half]):
+                half = parts[0]
+        nxt[1 - h] = [(max(c - 1, 0), min(d + 1, n), a, b) for a, b, c, d in half]
+    return nxt
 
 
-def _box_step(G, laws: tuple, boxes: list, Z: np.ndarray, fill: np.ndarray, work: tuple) -> tuple:
-    """A step of _iterate_stack that recomputes, in place in Z, only the box of each half
-    (rows a:b, columns c:d, from _next_box), and gives each half's least and largest
-    change per spec, of shape (1, specs, 2), and the next boxes.  A box runs _g_step on
-    a view of the fill, with a padded block of its own whose top and bottom rows hold
-    the fill of the rows above and below the box or the boundary values 1 and 0.  The
-    flat arrays of `work` hold the outputs, the blocks, the stencil's terms and the
-    changes, which are spec-major as in _iterate_stack."""
+def _box_step(G, laws: tuple, boxes: list, Z: np.ndarray, work: tuple, scan: bool) -> tuple:
+    """A step of _iterate_stack that recomputes, in place in Z, only the boxes of each
+    half (rows a:b, columns c:d), and gives each half's least and largest change per
+    spec, of shape (1, specs, 2), and the next boxes (_next_boxes, from the changes
+    when `scan`).
+
+    Entry [i, h, j] reads Z[j, 1 - h, i-1..i+1], so column j of a box of half h reads
+    row j of half 1 - h, columns a - 1 .. b: one contiguous run.  One _g_step runs over
+    a block that holds, per spec, the runs of every box end to end, each as 1 - Z with
+    its own boundary values 1 and 0, and so reads each run's b - a inputs in turn along
+    the block's last axis: the two outputs at the end of each run read across runs and
+    are not written back.  A half without a box recomputes one entry.  The law
+    operands are 0-d or (specs, 1).  `work` holds the (specs, entries) arrays of the
+    block, the outputs, the stencil's term and the changes, which hold half 0's boxes
+    first, so that one reduceat pair takes the least and largest change of each spec
+    and half."""
     n, specs = Z.shape[:2]
-    outs, pad, term, change = work
-    lo, hi = np.zeros((2, 1, specs, 2))
-    done = []
-    for h, (a, b, c, d) in enumerate(boxes):
-        if a == b:
-            continue
-        rows, cols = b - a, d - c
-        block = pad[:(rows + 2) * specs * cols].reshape(rows + 2, specs, 1, cols)
-        for row, i, edge in ((0, a - 1, 1.0), (rows + 1, b, 0.0)):
-            if 0 <= i < n:
-                np.subtract(_ONE, fill[i, :, h:h + 1, c:d], block[row])
-            else:
-                block[row] = edge
-        size = rows * specs * cols
-        out, outs = outs[:size].reshape(rows, specs, 1, cols), outs[size:]
-        box = np.s_[a:b, :, h:h + 1, c:d]
-        _g_step(G, tuple(p if p.ndim == 0 else p[box] for p in laws), fill[box],
-                (block[:rows], block[1:rows + 1], block[2:], term[:size].reshape(out.shape)), out)
-        done.append((h, out, Z[box], a, c))
-    nxt = [(0, 0, 0, 0)] * 2
-    for h, out, old, a, c in done:
-        rows, _, _, cols = out.shape
-        step = change[:out.size].reshape(specs, rows, cols)
-        np.subtract(out, old, step.transpose(1, 0, 2)[:, :, None])
-        flat = step.reshape(specs, -1)
-        np.minimum.reduce(flat, 1, out=lo[0, :, h])
-        np.maximum.reduce(flat, 1, out=hi[0, :, h])
-        np.copyto(old, out)
-        nxt[1 - h] = _next_box(step, a, c, n)
-    return lo, hi, nxt
+    if not boxes[0] and not boxes[1]:   # no input changed: nothing to recompute
+        return np.zeros((1, specs, 2)), np.zeros((1, specs, 2)), boxes
+    block, out, term, change = work
+    rows_first = Z.transpose(1, 2, 0, 3)        # [spec, half, row, column] of Z
+    runs, start = [], 0
+    for h, half in enumerate(boxes):
+        for a, b, c, d in half or [(0, 1, 0, 1)]:
+            stop = start + (d - c) * (b - a + 2)
+            run = block[:, start:stop].reshape(specs, d - c, b - a + 2)
+            first, last = max(a - 1, 0), min(b + 1, n)
+            np.subtract(_ONE, rows_first[:, 1 - h, c:d, first:last],
+                        run[:, :, first - a + 1:last - a + 1])
+            if a == 0:
+                run[:, :, 0] = 1.0
+            if b == n:
+                run[:, :, -1] = 0.0
+            runs.append((h, a, b, c, d, out[:, start:stop].reshape(run.shape)[:, :, :b - a]))
+            start = stop
+    m = start - 2
+    _g_step(G, laws, None, (block[:, :m], block[:, 1:m + 1], block[:, 2:start], term[:, :m]),
+            out[:, :m])
+    cols_first = Z.transpose(1, 2, 3, 0)        # [spec, half, column, row] of Z
+    moved, done, split = ([], []), 0, 0
+    for h, a, b, c, d, new in runs:
+        old = cols_first[:, h, c:d, a:b]
+        step = change[:, done:done + (b - a) * (d - c)].reshape(new.shape)
+        np.subtract(new, old, step)
+        np.copyto(old, new)
+        if scan:
+            moved[h].append(np.logical_or.reduce(np.not_equal(step, _ZERO), 0))
+        done += (b - a) * (d - c)
+        split = split if h else done
+    lo = np.minimum.reduceat(change[:, :done], (0, split), 1)[None]
+    hi = np.maximum.reduceat(change[:, :done], (0, split), 1)[None]
+    return lo, hi, _next_boxes(boxes, n, moved if scan else None)
 
 
 def _run(iterate: np.ndarray, step: int, delta, converged: bool) -> IterationRun:

@@ -43,18 +43,28 @@ CRITERIA = "src/percgame/criteria.py"
 
 # (name, file, text, replacement): the text occurs exactly once in the file
 MUTANTS = [
-    # the boxes of _iterate_stack's large-kappa steps (_next_box, _box_step)
-    ("box-no-widening", FIXPOINT, "return (max(left - 1, 0), min(right + 1, n), top, bottom)",
-     "return (left, right, top, bottom)"),
-    ("box-own-half", FIXPOINT, "nxt[1 - h] = _next_box(", "nxt[h] = _next_box("),
-    ("box-rows-cols-swapped", FIXPOINT,
-     "return (max(left - 1, 0), min(right + 1, n), top, bottom)",
-     "return (max(top - 1, 0), min(bottom + 1, n), left, right)"),
+    # the boxes of _iterate_stack's large-kappa steps (_next_boxes, _box_step)
+    ("box-own-half", FIXPOINT, "nxt[1 - h] = [", "nxt[h] = ["),
+    ("box-rows-cols-swapped", FIXPOINT, "nxt[1 - h] = [(max(c - 1, 0), min(d + 1, n), a, b)",
+     "nxt[1 - h] = [(max(a - 1, 0), min(b + 1, n), c, d)"),
     ("box-first-spec", FIXPOINT,
-     "moved = moved[0] if len(moved) == 1 else np.logical_or.reduce(moved, 0)",
-     "moved = moved[0]"),
+     "moved[h].append(np.logical_or.reduce(np.not_equal(step, _ZERO), 0))",
+     "moved[h].append(np.not_equal(step, _ZERO)[0])"),
     ("box-rule-inverted", FIXPOINT, "_box_entries(boxes) + BOX_STEP_ENTRIES <= B.size",
      "_box_entries(boxes) + BOX_STEP_ENTRIES > B.size"),
+    ("box-split-drops-a-column", FIXPOINT, "for part in (cols[:mid], cols[mid:])",
+     "for part in (cols[:mid], cols[mid + 1:])"),
+    ("box-run-ends-written-back", FIXPOINT, "reshape(run.shape)[:, :, :b - a]",
+     "reshape(run.shape)[:, :, 1:b - a + 1]"),
+    ("box-not-widened", FIXPOINT, "nxt[1 - h] = [(max(c - 1, 0), min(d + 1, n), a, b)",
+     "nxt[1 - h] = [(c, d, a, b)"),
+    ("box-reduceat-offset-shifted", FIXPOINT, "split = split if h else done",
+     "split = split if h else done + 1"),
+    ("box-run-short", FIXPOINT, "first, last = max(a - 1, 0), min(b + 1, n)",
+     "first, last = max(a - 1, 0), min(b, n)"),
+    # a step that makes and drops a copy of its mix (an allocation only)
+    ("step-copies-mix", FIXPOINT, "    mix = _edge_mix(buffers[1], *laws, buffers, out)\n",
+     "    mix = _edge_mix(buffers[1], *laws, buffers, out)\n    mix.copy()\n"),
     # the sweep's stacks: law operands, the stacked residual and the block-tested multi-start
     ("stop-at-block-end", FIXPOINT, "below.argmax(0), len(deltas))",
      "len(deltas) - 1, len(deltas))"),
@@ -164,11 +174,11 @@ MUTANTS = [
     ("duration-weights-reversed", CRITERIA, "weights = (p1, p0, pm1)", "weights = (pm1, p0, p1)"),
     ("duration-alpha-untransposed", CRITERIA, "np.pad(Gp(alpha).T,", "np.pad(Gp(alpha),"),
     ("json-keys-col-major", CRITERIA,
-     "for i in range(1, rows + 1) for j in range(1, cols + 1)",
-     "for j in range(1, cols + 1) for i in range(1, rows + 1)"),
+     "(i + j for i in map(str, range(1, rows + 1)) for j in ends)",
+     "(i + j for j in ends for i in map(str, range(1, rows + 1)))"),
     ("json-values-transposed", CRITERIA, "self.row_sums.ravel().tolist()",
      "self.row_sums.T.ravel().tolist()"),
-    ("json-rows-cols", CRITERIA, "for i in range(1, rows + 1)", "for i in range(1, cols + 1)"),
+    ("json-rows-cols", CRITERIA, "map(str, range(1, rows + 1))", "map(str, range(1, cols + 1))"),
     ("json-numpy-floats", CRITERIA, "self.row_sums.ravel().tolist())",
      "list(self.row_sums.ravel()))"),
 ]

@@ -368,13 +368,13 @@ LARGE_KAPPA_SPECS = {
 
 @pytest.fixture
 def box_steps(monkeypatch):
-    """(specs, box entries per spec, stack entries) of every box step the test runs."""
+    """(specs, block entries per spec, stack entries) of every box step the test runs."""
     seen = []
     box_step = fixpoint._box_step
 
-    def spy(G, laws, boxes, Z, fill, work):
+    def spy(G, laws, boxes, Z, work, scan):
         seen.append((Z.shape[1], fixpoint._box_entries(boxes), Z.size))
-        return box_step(G, laws, boxes, Z, fill, work)
+        return box_step(G, laws, boxes, Z, work, scan)
 
     monkeypatch.setattr(fixpoint, "_box_step", spy)
     return seen
@@ -448,11 +448,33 @@ def test_box_steps_run_where_they_pay(box_steps):
     assert len(box_steps) > 50
     assert all(specs * entries + fixpoint.BOX_STEP_ENTRIES <= size
                for specs, entries, size in box_steps)
+    # a stack of at most BOX_STEP_ENTRIES entries (one spec up to kappa 71), where the
+    # measured break-even leaves no box that pays, takes none
     box_steps.clear()
-    spec = GameSpec(66, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.4, 0.3))
-    assert 2 * spec.size**2 <= fixpoint.BOX_STEP_ENTRIES < fixpoint.BLOCK_ENTRIES
-    iterate_from_below(spec, tol=0.0, max_iter=100)
+    for kappa in (66, 71):
+        spec = GameSpec(kappa, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.4, 0.3))
+        assert fixpoint._block_steps(2 * spec.size**2) == 1
+        assert 2 * spec.size**2 <= fixpoint.BOX_STEP_ENTRIES
+        iterate_from_below(spec, tol=0.0, max_iter=100)
     assert not box_steps
+
+
+@pytest.mark.parametrize("scan_steps", [1, 10**9], ids=["scan-every-step", "never-scan-box-steps"])
+def test_propagated_boxes_equal_reference(scan_steps, box_steps, monkeypatch):
+    # every step scans its changes for the next boxes, or only whole-stack steps do,
+    # until boxes fit: from then on every box follows from the boxes before alone;
+    # with no break-even every step whose boxes are smaller than the stack is a box step
+    monkeypatch.setattr(fixpoint, "SCAN_STEPS", scan_steps)
+    monkeypatch.setattr(fixpoint, "BOX_STEP_ENTRIES", 0)
+    spec = GameSpec(100, Poisson(5.0), EdgeWeightLaw.from_p0_p1(0.8, 0.1))
+    assert_same_run(iterate_from_below(spec), reference_iterate_from_below(spec)[0])
+    assert len(box_steps) > 100
+    box_steps.clear()
+    specs = [GameSpec(100, Poisson(5.0), EdgeWeightLaw.from_p0_p1(p0, p1))
+             for p0, p1 in ((0.4, 0.3), (0.5, 0.4), (0.3, 0.4))]
+    for got, spec in zip(iterate_from_below(specs), specs, strict=True):
+        assert_same_run(got, reference_iterate_from_below(spec)[0])
+    assert {specs for specs, _, _ in box_steps} >= {2, 3}     # per-spec law operands
 
 
 def test_iterate_rejects_nan_and_negative_tol():

@@ -481,19 +481,34 @@ def test_step_clip_equals_ndarray_clip_bitwise():
         assert got.tobytes() == expected.tobytes()
 
 
+def once_allocated_entries(n: int) -> int:
+    """The float64 entries that fixpoint._iterate_stack allocates once for one spec of
+    size n and keeps through its steps: Z, the ring of K + 1 stacks, the K changes,
+    the stencil's padded block and term, the box steps' block and outputs where it
+    takes box steps, and the iterator buffer of one numpy call (np.getbufsize()
+    entries, which a strided ufunc call allocates and frees)."""
+    stack = 2 * n * n
+    K = fixpoint._block_steps(stack)
+    box = K == 1 and stack > fixpoint.BOX_STEP_ENTRIES
+    return (stack + (K + 1) * stack + K * stack + 2 * n * (n + 2) + stack + 2 * stack * box
+            + np.getbufsize())
+
+
 # UniformRange and Explicit are left out: offspring._horner still builds a fresh
 # accumulator per call, an open item of the roadmap until a workload runs them
-@pytest.mark.parametrize("kappa", (2, 21))
+@pytest.mark.parametrize("kappa", (2, 21, 150))
 @pytest.mark.parametrize("dist", [Dirac(2), Binomial(10, 0.6), Poisson(5.0), NegBinomial(2, 0.1),
                                   TwoPoint(0.5, 3)], ids=repr)
-def test_fixed_step_run_allocates_nothing_per_step(dist, kappa):
+def test_fixed_step_run_allocates_nothing_per_step(dist, kappa, monkeypatch):
     spec = fixpoint.GameSpec(kappa, dist, EdgeWeightLaw.from_p0_p1(0.4, 0.3))
     fixpoint.iterate_from_below(spec, tol=0.0, max_iter=1000)     # first-call costs
     # whole blocks of steps (992 and 49,984 at kappa 2), since the last block's
-    # per-step changes live until the run returns
+    # per-step changes live until the run returns; 1,500 and 3,000 box-path steps at
+    # kappa 150, which past convergence recompute nothing (Poisson from step 1,399)
     block = fixpoint._block_steps(2 * (kappa - 1) ** 2)
     peaks = []
-    for steps in (block * (1000 // block), block * (50_000 // block)):
+    for steps in ((1_500, 3_000) if block == 1 else
+                  (block * (1000 // block), block * (50_000 // block))):
         tracemalloc.start()
         try:
             fixpoint.iterate_from_below(spec, tol=0.0, max_iter=steps)
@@ -501,3 +516,28 @@ def test_fixed_step_run_allocates_nothing_per_step(dist, kappa):
         finally:
             tracemalloc.stop()
     assert peaks[0] == peaks[1]
+    if block > 1:
+        return
+    # Over its steps a stack of box steps holds no more than what it allocates once,
+    # plus a slack below one stack: the boolean masks of a scan for boxes (two bytes
+    # an entry at most) and 16 kB of Python objects.  So a step that makes and drops
+    # an array the size of the stack shows there.  The peaks above do not see it, nor
+    # could this bound at kappa 2 or 21, whose stacks (16 B, 6.4 kB) are smaller
+    # than the iterator buffers of the block's strided numpy calls (64 kB each).
+    step_peak = [0]
+    first_stops = fixpoint._first_stops
+
+    def spy(deltas, tol):       # the traced peak so far, at each block's stop test
+        step_peak[0] = max(step_peak[0], tracemalloc.get_traced_memory()[1])
+        return first_stops(deltas, tol)
+
+    monkeypatch.setattr(fixpoint, "_first_stops", spy)
+    tracemalloc.start()
+    try:
+        fixpoint.iterate_from_below(spec, tol=0.0, max_iter=1000)
+    finally:
+        tracemalloc.stop()
+    n = kappa - 1
+    slack = 2 * (2 * n * n) + 16_000
+    assert step_peak[0] <= 8 * once_allocated_entries(n) + slack
+    assert slack + 8 * np.getbufsize() < 8 * 2 * n * n
